@@ -425,8 +425,15 @@ class CompiledKernel:
                 lb = cache.geo.line_bytes
                 lines = addrs & ~np.int64(lb - 1)
                 now = sm.gpu.now
-                latency = 0
                 row = w.bank.regs[dst] if dst != RZ else None
+                first = int(lines[0])
+                if (lines == first).all():
+                    # Coalesced: one line, no split (same order and effects).
+                    data, latency = cache.read_line(first, lb, now)
+                    if row is not None:
+                        row[lanes] = data.view("<u4")[(addrs - first) >> 2]
+                    return latency
+                latency = 0
                 for la in np.unique(lines):
                     sel = lines == la
                     data, line_lat = cache.read_line(int(la), lb, now)
@@ -457,6 +464,13 @@ class CompiledKernel:
                 lb = sm.gpu.l2.geo.line_bytes
                 lines = addrs & ~np.int64(lb - 1)
                 now = sm.gpu.now
+                first = int(lines[0])
+                if (lines == first).all():
+                    # Coalesced: one line, no split (same order and effects).
+                    offs = addrs - first
+                    sm.l1d.update_words_if_present(first, offs, vals)
+                    sm.gpu.l2.write_words_line(first, offs, vals, now)
+                    return lat.l1_hit
                 for la in np.unique(lines):
                     sel = lines == la
                     offs = (addrs[sel] - la).astype(np.int64)

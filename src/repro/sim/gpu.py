@@ -39,6 +39,11 @@ from repro.utils.bitops import bitcast_f2u
 #: Absolute cycle cap for launches without an explicit budget (profiling).
 DEFAULT_CYCLE_CAP = 10_000_000
 
+#: Compiled kernels one GPU keeps, least recently used evicted first. Host
+#: code can derive constant banks from device data (sradv1's ``q0sqr``,
+#: lud's ``k``), so faulty trials can add keys the golden run never made.
+KERNEL_MEMO_SIZE = 32
+
 
 @dataclass(frozen=True)
 class Buffer:
@@ -105,6 +110,7 @@ class GPU:
         self.launch_records: list[LaunchRecord] = []
         self.now = 0
         self.kernel: CompiledKernel | None = None
+        self._kernels: dict[tuple[int, bytes], CompiledKernel] = {}
         self.stats: LaunchStats | None = None
         self._warp_uid = 0
         self._pending: list[CTA] = []
@@ -192,7 +198,7 @@ class GPU:
         launch_index = len(self.launch_records)
         launch = KernelLaunch(kernel_name, grid, block, encoded, smem_bytes)
 
-        self.kernel = CompiledKernel(program, const_bank, self.config)
+        self.kernel = self._compiled(program, const_bank)
         stats = LaunchStats(
             regs_per_thread=program.num_regs,
             smem_bytes_per_cta=smem_bytes,
@@ -264,6 +270,22 @@ class GPU:
         self.launch_records.append(record)
         return record
 
+    def _compiled(self, program: Program, const_bank: np.ndarray) -> CompiledKernel:
+        """The kernel of ``program`` specialised to ``const_bank``, memoised.
+
+        The key holds the program's identity; the memoised kernel keeps
+        the program alive, so no other program can reuse that id while the
+        entry exists.
+        """
+        key = (id(program), const_bank.tobytes())
+        kernel = self._kernels.pop(key, None)
+        if kernel is None:
+            kernel = CompiledKernel(program, const_bank, self.config)
+            if len(self._kernels) >= KERNEL_MEMO_SIZE:
+                del self._kernels[next(iter(self._kernels))]
+        self._kernels[key] = kernel  # most recently used last
+        return kernel
+
     def _fill_sm(self, sm: SM, program: Program, smem_bytes: int) -> None:
         regs = max(program.num_regs, 1)
         while self._pending:
@@ -296,43 +318,54 @@ class GPU:
     # Main loop
     # ------------------------------------------------------------------ #
     def _run(self, plan, budget: int, stats: LaunchStats) -> None:
+        """Clock the launch until every CTA has retired.
+
+        Event-driven issue: ``ready[i]`` caches SM ``i``'s next issue cycle
+        (:meth:`SM.next_event`), and an SM is polled only once that cycle
+        has come, so :meth:`SM.pick_ready` always finds a warp. An SM's
+        schedule changes only when it issues (barriers, EXIT, CTA
+        retire/refill and the round-robin cursor all stay on that SM) or
+        when a fault rewrites control state on some SM, so the cache is
+        refreshed exactly then: after each issue for the issuing SM, and
+        for every SM after the plan fires or a persistent plan re-pins.
+        """
         now = 0
         self.now = 0
         sms = self.sms
         trial_budget = self.trial_cycle_budget
         burnt = self.trial_cycles_done
-        while self._pending or any(sm.ctas for sm in sms):
-            for sm in sms:
-                warp = sm.pick_ready(now)
-                if warp is not None:
-                    latency = sm.execute(warp, now)
-                    warp.next_ready = now + latency
+        ready = [sm.next_event() for sm in sms]
+        while True:
+            for i, ev in enumerate(ready):
+                if ev is not None and ev <= now:
+                    sm = sms[i]
+                    warp = sm.pick_ready(now)
+                    warp.next_ready = now + sm.execute(warp, now)
+                    ready[i] = sm.next_event()
 
             if plan is not None:
                 if not plan.fired:
                     if now >= plan.cycle:
                         plan.fire(self)
+                        ready = [sm.next_event() for sm in sms]
                 elif plan.persistent:
                     # Stuck-at / intermittent models: the defect re-asserts
                     # itself every clock iteration, overriding any write.
                     plan.enforce(self)
+                    ready = [sm.next_event() for sm in sms]
 
             resident = 0
-            nxt: int | None = None
             for sm in sms:
                 resident += len(sm.warps)
-                ev = sm.next_event()
+            nxt: int | None = None
+            for ev in ready:
                 if ev is not None and (nxt is None or ev < nxt):
                     nxt = ev
             stats.max_warps_observed = max(stats.max_warps_observed, resident)
             if resident == 0 and not self._pending:
                 break
             if nxt is None:
-                if resident or self._pending:
-                    raise DeadlockError(
-                        "all resident warps blocked (barrier deadlock)"
-                    )
-                break
+                raise DeadlockError("all resident warps blocked (barrier deadlock)")
             new_now = max(now + 1, nxt)
             stats.warp_cycles_resident += resident * (new_now - now)
             now = new_now

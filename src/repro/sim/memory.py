@@ -12,6 +12,8 @@ zeroed/corrupted pointer faults instead of silently reading address 0.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.errors import IllegalMemoryAccess, LaunchError
@@ -29,8 +31,15 @@ class GlobalMemory:
         if size_bytes <= HEAP_BASE:
             raise LaunchError(f"device memory too small ({size_bytes} bytes)")
         self.size = size_bytes
-        self.data = np.zeros(size_bytes, dtype=np.uint8)
+        # An anonymous mapping: the OS supplies zeroed pages on first touch,
+        # so building a device is O(1). ``np.zeros`` may instead memset a
+        # reused heap block of the full DRAM size.
+        self.data = np.frombuffer(mmap.mmap(-1, size_bytes), dtype=np.uint8)
         self._next = HEAP_BASE
+        # End of the highest byte any write reached: ``reset`` zeroes only
+        # up to it. Line write-backs may pass ``_next`` (a dirty line that
+        # straddles the heap end), so this is tracked apart from it.
+        self._written_end = 0
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -52,7 +61,8 @@ class GlobalMemory:
     def reset(self) -> None:
         """Free everything (used between independent application runs)."""
         self._next = HEAP_BASE
-        self.data[:] = 0
+        self.data[: self._written_end] = 0
+        self._written_end = 0
 
     @property
     def heap_end(self) -> int:
@@ -78,7 +88,9 @@ class GlobalMemory:
         payload = np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
         if addr < HEAP_BASE or addr + payload.size > self._next:
             raise IllegalMemoryAccess(addr, payload.size, "host write out of bounds")
-        self.data[addr : addr + payload.size] = payload
+        end = addr + payload.size
+        self.data[addr:end] = payload
+        self._written_end = max(self._written_end, end)
 
     def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
         if addr < HEAP_BASE or addr + nbytes > self._next:
@@ -103,3 +115,4 @@ class GlobalMemory:
         end = min(line_addr + payload.size, self.size)
         if line_addr < self.size:
             self.data[line_addr:end] = payload[: end - line_addr]
+            self._written_end = max(self._written_end, end)

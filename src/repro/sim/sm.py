@@ -148,7 +148,7 @@ class SM:
         # Guard evaluation.
         if instr.guard_pred == 7 and not instr.guard_neg:
             gm = active
-            n_exec = int(np.count_nonzero(active))
+            n_exec = warp.n_alive if uniform else int(np.count_nonzero(active))
         else:
             gp = warp.preds[instr.guard_pred]
             gm = active & ~gp if instr.guard_neg else active & gp
@@ -189,9 +189,8 @@ class SM:
             else:
                 pcs[active] += 1
         elif kind == K_BRA:
-            n_active = n_exec if gm is active else int(np.count_nonzero(active))
             if uniform:
-                if n_exec == n_active:  # all active lanes take the branch
+                if n_exec == warp.n_alive:  # all active lanes take the branch
                     warp.upc = instr.target
                 elif n_exec == 0:
                     warp.upc = cur + 1
@@ -207,7 +206,7 @@ class SM:
             warp.done |= gm
             if not uniform:
                 pcs[active & ~gm] += 1
-            elif n_exec != int(np.count_nonzero(active)):
+            elif n_exec != warp.n_alive:
                 warp.upc = cur + 1  # surviving lanes continue uniformly
             if warp.update_finished():
                 cta = warp.cta

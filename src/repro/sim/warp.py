@@ -34,6 +34,7 @@ class Warp:
         "finished",
         "specials",
         "alive",
+        "n_alive",
         "diverged",
         "upc",
     )
@@ -53,14 +54,14 @@ class Warp:
         self.waiting_barrier = False
         self.specials = self._build_specials(warp_size)
         # Cached scheduler/divergence state (hot path):
-        # - ``alive`` mirrors ``~done`` and is refreshed on EXIT;
+        # - ``alive`` mirrors ``~done`` and ``n_alive`` counts its lanes; both
+        #   are refreshed by ``update_finished`` (EXIT, alive-mask faults);
         # - while ``diverged`` is False, every alive lane sits at ``upc`` and
         #   the per-lane ``pc`` array is not consulted; a mixed-outcome branch
         #   materialises per-lane PCs and flips ``diverged`` on.
-        self.finished = bool(self.done.all())
-        self.alive = ~self.done
         self.diverged = False
         self.upc = 0
+        self.update_finished()
 
     def _build_specials(self, warp_size: int) -> np.ndarray:
         cta = self.cta
@@ -91,9 +92,11 @@ class Warp:
         return sp
 
     def update_finished(self) -> bool:
-        """Refresh cached masks after an EXIT retires lanes."""
+        """Refresh ``alive``, ``n_alive`` and ``finished`` from ``done``
+        (at creation, after an EXIT retires lanes, after a mask fault)."""
         self.alive = ~self.done
-        self.finished = bool(self.done.all())
+        self.n_alive = int(np.count_nonzero(self.alive))
+        self.finished = self.n_alive == 0
         return self.finished
 
     def materialize_pcs(self) -> None:

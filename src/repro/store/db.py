@@ -32,6 +32,7 @@ current :data:`SCHEMA_VERSION` first.
 from __future__ import annotations
 
 import sqlite3
+import time
 from pathlib import Path
 
 from repro.config import get_settings
@@ -184,6 +185,32 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
         conn.isolation_level = old_isolation
 
 
+#: How long a connection waits on another process's lock (seconds).
+BUSY_TIMEOUT_S = 10.0
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Put the database in WAL mode, tolerating concurrent first opens.
+
+    Switching the journal mode takes an exclusive lock without consulting
+    the busy handler, so processes first-opening a fresh ledger together
+    get ``database is locked`` at once. The mode is persistent: read it
+    and switch only when it is not WAL yet, retrying a locked switch
+    within the busy timeout.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+            if mode.lower() != "wal":
+                conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.005)
+
+
 def connect(path: Path | str | None = None) -> sqlite3.Connection:
     """Open (creating and migrating if needed) the run ledger.
 
@@ -193,10 +220,10 @@ def connect(path: Path | str | None = None) -> sqlite3.Connection:
     """
     db = Path(path) if path is not None else store_path()
     db.parent.mkdir(parents=True, exist_ok=True)
-    conn = sqlite3.connect(str(db), timeout=10.0)
+    conn = sqlite3.connect(str(db), timeout=BUSY_TIMEOUT_S)
     conn.row_factory = sqlite3.Row
-    conn.execute("PRAGMA journal_mode=WAL")
+    _enable_wal(conn)
     conn.execute("PRAGMA synchronous=NORMAL")
-    conn.execute("PRAGMA busy_timeout=10000")
+    conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
     ensure_schema(conn)
     return conn

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
+    _ENV_VARS,
     DEFAULT_HANG_FACTOR,
     DEFAULT_MAX_TRIAL_FAILURES,
     DEFAULT_MIN_TRIALS,
@@ -17,10 +18,8 @@ from repro.config import (
 )
 from repro.errors import ConfigError, ReproError
 
-_KNOBS = ("REPRO_TRIALS", "REPRO_TRIALS_HARDENED", "REPRO_CACHE_DIR",
-          "REPRO_MAX_TRIAL_FAILURES", "REPRO_WORKERS", "REPRO_TELEMETRY",
-          "REPRO_LOG_LEVEL", "REPRO_HANG_FACTOR", "REPRO_CI_HALFWIDTH",
-          "REPRO_MIN_TRIALS")
+#: Every knob Settings reads, from its one source of truth.
+_KNOBS = _ENV_VARS
 
 
 @pytest.fixture()

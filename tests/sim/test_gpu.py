@@ -187,3 +187,23 @@ def test_occupancy_bounded(gv100):
     rec = gpu.launch(STORE_TID, (16, 1), (32, 1), [out])
     occ = rec.stats.occupancy(gv100.max_warps_per_sm, gv100.num_sms)
     assert 0.0 < occ <= 1.0
+
+
+def test_compiled_kernels_are_memoised_per_constant_bank(gv100, monkeypatch):
+    import repro.sim.gpu as gpu_module
+
+    monkeypatch.setattr(gpu_module, "KERNEL_MEMO_SIZE", 2)
+    gpu = GPU(gv100)
+    bufs = [gpu.malloc(4 * 32) for _ in range(3)]
+    gpu.launch(STORE_TID, (1, 1), (32, 1), [bufs[0]])
+    first = gpu.kernel
+    gpu.reset()  # a new app run keeps the memo
+    bufs = [gpu.malloc(4 * 32) for _ in range(3)]
+    gpu.launch(STORE_TID, (1, 1), (32, 1), [bufs[0]])
+    assert gpu.kernel is first
+    gpu.launch(STORE_TID, (1, 1), (32, 1), [bufs[1]])
+    assert gpu.kernel is not first  # another constant bank
+    gpu.launch(STORE_TID, (1, 1), (32, 1), [bufs[2]])
+    assert len(gpu._kernels) == 2  # bounded: the least recently used went
+    gpu.launch(STORE_TID, (1, 1), (32, 1), [bufs[0]])
+    assert gpu.kernel is not first

@@ -77,3 +77,18 @@ def test_reset():
     mem.reset()
     assert mem.heap_end == HEAP_BASE
     assert not mem.data.any()
+
+
+def test_reset_clears_line_written_back_past_heap_end():
+    """A corrupted dirty line can be written back past ``heap_end``; the
+    next run must still start from zeroed DRAM."""
+    mem = GlobalMemory(1 << 16)
+    addr = mem.alloc(64)
+    line = np.full(512, 0xA5, dtype=np.uint8)
+    mem.write_line(addr, line)  # tail lands beyond the 256-byte allocation
+    assert mem.data[mem.heap_end : addr + 512].all()
+    mem.reset()
+    assert not mem.data.any()
+    mem.write_bytes(mem.alloc(16), np.ones(16, dtype=np.uint8))
+    mem.reset()
+    assert not mem.data.any()

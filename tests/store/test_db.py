@@ -1,5 +1,6 @@
 """Schema, migrations, and connection policy of the ledger database."""
 
+import os
 import sqlite3
 
 import pytest
@@ -100,3 +101,36 @@ def test_concurrent_first_connect_migrates_once(tmp_path):
         assert version == SCHEMA_VERSION
     finally:
         conn.close()
+
+
+def _open_or_fail(db_path: str, barrier) -> None:
+    barrier.wait()
+    try:
+        connect(db_path).close()
+    except sqlite3.OperationalError:
+        os._exit(1)
+    os._exit(0)
+
+
+def test_many_concurrent_first_opens_never_fail(tmp_path):
+    """Forked processes first-opening one fresh ledger all succeed.
+
+    Switching to WAL takes an exclusive lock that the busy timeout does
+    not cover, so unguarded openers fail with 'database is locked'."""
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork")
+    openers, rounds = 8, 24
+    errors = 0
+    for r in range(rounds):
+        db = str(tmp_path / f"fresh{r}.sqlite3")
+        barrier = ctx.Barrier(openers, timeout=30)
+        procs = [ctx.Process(target=_open_or_fail, args=(db, barrier))
+                 for _ in range(openers)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+            assert not p.is_alive()
+            errors += p.exitcode != 0
+    assert errors == 0

@@ -102,6 +102,7 @@ from repro.fi.runner import ProgressFn, WorkerProgressFn, execute_trials
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
 from repro.sim.gpu import GPU
+from repro.sim.replay import ReplayTrack
 from repro.telemetry.events import (
     NULL,
     TelemetrySession,
@@ -157,6 +158,10 @@ class AppProfile:
     golden: dict  # output name -> ndarray
     total_cycles: int
     stats_by_launch: list[dict]
+    #: The golden launches injected trials replay from (see
+    #: :mod:`repro.sim.replay`); ``None`` simulates every launch. Never
+    #: part of a cache key or payload: replay changes no result.
+    replay: ReplayTrack | None = dataclasses.field(default=None, repr=False)
 
     def kernel_launches(self, kernel: str, include_post: bool = True
                         ) -> list[dict]:
@@ -187,6 +192,7 @@ def profile_app(
 ) -> AppProfile:
     """Run the application fault-free and collect its profile."""
     gpu = GPU(config)
+    gpu.recorder = ReplayTrack(config)
     harness = harness_factory() if harness_factory else DeviceHarness()
     golden = app.run(gpu, harness)
     harness.finalize(gpu)
@@ -214,6 +220,7 @@ def profile_app(
         golden=golden,
         total_cycles=sum(l["cycles"] for l in launches),
         stats_by_launch=stats_by_launch,
+        replay=gpu.recorder,
     )
 
 
@@ -461,6 +468,14 @@ def run_campaign(
         # the default path must not import kernel/hardening modules.
 
         harness_factory = hardening_scheme(spec.harden)
+    if (spec.hardened and harness_factory is None
+            and not spec.level.startswith("src")):
+        # Without a harness the campaign would run unhardened and be
+        # cached under the hardened key.
+        raise ConfigError(
+            "hardened=True labels a TMR campaign but runs whatever harness "
+            "it is given; pass harness_factory (e.g. "
+            "repro.hardening.tmr.tmr_harness_factory) or use harden='tmr'")
     if spec.level == "uarch":
         if spec.target == "control":
             if spec.structure is not None:
@@ -654,13 +669,15 @@ def _gpu_factory(profile: AppProfile, config: GPUConfig):
 
 def _kernel_rollup(gpu: GPU) -> dict[str, dict[str, int]]:
     """Per-kernel LaunchStats rollup of one trial (small, summable
-    counters only — the full snapshot would dominate the event stream)."""
+    counters only — the full snapshot would dominate the event stream).
+    ``replayed`` counts the launches taken from the golden run."""
     rollup: dict[str, dict[str, int]] = {}
     for rec in gpu.launch_records:
         roll = rollup.setdefault(
-            rec.name, {"launches": 0, "cycles": 0, "warp_instructions": 0,
-                       "thread_instructions": 0})
+            rec.name, {"launches": 0, "replayed": 0, "cycles": 0,
+                       "warp_instructions": 0, "thread_instructions": 0})
         roll["launches"] += 1
+        roll["replayed"] += rec.replayed
         roll["cycles"] += rec.stats.cycles
         roll["warp_instructions"] += rec.stats.warp_instructions
         roll["thread_instructions"] += rec.stats.thread_instructions
@@ -701,6 +718,7 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
             # baseline cycle count keeps it out of the control-path tally.
             return FaultOutcome.MASKED, profile.total_cycles
         gpu.reset()
+        gpu.replay = profile.replay
         setattr(gpu, injector_attr, injector_cls(plan))
         harness = harness_factory() if harness_factory else DeviceHarness()
         try:
@@ -721,6 +739,7 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
                 app.name, outputs, profile.golden, site)
         finally:
             setattr(gpu, injector_attr, None)
+            gpu.replay = None
 
     return trial_fn
 

@@ -42,17 +42,18 @@ class SoftwareInjector:
 
     def __init__(self, plan: SoftwareFaultPlan):
         self.plan = plan
-        self._active = False
+        #: The current launch may still inject (and so is never replayed).
+        self.armed = False
         self._counter = 0
 
     def begin_launch(self, launch_index: int, kernel_name: str) -> None:
-        self._active = launch_index == self.plan.launch_index and not self.plan.fired
+        self.armed = launch_index == self.plan.launch_index and not self.plan.fired
         self._counter = 0
 
     def after_write(self, warp, dst: int, gm: np.ndarray, n_exec: int,
                     is_load: bool) -> None:
         """Hot-path hook: count candidates; flip when the target is reached."""
-        if not self._active:
+        if not self.armed:
             return
         plan = self.plan
         if plan.loads_only and not is_load:
@@ -68,7 +69,7 @@ class SoftwareInjector:
             plan.description = (
                 f"warp {warp.uid} lane {lane} R{dst} bit {plan.bit}"
             )
-            self._active = False
+            self.armed = False
 
 
 def plan_software_fault(

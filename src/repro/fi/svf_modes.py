@@ -49,11 +49,12 @@ class SourceInjector:
 
     def __init__(self, plan: SourceFaultPlan):
         self.plan = plan
-        self._active = False
+        #: The current launch may still inject (and so is never replayed).
+        self.armed = False
         self._counter = 0
 
     def begin_launch(self, launch_index: int, kernel_name: str) -> None:
-        self._active = (
+        self.armed = (
             launch_index == self.plan.launch_index and not self.plan.fired
         )
         self._counter = 0
@@ -63,7 +64,7 @@ class SourceInjector:
 
     def before_exec(self, warp, instr, gm, n_exec: int):
         """Source hook: returns a restore callable for transient faults."""
-        if not self._active:
+        if not self.armed:
             return None
         src_regs = instr.source_registers()
         if not src_regs:
@@ -82,7 +83,7 @@ class SourceInjector:
         warp.bank.regs[reg, lane] ^= mask
         plan.fired = True
         plan.description = f"warp {warp.uid} lane {lane} R{reg} bit {plan.bit}"
-        self._active = False
+        self.armed = False
         if plan.sticky:
             return None
 

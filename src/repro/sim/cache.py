@@ -289,6 +289,36 @@ class Cache:
         self._fills_in_flight.clear()
 
     # ------------------------------------------------------------------ #
+    # Launch-boundary state (golden launch replay, see repro.sim.replay)
+    # ------------------------------------------------------------------ #
+    def boundary_state(self) -> tuple[np.ndarray, ...]:
+        """What a later access can observe: valid/dirty bits, and the tag,
+        data and LRU stamp of each valid line. Invalid lines are never
+        read (a fill overwrites the whole line) and only the order of
+        valid lines' stamps picks a victim, so stamps are kept relative
+        to the LRU clock, which keeps counting across app runs."""
+        valid = self.valid.copy()
+        return (valid, self.dirty.copy(), self.tags[valid],
+                self.lru[valid] - self._lru_clock, self.data[valid])
+
+    def matches_boundary(self, state) -> bool:
+        valid, dirty, tags, lru, lines = state
+        return (np.array_equal(self.valid, valid)
+                and np.array_equal(self.dirty, dirty)
+                and np.array_equal(self.tags[valid], tags)
+                and np.array_equal(self.lru[valid] - self._lru_clock, lru)
+                and np.array_equal(self.data[valid], lines))
+
+    def restore_boundary(self, state) -> None:
+        valid, dirty, tags, lru, lines = state
+        self.valid[:] = valid
+        self.dirty[:] = dirty
+        self.tags[:] = -1
+        self.tags[valid] = tags
+        self.lru[valid] = lru + self._lru_clock
+        self.data[valid] = lines
+
+    # ------------------------------------------------------------------ #
     # Fault injection
     # ------------------------------------------------------------------ #
     @property

@@ -17,6 +17,9 @@ the kernel has drained). Fault-injection hooks:
   (all launches together) may execute before :class:`SimTimeout` aborts it.
   Per-launch budgets cannot catch a host-side convergence loop that a
   persistent fault keeps from ever converging; this one does.
+* ``replay`` — the fault-free run's :class:`~repro.sim.replay.ReplayTrack`:
+  a launch that would repeat a golden launch is restored from it instead
+  of simulated. ``recorder`` is the track a fault-free run records into.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ from repro.isa.program import Program
 from repro.sim.cache import Cache, DRAMInterface
 from repro.sim.executor import CompiledKernel
 from repro.sim.memory import GlobalMemory
+from repro.sim.replay import (
+    Boundary,
+    GoldenLaunch,
+    ReplayTrack,
+    advance_uid_counters,
+    replayed_record,
+    uid_counters,
+)
 from repro.sim.sm import SM
 from repro.sim.stats import LaunchStats
 from repro.sim.warp import CTA
@@ -75,6 +86,9 @@ class LaunchRecord:
     launch: KernelLaunch
     stats: LaunchStats
     program_name: str = ""
+    #: Restored from the golden run instead of simulated (see
+    #: :mod:`repro.sim.replay`); ``stats`` are then the golden launch's.
+    replayed: bool = False
 
     @property
     def name(self) -> str:
@@ -125,6 +139,10 @@ class GPU:
         # by completed launches of the current run.
         self.trial_cycle_budget: int | None = None
         self.trial_cycles_done = 0
+        # Golden launch replay (see repro.sim.replay): the fault-free track
+        # launches are replayed from, and the track a fault-free run records.
+        self.replay: ReplayTrack | None = None
+        self.recorder: ReplayTrack | None = None
 
     @property
     def global_cycle(self) -> int:
@@ -193,12 +211,35 @@ class GPU:
             raise LaunchError(f"{program.name} uses shared memory but none requested")
 
         encoded = tuple(_encode_param(p) for p in params)
-        const_bank = np.asarray(encoded, dtype=np.uint32)
         kernel_name = name or program.name
         launch_index = len(self.launch_records)
         launch = KernelLaunch(kernel_name, grid, block, encoded, smem_bytes)
 
-        self.kernel = self._compiled(program, const_bank)
+        budget = None
+        if self.cycle_budget_fn is not None:
+            budget = self.cycle_budget_fn(launch_index, kernel_name)
+        if budget is None:
+            budget = DEFAULT_CYCLE_CAP
+
+        plan = None
+        if self.uarch_injector is not None:
+            plan = self.uarch_injector.arm(launch_index, kernel_name, self)
+        sw_injector = self.sw_injector
+        if sw_injector is not None:
+            sw_injector.begin_launch(launch_index, kernel_name)
+
+        if (self.replay is not None and plan is None and self.tracer is None
+                and (sw_injector is None or not sw_injector.armed)):
+            golden = self.replay.find(self, launch_index, program, launch)
+            if golden is not None and self._within_budgets(
+                    golden.record.cycles, budget):
+                return self._replay_launch(golden)
+
+        if self.recorder is not None:
+            entry = self.recorder.entry_boundary(self)
+            uids = uid_counters(self)
+
+        self.kernel = self._compiled(program, np.asarray(encoded, dtype=np.uint32))
         stats = LaunchStats(
             regs_per_thread=program.num_regs,
             smem_bytes_per_cta=smem_bytes,
@@ -239,23 +280,11 @@ class GPU:
         for sm in self.sms:
             self._fill_sm(sm, program, smem_bytes)
 
-        budget = None
-        if self.cycle_budget_fn is not None:
-            budget = self.cycle_budget_fn(launch_index, kernel_name)
-        if budget is None:
-            budget = DEFAULT_CYCLE_CAP
-
-        plan = None
-        if self.uarch_injector is not None:
-            plan = self.uarch_injector.arm(launch_index, kernel_name, self)
-            if plan is not None and plan.fired:
-                # A persistent fault re-armed for a later launch: the
-                # simulator rebuilt RF/warp state at launch, so the plan
-                # re-resolves its drawn site against the live structures.
-                plan.rebind(self)
-
-        if self.sw_injector is not None:
-            self.sw_injector.begin_launch(launch_index, kernel_name)
+        if plan is not None and plan.fired:
+            # A persistent fault re-armed for a later launch: the simulator
+            # rebuilt RF/warp state at launch, so the plan re-resolves its
+            # drawn site against the live structures.
+            plan.rebind(self)
 
         try:
             self._run(plan, budget, stats)
@@ -267,6 +296,28 @@ class GPU:
 
         record = LaunchRecord(launch_index, launch, stats, program.name)
         self._collect_cache_stats(stats)
+        self.launch_records.append(record)
+        if self.recorder is not None:
+            deltas = tuple(b - a for a, b in zip(uids, uid_counters(self)))
+            self.recorder.launches.append(GoldenLaunch(
+                program, launch, entry, Boundary.capture(self), deltas, record))
+        return record
+
+    def _within_budgets(self, cycles: int, budget: int) -> bool:
+        """Whether a launch of ``cycles`` cycles passes the per-launch
+        budget and the trial watchdog (a simulated one would time out)."""
+        trial_budget = self.trial_cycle_budget
+        return cycles <= budget and (
+            trial_budget is None
+            or self.trial_cycles_done + cycles <= trial_budget)
+
+    def _replay_launch(self, golden: GoldenLaunch) -> LaunchRecord:
+        """Take the effect of a golden launch without simulating it.
+        ``self.stats`` is left alone: it belongs to simulated launches."""
+        golden.exit.restore(self)
+        advance_uid_counters(self, golden.uid_deltas)
+        record = replayed_record(golden)
+        self.trial_cycles_done += record.cycles
         self.launch_records.append(record)
         return record
 

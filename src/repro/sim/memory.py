@@ -69,6 +69,26 @@ class GlobalMemory:
         return self._next
 
     # ------------------------------------------------------------------ #
+    # Launch-boundary state (golden launch replay, see repro.sim.replay)
+    # ------------------------------------------------------------------ #
+    def boundary_state(self) -> tuple[int, int, np.ndarray]:
+        """The allocator watermark, the written end and the bytes below it
+        (every byte past the written end is zero)."""
+        return self._next, self._written_end, self.data[: self._written_end].copy()
+
+    def matches_boundary(self, state) -> bool:
+        heap_end, written_end, data = state
+        return (self._next == heap_end and self._written_end == written_end
+                and np.array_equal(self.data[:written_end], data))
+
+    def restore_boundary(self, state) -> None:
+        """Load ``state``. The written end only grows, so restoring the exit
+        state of a launch whose entry state matched rewrites every byte
+        that can differ."""
+        self._next, self._written_end, data = state
+        self.data[: self._written_end] = data
+
+    # ------------------------------------------------------------------ #
     # Validity checking (vectorised over a warp's lane addresses)
     # ------------------------------------------------------------------ #
     def check_word_addresses(self, addrs: np.ndarray) -> None:

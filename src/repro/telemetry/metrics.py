@@ -347,6 +347,9 @@ def render_summary(s: CampaignSummary) -> str:
     lines.append(f"  result cache       {s.cache_hits} hit(s), "
                  f"{s.cache_misses} miss(es)")
     if s.kernels:
+        replayed = sum(r.get("replayed", 0) for r in s.kernels.values())
+        launches = sum(r.get("launches", 0) for r in s.kernels.values())
+        lines.append(f"  launches replayed  {replayed} of {launches}")
         lines.append("  per-kernel rollup (summed over injected trials):")
         for kernel in sorted(s.kernels):
             roll = s.kernels[kernel]

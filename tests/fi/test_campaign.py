@@ -119,6 +119,21 @@ def test_run_campaign_validation_errors(tmp_cache, gv100):
         run_campaign(CampaignSpec(level="src", app="va", hardened=True))
 
 
+@pytest.mark.parametrize("level", ["uarch", "sw", "sw-ld"])
+def test_hardened_without_harness_is_refused(level, tmp_cache):
+    """``hardened=True`` alone would run unhardened under the hardened
+    cache key; nothing may be simulated or cached."""
+    spec = CampaignSpec(level=level, app="va", trials=2, hardened=True,
+                        structure="rf" if level == "uarch" else None)
+    with pytest.raises(ConfigError, match="harness_factory"):
+        run_campaign(spec)
+    assert not tmp_cache.exists() or not any(tmp_cache.glob("*.json"))
+    from repro.hardening.tmr import tmr_harness_factory
+
+    result = run_campaign(spec, harness_factory=tmr_harness_factory)
+    assert result.hardened and result.counts.total == 2
+
+
 def test_deprecated_wrappers_are_gone():
     """The PR-2 shim entry points were removed; run_campaign is the API."""
     import repro.fi

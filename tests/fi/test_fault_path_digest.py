@@ -47,7 +47,14 @@ CELLS: dict[str, dict] = {
 
 
 def run_cell(name: str) -> dict:
-    """Run one cell uncached; returns its payload and per-trial records.
+    """Run one cell uncached; returns its payload and per-trial records."""
+    return record_campaign(CampaignSpec(level="uarch", trials=TRIALS,
+                                        **CELLS[name]))
+
+
+def record_campaign(spec: CampaignSpec) -> dict:
+    """Run ``spec``; returns its payload and every trial's journaled
+    ``(outcome, cycles)`` in trial order.
 
     ``workers`` is left to ``REPRO_WORKERS``, so the serial and the pool
     paths are both held to the same fixture.
@@ -62,8 +69,7 @@ def run_cell(name: str) -> dict:
 
     CampaignJournal.append_many = recording
     try:
-        result = run_campaign(CampaignSpec(level="uarch", trials=TRIALS,
-                                           **CELLS[name]))
+        result = run_campaign(spec)
     finally:
         CampaignJournal.append_many = original
     return {"result": result.to_dict(),

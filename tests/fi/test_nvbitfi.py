@@ -74,9 +74,9 @@ def test_injector_only_counts_target_launch(gv100):
     plan = SoftwareFaultPlan(launch_index=1, candidate_index=0, bit=0)
     injector = SoftwareInjector(plan)
     injector.begin_launch(0, "k")
-    assert not injector._active
+    assert not injector.armed
     injector.begin_launch(1, "k")
-    assert injector._active
+    assert injector.armed
 
 
 def test_loads_only_skips_alu(gv100):

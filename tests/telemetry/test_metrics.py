@@ -151,6 +151,7 @@ def test_render_summary_prints_every_section():
     assert "outcome mix" in text and "MASKED" in text
     assert "1 miss(es)" in text
     assert "per-kernel rollup" in text and "va_k1" in text
+    assert "launches replayed  0 of 4" in text  # a stream without replay
 
 
 def test_severity_counters_from_commit_events():

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 
 #: Experiment id -> module path (each module exposes ``run(...) -> str``).
@@ -1227,7 +1228,16 @@ def main(argv: list[str] | None = None) -> int:
     sreport.set_defaults(func=_cmd_sdc_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro list | head -1``): stop
+        # quietly. Point stdout at devnull so the interpreter's final
+        # flush of what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -298,6 +298,17 @@ class MicroarchFaultPlan:
         start = max(0, min(first_bit, space_bits - count))
         return list(range(start, start + count))
 
+    # ------------------------------------------------- golden checkpoints
+    def can_resume(self, checkpoint) -> bool:
+        """Whether a launch may start from golden ``checkpoint`` (see
+        :mod:`repro.sim.replay`): the plan has not fired, and fires after
+        the issue phase of the first loop top with ``now >= cycle``, so it
+        has not acted at any loop top up to its cycle."""
+        return not self.fired and checkpoint.now <= self.cycle
+
+    def resume(self, checkpoint) -> None:
+        """Nothing to take up: the plan keys on the clock alone."""
+
     # ------------------------------------------------------------ selection
     def _select_storage(self, gpu, rng) -> tuple[list, str]:
         structure = self.structure

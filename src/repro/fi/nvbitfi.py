@@ -39,6 +39,8 @@ class SoftwareInjector:
 
     #: Destination-register model: the SM skips the source-injection hooks.
     wants_sources = False
+    #: One flip, then the injector is done (see :mod:`repro.sim.replay`).
+    persistent = False
 
     def __init__(self, plan: SoftwareFaultPlan):
         self.plan = plan
@@ -49,6 +51,26 @@ class SoftwareInjector:
     def begin_launch(self, launch_index: int, kernel_name: str) -> None:
         self.armed = launch_index == self.plan.launch_index and not self.plan.fired
         self._counter = 0
+
+    @property
+    def fired(self) -> bool:
+        return self.plan.fired
+
+    def _candidates_at(self, checkpoint) -> int:
+        return checkpoint.stat("sw_injectable_loads" if self.plan.loads_only
+                               else "sw_injectable_instructions")
+
+    def can_resume(self, checkpoint) -> bool:
+        """Whether the armed launch may start from golden ``checkpoint``
+        (see :mod:`repro.sim.replay`): the candidates counted before it
+        do not include the planned one. The launch's counters count the
+        same candidates this injector does."""
+        return (not self.plan.fired
+                and self._candidates_at(checkpoint) <= self.plan.candidate_index)
+
+    def resume(self, checkpoint) -> None:
+        """Continue counting from ``checkpoint``'s candidate count."""
+        self._counter = self._candidates_at(checkpoint)
 
     def after_write(self, warp, dst: int, gm: np.ndarray, n_exec: int,
                     is_load: bool) -> None:

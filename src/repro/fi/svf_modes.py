@@ -46,6 +46,8 @@ class SourceInjector:
     """
 
     wants_sources = True
+    #: One flip, then the injector is done (see :mod:`repro.sim.replay`).
+    persistent = False
 
     def __init__(self, plan: SourceFaultPlan):
         self.plan = plan
@@ -58,6 +60,16 @@ class SourceInjector:
             launch_index == self.plan.launch_index and not self.plan.fired
         )
         self._counter = 0
+
+    @property
+    def fired(self) -> bool:
+        return self.plan.fired
+
+    def can_resume(self, checkpoint) -> bool:
+        """Source candidates are not among the launch's counters, so a
+        golden checkpoint cannot say how many have passed: an armed
+        launch always starts from cycle 0 (see :mod:`repro.sim.replay`)."""
+        return False
 
     def after_write(self, warp, dst, gm, n_exec, is_load) -> None:
         """Destination hook (unused by source models)."""

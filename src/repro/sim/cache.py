@@ -14,10 +14,16 @@ with vulnerability trends.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from operator import attrgetter
+
 import numpy as np
 
 from repro.arch.config import CacheGeometry
 from repro.sim.stats import CacheStats
+
+#: Every :class:`CacheStats` counter, in field order, as one tuple.
+_counters = attrgetter(*(f.name for f in fields(CacheStats)))
 
 
 class DRAMInterface:
@@ -317,6 +323,30 @@ class Cache:
         self.tags[valid] = tags
         self.lru[valid] = lru + self._lru_clock
         self.data[valid] = lines
+
+    # ------------------------------------------------------------------ #
+    # Mid-launch state (golden checkpoints, see repro.sim.replay)
+    # ------------------------------------------------------------------ #
+    def checkpoint_state(self) -> tuple:
+        """The boundary state plus what a launch in flight adds: the
+        counters, the fills in flight (MSHR occupancy) and the fill
+        completion cycle of each valid line."""
+        return (_counters(self.stats), tuple(self._fills_in_flight),
+                self.fill_done[self.valid], *self.boundary_state())
+
+    def matches_checkpoint(self, state) -> bool:
+        counters, fills, fill_done, *boundary = state
+        return (_counters(self.stats) == counters
+                and tuple(self._fills_in_flight) == fills
+                and self.matches_boundary(boundary)
+                and np.array_equal(self.fill_done[self.valid], fill_done))
+
+    def restore_checkpoint(self, state) -> None:
+        counters, fills, fill_done, *boundary = state
+        self.stats = CacheStats(*counters)
+        self._fills_in_flight = list(fills)
+        self.restore_boundary(boundary)
+        self.fill_done[self.valid] = fill_done
 
     # ------------------------------------------------------------------ #
     # Fault injection

@@ -19,7 +19,9 @@ the kernel has drained). Fault-injection hooks:
   persistent fault keeps from ever converging; this one does.
 * ``replay`` — the fault-free run's :class:`~repro.sim.replay.ReplayTrack`:
   a launch that would repeat a golden launch is restored from it instead
-  of simulated. ``recorder`` is the track a fault-free run records into.
+  of simulated, or, when an injector is armed for it, simulated from the
+  golden launch's checkpoints. ``recorder`` is the track a fault-free run
+  records into.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ from repro.sim.cache import Cache, DRAMInterface
 from repro.sim.executor import CompiledKernel
 from repro.sim.memory import GlobalMemory
 from repro.sim.replay import (
+    NEVER,
     Boundary,
+    CheckpointCursor,
     GoldenLaunch,
     ReplayTrack,
-    advance_uid_counters,
-    replayed_record,
+    golden_record,
+    set_uid_counters,
     uid_counters,
 )
 from repro.sim.sm import SM
@@ -86,9 +90,16 @@ class LaunchRecord:
     launch: KernelLaunch
     stats: LaunchStats
     program_name: str = ""
-    #: Restored from the golden run instead of simulated (see
-    #: :mod:`repro.sim.replay`); ``stats`` are then the golden launch's.
-    replayed: bool = False
+    #: The cycles this run clocked itself. Fewer than ``cycles`` when the
+    #: launch was fast-forwarded or finished from the golden run, and 0
+    #: when it was replayed whole (see :mod:`repro.sim.replay`); ``stats``
+    #: are the golden launch's when it finished from the golden run.
+    simulated_cycles: int = 0
+
+    @property
+    def replayed(self) -> bool:
+        """Restored from the golden run without clocking a cycle."""
+        return self.simulated_cycles == 0
 
     @property
     def name(self) -> str:
@@ -227,17 +238,27 @@ class GPU:
         sw_injector = self.sw_injector
         if sw_injector is not None:
             sw_injector.begin_launch(launch_index, kernel_name)
+        # What may act on this launch: each has ``fired``, ``persistent``
+        # and the checkpoint resume rule (see repro.sim.replay).
+        actors = [plan] if plan is not None else []
+        if sw_injector is not None and sw_injector.armed:
+            actors.append(sw_injector)
 
-        if (self.replay is not None and plan is None and self.tracer is None
-                and (sw_injector is None or not sw_injector.armed)):
+        entry_uids = uid_counters(self)
+        golden = None
+        if self.replay is not None and self.tracer is None:
             golden = self.replay.find(self, launch_index, program, launch)
-            if golden is not None and self._within_budgets(
+            if golden is not None and not self._within_budgets(
                     golden.record.cycles, budget):
-                return self._replay_launch(golden)
+                golden = None
+        if golden is not None and not actors:
+            return self._finish_from_golden(golden, entry_uids, 0)
+        cursor = None
+        if golden is not None and not any(a.fired for a in actors):
+            cursor = CheckpointCursor(golden, actors, entry_uids)
 
         if self.recorder is not None:
             entry = self.recorder.entry_boundary(self)
-            uids = uid_counters(self)
 
         self.kernel = self._compiled(program, np.asarray(encoded, dtype=np.uint32))
         stats = LaunchStats(
@@ -277,8 +298,12 @@ class GPU:
                 f"no SM can host a CTA of {kernel_name} "
                 f"({num_warps} warps, {program.num_regs} regs, {smem_bytes}B smem)"
             )
-        for sm in self.sms:
-            self._fill_sm(sm, program, smem_bytes)
+        checkpoint = cursor.fast_forward() if cursor is not None else None
+        if checkpoint is not None:
+            checkpoint.restore(self, entry_uids, self._pending)
+        else:
+            for sm in self.sms:
+                self._fill_sm(sm, program, smem_bytes)
 
         if plan is not None and plan.fired:
             # A persistent fault re-armed for a later launch: the simulator
@@ -286,19 +311,28 @@ class GPU:
             # drawn site against the live structures.
             plan.rebind(self)
 
+        converged = False
         try:
-            self._run(plan, budget, stats)
+            converged = self._run(plan, budget, stats, cursor)
         finally:
             self._dram_if.stats = None
             self._drain_residency()
-            self.trial_cycles_done += stats.cycles
+            if not converged:
+                self.trial_cycles_done += stats.cycles
             self.now = 0
 
-        record = LaunchRecord(launch_index, launch, stats, program.name)
+        if converged:
+            record = self._finish_from_golden(
+                golden, entry_uids, cursor.end - cursor.start)
+            self.stats = record.stats
+            return record
+        start = checkpoint.now if checkpoint is not None else 0
+        record = LaunchRecord(launch_index, launch, stats, program.name,
+                              stats.cycles - start)
         self._collect_cache_stats(stats)
         self.launch_records.append(record)
         if self.recorder is not None:
-            deltas = tuple(b - a for a, b in zip(uids, uid_counters(self)))
+            deltas = tuple(b - a for a, b in zip(entry_uids, uid_counters(self)))
             self.recorder.launches.append(GoldenLaunch(
                 program, launch, entry, Boundary.capture(self), deltas, record))
         return record
@@ -311,12 +345,15 @@ class GPU:
             trial_budget is None
             or self.trial_cycles_done + cycles <= trial_budget)
 
-    def _replay_launch(self, golden: GoldenLaunch) -> LaunchRecord:
-        """Take the effect of a golden launch without simulating it.
-        ``self.stats`` is left alone: it belongs to simulated launches."""
+    def _finish_from_golden(self, golden: GoldenLaunch, entry_uids: tuple,
+                            simulated_cycles: int) -> LaunchRecord:
+        """Take the effect of a golden launch this run has not simulated
+        (``simulated_cycles`` == 0) or has converged back to: its exit
+        state, its uid counters and a copy of its record."""
         golden.exit.restore(self)
-        advance_uid_counters(self, golden.uid_deltas)
-        record = replayed_record(golden)
+        set_uid_counters(self, [a + d for a, d in
+                                zip(entry_uids, golden.uid_deltas)])
+        record = golden_record(golden, simulated_cycles)
         self.trial_cycles_done += record.cycles
         self.launch_records.append(record)
         return record
@@ -368,8 +405,10 @@ class GPU:
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def _run(self, plan, budget: int, stats: LaunchStats) -> None:
-        """Clock the launch until every CTA has retired.
+    def _run(self, plan, budget: int, stats: LaunchStats,
+             cursor: CheckpointCursor | None = None) -> bool:
+        """Clock the launch until every CTA has retired, from cycle
+        ``self.now`` (0, or a restored checkpoint's cycle).
 
         Event-driven issue: ``ready[i]`` caches SM ``i``'s next issue cycle
         (:meth:`SM.next_event`), and an SM is polled only once that cycle
@@ -379,14 +418,23 @@ class GPU:
         when a fault rewrites control state on some SM, so the cache is
         refreshed exactly then: after each issue for the issuing SM, and
         for every SM after the plan fires or a persistent plan re-pins.
+
+        ``cursor`` is visited at the loop tops its golden checkpoints are
+        due at; returns True when it found the trial equal to one (the
+        rest of the launch is the golden run's), else False.
         """
-        now = 0
-        self.now = 0
+        now = self.now
         sms = self.sms
         trial_budget = self.trial_cycle_budget
         burnt = self.trial_cycles_done
         ready = [sm.next_event() for sm in sms]
+        checkpoint_due = cursor.next_cycle if cursor is not None else NEVER
         while True:
+            if now >= checkpoint_due:
+                if cursor.visit(self, now):
+                    return True
+                checkpoint_due = cursor.next_cycle
+
             for i, ev in enumerate(ready):
                 if ev is not None and ev <= now:
                     sm = sms[i]
@@ -430,6 +478,7 @@ class GPU:
                 # wedging the worker on a fault-induced infinite loop.
                 raise SimTimeout(burnt + now, trial_budget)
         stats.cycles = now
+        return False
 
     # ------------------------------------------------------------------ #
     # Fault-target enumeration (used by the microarchitecture injector)

@@ -1,20 +1,41 @@
-"""Golden launch replay: skip launches that would repeat the fault-free run.
+"""Golden replay: skip work that would repeat the fault-free run.
 
 A launch is a deterministic function of its inputs (the program, the
 kernel name, grid and block, the encoded parameters and the shared-memory
 size), the GPU configuration, any injector or tracer acting on it, and
 the device state that survives a launch boundary. The fault-free profiling
-run records all of these per launch as a :class:`ReplayTrack`. When an
-injected trial reaches a launch whose inputs and entry state equal those
-of the golden launch at the same index, and nothing can act on it (no
-injector armed for it, no tracer), the GPU restores the golden exit state
-and appends a copy of the golden record instead of simulating. The result
-is exact by construction: the simulated launch would have reached the same
-state with the same counters.
+run records all of these per launch as a :class:`ReplayTrack`. An injected
+trial that reaches a launch whose inputs, configuration and entry state
+equal those of the golden launch at the same index, with no tracer
+attached, uses the golden run in one of two ways:
 
-This covers every launch before a fault fires, and every launch after a
-fault has died: a boundary that equals golden is exactly "the fault did
-not reach architectural state".
+* **Whole-launch replay.** When no injector is armed for the launch, the
+  GPU restores the golden exit state and appends a copy of the golden
+  record instead of simulating. This covers every launch before a fault
+  fires, and every launch after a fault has died: a boundary that equals
+  golden is exactly "the fault did not reach architectural state".
+* **Checkpoints.** When an injector is armed, the launch is simulated, but
+  against the golden launch's :class:`Checkpoint` grid: the full device
+  state at up to :data:`CHECKPOINTS_PER_LAUNCH` loop tops of ``GPU._run``
+  spread evenly over the golden launch's cycles. *Fast-forward*: the
+  launch starts from the latest checkpoint the injector cannot yet have
+  acted on (each injector states that rule itself, ``can_resume``) rather
+  than from cycle 0. *Convergence*: once every armed injector has fired,
+  and none is persistent, the trial is compared to each checkpoint it
+  reaches; on equality the fault has died inside the launch, and the rest
+  of the launch is taken from the golden run.
+
+Both end in one path, "finish from golden" (``GPU._finish_from_golden``):
+restore the golden exit boundary, set the uid counters to their entry
+values plus the golden deltas, and append a copy of the golden record
+whose ``simulated_cycles`` says how many cycles this run clocked (0 for a
+replayed launch). The result is exact by construction: the simulated
+launch would have reached the same state with the same counters.
+
+Checkpoints are captured lazily, by injected trials themselves while their
+injector is still pristine (the state then equals golden by construction),
+and stored on the :class:`GoldenLaunch`; they never enter a key or payload.
+A profiling run records none.
 
 The boundary state (:class:`Boundary`) is:
 
@@ -27,17 +48,36 @@ The boundary state (:class:`Boundary`) is:
 Nothing else survives: L1s, register banks, shared-memory windows, warps
 and cache fill timing are all rebuilt or reset at every launch. The warp,
 register-bank and shared-memory-window uid counters do not affect
-behaviour, but a replayed launch advances them by the golden amounts so
-later uids match a fully simulated run.
+behaviour, but they name fault sites, so a launch taken from the golden
+run sets them as a fully simulated one would.
+
+A checkpoint adds the state of the launch in flight (see
+:data:`_COMPONENTS`): the cycle, the launch's counters, the pending CTAs,
+every resident CTA and warp, register banks and shared-memory windows in
+allocation order, and the L1s and L2 with their fill timing and counters.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from repro.arch.config import GPUConfig
 from repro.isa.program import Program
+from repro.sim.register_file import WarpRegisters
+from repro.sim.shared_memory import SharedWindow
+from repro.sim.stats import LaunchStats
+from repro.sim.warp import NUM_PREDS, Warp
+
+#: Checkpoint grid points per golden launch, spaced evenly over its cycles.
+CHECKPOINTS_PER_LAUNCH = 16
+
+#: A cycle no launch reaches: the loop's "no checkpoint due" sentinel.
+NEVER = 1 << 62
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,18 +115,232 @@ def uid_counters(gpu) -> tuple[int, ...]:
             *(sm.smem._next_uid for sm in gpu.sms))
 
 
-def advance_uid_counters(gpu, deltas: tuple[int, ...]) -> None:
+def set_uid_counters(gpu, values) -> None:
     n = len(gpu.sms)
-    gpu._warp_uid += deltas[0]
-    for sm, rf, smem in zip(gpu.sms, deltas[1:1 + n], deltas[1 + n:]):
-        sm.rf._next_uid += rf
-        sm.smem._next_uid += smem
+    gpu._warp_uid = values[0]
+    for sm, rf, smem in zip(gpu.sms, values[1:1 + n], values[1 + n:]):
+        sm.rf._next_uid = rf
+        sm.smem._next_uid = smem
+
+
+# ---------------------------------------------------------------------- #
+# Checkpoints
+# ---------------------------------------------------------------------- #
+#: The scalar :class:`LaunchStats` counters (the cache counters are merged
+#: in when the launch ends, so they are zero while it runs).
+_STAT_FIELDS = tuple(f.name for f in fields(LaunchStats)
+                     if f.name not in ("l1d", "l1t", "l2"))
+_stat_counters = attrgetter(*_STAT_FIELDS)
+
+
+def _counters(gpu, base) -> tuple:
+    """The launch's counters, the pending CTA count (the pending CTAs are
+    always a suffix of the CTA order), each SM's scheduler cursor and the
+    uid counters relative to the launch's entry values ``base``."""
+    return (*_stat_counters(gpu.stats), len(gpu._pending),
+            *(sm.scheduler_cursor for sm in gpu.sms),
+            *(now - entry for now, entry in zip(uid_counters(gpu), base)))
+
+
+def _control(gpu, base) -> tuple:
+    """Per SM: each warp in scheduling order (uid, CTA, index in it, bank
+    uid, next issue cycle, barrier wait, divergence flag, uniform PC),
+    each resident CTA in residency order (id, SMEM window uid, barrier
+    arrivals), and the register-bank and SMEM-window allocation orders.
+    Uids are relative to the launch's entry counters."""
+    n = len(gpu.sms)
+    w0 = base[0]
+    out = []
+    for i, sm in enumerate(gpu.sms):
+        r0, s0 = base[1 + i], base[1 + n + i]
+        out.append((
+            tuple((w.uid - w0, w.cta.ctaid, w.index_in_cta, w.rf_uid - r0,
+                   w.next_ready, w.waiting_barrier, w.diverged, w.upc)
+                  for w in sm.warps),
+            tuple((c.ctaid, None if c.smem_uid is None else c.smem_uid - s0,
+                   c.barrier_arrived) for c in sm.ctas),
+            tuple(uid - r0 for uid in sm.rf._banks),
+            tuple(uid - s0 for uid in sm.smem._windows)))
+    return tuple(out)
+
+
+def _lanes(gpu, base) -> bytes:
+    """Each warp's predicates, per-lane PCs and done mask. The per-lane
+    PCs count even while the warp is uniform: an alive-mask fault can
+    revive a lane whose stale PC is then read."""
+    return b"".join([b for sm in gpu.sms for w in sm.warps
+                     for b in (w.preds.tobytes(), w.pc.tobytes(),
+                               w.done.tobytes())])
+
+
+def _registers(gpu, base) -> bytes:
+    return b"".join([bank.regs.tobytes() for sm in gpu.sms
+                     for bank in sm.rf._banks.values()])
+
+
+def _shared(gpu, base) -> bytes:
+    return b"".join([window.data.tobytes() for sm in gpu.sms
+                     for window in sm.smem._windows.values()])
+
+
+def _caches(gpu) -> list:
+    return [*(sm.l1d for sm in gpu.sms), *(sm.l1t for sm in gpu.sms), gpu.l2]
+
+
+class _Component(NamedTuple):
+    name: str
+    capture: Callable
+    #: ``matches(gpu, base, stored)``; None compares ``capture`` with ``==``.
+    matches: Callable | None = None
+
+
+#: What a checkpoint holds, cheapest comparison first.
+_COMPONENTS = (
+    _Component("counters", _counters),
+    _Component("control", _control),
+    _Component("lanes", _lanes),
+    _Component("registers", _registers),
+    _Component("shared", _shared),
+    _Component("caches",
+               lambda gpu, base: tuple(c.checkpoint_state()
+                                       for c in _caches(gpu)),
+               lambda gpu, base, stored: all(
+                   c.matches_checkpoint(s)
+                   for c, s in zip(_caches(gpu), stored))),
+    _Component("memory", lambda gpu, base: gpu.mem.boundary_state(),
+               lambda gpu, base, stored: gpu.mem.matches_boundary(stored)),
+)
+_MEMORY = len(_COMPONENTS) - 1
+
+
+@dataclass(frozen=True, eq=False)
+class Checkpoint:
+    """The device state at one loop top of a golden launch: the cycle
+    ``now`` and one value per :data:`_COMPONENTS` entry."""
+
+    now: int
+    parts: tuple
+
+    @classmethod
+    def capture(cls, gpu, base, now: int, memory=None) -> "Checkpoint":
+        """The state of ``gpu`` at loop top ``now``; ``base`` holds the
+        launch's entry uid counters. ``memory`` is an earlier DRAM state
+        to share when DRAM still holds it."""
+        parts = [c.capture(gpu, base) for c in _COMPONENTS[:_MEMORY]]
+        if memory is None or not gpu.mem.matches_boundary(memory):
+            memory = gpu.mem.boundary_state()
+        return cls(now, (*parts, memory))
+
+    def stat(self, name: str) -> int:
+        """A :class:`LaunchStats` counter at this checkpoint."""
+        return self.parts[0][_STAT_FIELDS.index(name)]
+
+    @property
+    def memory(self) -> tuple:
+        return self.parts[_MEMORY]
+
+    def mismatch(self, gpu, base, first: int = 0) -> int | None:
+        """The index of a component in which ``gpu`` differs from this
+        checkpoint, or None if it equals it. Component ``first`` is
+        compared first; the order changes only the cost."""
+        for i in (first, *range(first), *range(first + 1, len(_COMPONENTS))):
+            component = _COMPONENTS[i]
+            stored = self.parts[i]
+            if component.matches is None:
+                if component.capture(gpu, base) != stored:
+                    return i
+            elif not component.matches(gpu, base, stored):
+                return i
+        return None
+
+    def restore(self, gpu, base, ctas: list) -> None:
+        """Load this checkpoint at the start of a launch whose entry state
+        equals the golden one: ``gpu.stats`` is the launch's fresh
+        counters, no CTA is resident yet, ``ctas`` is the launch's CTA
+        order and ``base`` the uid counters at entry."""
+        counters, control, lanes, registers, shared, caches, memory = (
+            self.parts)
+        stats = gpu.stats
+        for name, value in zip(_STAT_FIELDS, counters):
+            setattr(stats, name, value)
+        sms = gpu.sms
+        n = len(sms)
+        at = len(_STAT_FIELDS)
+        pending, cursors, uids = (counters[at], counters[at + 1:at + 1 + n],
+                                  counters[at + 1 + n:])
+        gpu._pending = ctas[len(ctas) - pending:]
+        by_id = {cta.ctaid: cta for cta in ctas}
+
+        warp_size = gpu.config.warp_size
+        num_regs = max(gpu.kernel.program.num_regs, 1)
+        smem_bytes = gpu._current_smem_bytes
+        banks_data = np.frombuffer(registers, np.uint32).reshape(
+            -1, num_regs, warp_size)
+        windows_data = np.frombuffer(shared, np.uint8).reshape(
+            -1, max(smem_bytes, 1))
+        lane_rows = np.frombuffer(lanes, np.uint8).reshape(
+            -1, (NUM_PREDS + 4 + 1) * warp_size)
+        pc_at, done_at = NUM_PREDS * warp_size, (NUM_PREDS + 4) * warp_size
+        next_bank = next_window = next_warp = 0
+        for i, sm in enumerate(sms):
+            warp_rows, cta_rows, bank_order, window_order = control[i]
+            r0, s0 = base[1 + i], base[1 + n + i]
+            banks = {}
+            for rel in bank_order:
+                bank = WarpRegisters(num_regs, warp_size)
+                bank.regs[:] = banks_data[next_bank]
+                next_bank += 1
+                banks[r0 + rel] = bank
+            sm.rf._banks = banks
+            sm.rf.allocated_regs = len(banks) * num_regs * warp_size
+            windows = {}
+            for rel in window_order:
+                window = SharedWindow(smem_bytes)
+                window.data[:] = windows_data[next_window]
+                next_window += 1
+                windows[s0 + rel] = window
+            sm.smem._windows = windows
+            sm.smem.allocated_bytes = len(windows) * smem_bytes
+            for ctaid, window_rel, arrived in cta_rows:
+                cta = by_id[ctaid]
+                cta.sm = sm
+                cta.barrier_arrived = arrived
+                if window_rel is not None:
+                    cta.smem_uid = s0 + window_rel
+                    cta.smem = windows[cta.smem_uid]
+                sm.ctas.append(cta)
+            for (uid, ctaid, index, bank_rel, next_ready, waiting, diverged,
+                 upc) in warp_rows:
+                cta = by_id[ctaid]
+                warp = Warp(base[0] + uid, cta, index, r0 + bank_rel,
+                            banks[r0 + bank_rel])
+                row = lane_rows[next_warp]
+                next_warp += 1
+                warp.preds = row[:pc_at].view(bool).reshape(
+                    NUM_PREDS, warp_size).copy()
+                warp.pc = row[pc_at:done_at].view(np.int32).copy()
+                warp.done = row[done_at:].view(bool).copy()
+                warp.next_ready = next_ready
+                warp.waiting_barrier = waiting
+                warp.diverged = diverged
+                warp.upc = upc
+                warp.update_finished()
+                cta.warps.append(warp)  # warps join in index order
+                sm.warps.append(warp)
+            sm.scheduler_cursor = cursors[i]
+        set_uid_counters(gpu, [b + u for b, u in zip(base, uids)])
+        for cache, state in zip(_caches(gpu), caches):
+            cache.restore_checkpoint(state)
+        gpu.mem.restore_boundary(memory)
+        gpu.now = self.now
 
 
 @dataclass(frozen=True, eq=False)
 class GoldenLaunch:
     """One launch of the fault-free run. ``program`` is held, not its
-    ``id()``, so it cannot be collected and its id reused."""
+    ``id()``, so it cannot be collected and its id reused.
+    ``checkpoints[k]`` is the state at the first loop top at or after
+    ``grid[k]``, once an injected trial has captured it."""
 
     program: Program
     launch: object  # repro.sim.gpu.KernelLaunch
@@ -94,6 +348,101 @@ class GoldenLaunch:
     exit: Boundary
     uid_deltas: tuple[int, ...]
     record: object  # repro.sim.gpu.LaunchRecord
+    checkpoints: list = field(
+        default_factory=lambda: [None] * CHECKPOINTS_PER_LAUNCH, repr=False)
+
+    @property
+    def grid(self) -> list[int]:
+        """The checkpoint cycles, spaced evenly inside the launch."""
+        n = CHECKPOINTS_PER_LAUNCH
+        return [k * self.record.cycles // (n + 1) for k in range(1, n + 1)]
+
+
+class CheckpointCursor:
+    """One armed launch's walk along its golden launch's checkpoints.
+
+    ``actors`` are what acts on the launch (a microarchitecture fault plan
+    and/or a software injector), each with ``fired``, ``persistent``,
+    ``can_resume(checkpoint)`` and ``resume(checkpoint)`` (called only
+    once every actor accepted the checkpoint); ``base`` holds
+    the uid counters at launch entry. ``GPU._run`` calls :meth:`visit` at
+    the first loop top at or past :attr:`next_cycle`.
+    """
+
+    def __init__(self, golden: GoldenLaunch, actors: list, base: tuple):
+        self.golden = golden
+        self.actors = actors
+        self.base = base
+        self.grid = golden.grid
+        self.k = 0  # next grid point
+        self.start = 0  # the cycle simulation started from
+        self.end = 0  # the cycle the trial converged at
+        self.first = 0  # the component that differed at the last compare
+        self._last: Checkpoint | None = None
+        self.next_cycle = self._due()
+
+    def _due(self) -> int:
+        if self.k >= len(self.grid):
+            return NEVER
+        checkpoint = self.golden.checkpoints[self.k]
+        return checkpoint.now if checkpoint is not None else self.grid[self.k]
+
+    def fast_forward(self) -> Checkpoint | None:
+        """The latest stored checkpoint no actor can have acted before
+        (the actors take up their state there), or None."""
+        slots = self.golden.checkpoints
+        for k in range(len(slots) - 1, -1, -1):
+            checkpoint = slots[k]
+            if checkpoint is not None and all(
+                    a.can_resume(checkpoint) for a in self.actors):
+                for a in self.actors:
+                    a.resume(checkpoint)
+                self.k, self.start = k + 1, checkpoint.now
+                self._last = checkpoint
+                self.next_cycle = self._due()
+                return checkpoint
+        return None
+
+    def visit(self, gpu, now: int) -> bool:
+        """Capture the missing checkpoints due at loop top ``now`` while no
+        actor has acted; once every actor has fired (none persistent),
+        compare the trial to the checkpoint taken at ``now``. True when
+        the trial equals it: the rest of the launch is golden."""
+        fired = [a.fired for a in self.actors]
+        if any(f and a.persistent for f, a in zip(fired, self.actors)):
+            self.next_cycle = NEVER  # an active defect never converges
+            return False
+        pristine, converging = not any(fired), all(fired)
+        slots = self.golden.checkpoints
+        while self.k < len(self.grid):
+            checkpoint = slots[self.k]
+            if checkpoint is None:
+                if self.grid[self.k] > now:
+                    break
+                if pristine:
+                    slots[self.k] = self._capture(gpu, now)
+            elif checkpoint.now > now:
+                break
+            elif (checkpoint.now == now and converging
+                  and checkpoint is not self._last):
+                self._last = checkpoint
+                differs = checkpoint.mismatch(gpu, self.base, self.first)
+                if differs is None:
+                    self.end = now
+                    return True
+                self.first = differs
+            self.k += 1
+        self.next_cycle = self._due()
+        return False
+
+    def _capture(self, gpu, now: int) -> Checkpoint:
+        last = self._last
+        if last is not None and last.now == now:
+            return last  # grid points closer than the loop's steps
+        memory = last.memory if last is not None else (
+            self.golden.entry.memory)
+        self._last = Checkpoint.capture(gpu, self.base, now, memory)
+        return self._last
 
 
 class ReplayTrack:
@@ -125,10 +474,12 @@ class ReplayTrack:
         return golden if golden.entry.matches(gpu) else None
 
 
-def replayed_record(golden: GoldenLaunch):
-    """A copy of the golden record, flagged as replayed."""
+def golden_record(golden: GoldenLaunch, simulated_cycles: int):
+    """A copy of the golden record for a launch that clocked
+    ``simulated_cycles`` of its cycles itself."""
     stats = golden.record.stats
     stats = dataclasses.replace(
         stats, l1d=dataclasses.replace(stats.l1d),
         l1t=dataclasses.replace(stats.l1t), l2=dataclasses.replace(stats.l2))
-    return dataclasses.replace(golden.record, stats=stats, replayed=True)
+    return dataclasses.replace(golden.record, stats=stats,
+                               simulated_cycles=simulated_cycles)

@@ -350,6 +350,13 @@ def render_summary(s: CampaignSummary) -> str:
         replayed = sum(r.get("replayed", 0) for r in s.kernels.values())
         launches = sum(r.get("launches", 0) for r in s.kernels.values())
         lines.append(f"  launches replayed  {replayed} of {launches}")
+        if any("simulated_cycles" in r for r in s.kernels.values()):
+            simulated = sum(r.get("simulated_cycles", 0)
+                            for r in s.kernels.values())
+            cycles = sum(r.get("cycles", 0) for r in s.kernels.values())
+            share = simulated / cycles if cycles else 0.0
+            lines.append(f"  cycles simulated   {simulated} of {cycles} "
+                         f"({share:.1%})")
         lines.append("  per-kernel rollup (summed over injected trials):")
         for kernel in sorted(s.kernels):
             roll = s.kernels[kernel]

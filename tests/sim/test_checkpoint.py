@@ -1,0 +1,610 @@
+"""Mid-launch golden checkpoints (:mod:`repro.sim.replay`): fast-forward,
+convergence, their fallbacks, and exactness against full simulation."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import repro.sim.gpu as gpu_module
+from repro.arch.config import quadro_gv100_like, tesla_v100_like
+from repro.arch.structures import Structure
+from repro.errors import ExecutionError
+from repro.fi import CampaignSpec, run_campaign
+from repro.fi.campaign import _gpu_factory, profile_app
+from repro.fi.gpufi import MicroarchFaultPlan, MicroarchInjector, plan_microarch_fault
+from repro.fi.nvbitfi import SoftwareFaultPlan, SoftwareInjector, plan_software_fault
+from repro.fi.svf_modes import SourceInjector, plan_source_fault
+from repro.kernels import get_application
+from repro.kernels.base import DeviceHarness, GPUApplication
+from repro.kernels.vectoradd import _VA_K1 as VA_K1
+from repro.sim.replay import (
+    CHECKPOINTS_PER_LAUNCH,
+    Checkpoint,
+    CheckpointCursor,
+    ReplayTrack,
+)
+from tests.sim.test_replay import golden_profile
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    """Every cursor the GPU makes logs ``(launch, event, cycle)``: event
+    ``cursor`` (created), ``ff`` (fast-forwarded) or ``converged``."""
+    events: list[tuple[int, str, int]] = []
+
+    class Spy(CheckpointCursor):
+        def __init__(self, golden, actors, base):
+            super().__init__(golden, actors, base)
+            self.index = golden.record.index
+            events.append((self.index, "cursor", 0))
+
+        def fast_forward(self):
+            checkpoint = super().fast_forward()
+            if checkpoint is not None:
+                events.append((self.index, "ff", checkpoint.now))
+            return checkpoint
+
+        def visit(self, gpu, now):
+            hit = super().visit(gpu, now)
+            if hit:
+                events.append((self.index, "converged", now))
+            return hit
+
+    monkeypatch.setattr(gpu_module, "CheckpointCursor", Spy)
+    return events
+
+
+def kinds(events) -> set[str]:
+    return {kind for _, kind, _ in events}
+
+
+def run(app, profile, plan, gpu=None, tracer=None) -> dict:
+    """One app run the way a campaign trial runs it, with ``plan``
+    injected by its injector; returns everything that must not depend
+    on checkpoints."""
+    if gpu is None:
+        config = next(c for c in (quadro_gv100_like(), tesla_v100_like())
+                      if c.name == profile.config_name)
+        gpu = _gpu_factory(profile, config)()
+    gpu.reset()
+    gpu.replay = profile.replay
+    gpu.tracer = tracer
+    if isinstance(plan, MicroarchFaultPlan):
+        gpu.uarch_injector = MicroarchInjector(plan)
+    elif isinstance(plan, SoftwareFaultPlan):
+        gpu.sw_injector = SoftwareInjector(plan)
+    else:
+        gpu.sw_injector = SourceInjector(plan)
+    outputs = None
+    try:
+        outputs = app.run(gpu, DeviceHarness())
+        outcome = "ok"
+    except ExecutionError as exc:
+        outcome = (type(exc).__name__, getattr(exc, "cycles", None))
+    finally:
+        gpu.uarch_injector = gpu.sw_injector = gpu.tracer = None
+    records = gpu.launch_records
+    return {"outcome": outcome, "cycles": sum(r.cycles for r in records),
+            "outputs": outputs, "description": plan.description,
+            "stats": [r.stats.snapshot() for r in records],
+            "simulated": [r.simulated_cycles for r in records]}
+
+
+def assert_same(on: dict, off: dict) -> None:
+    assert on["outcome"] == off["outcome"]
+    assert on["cycles"] == off["cycles"]
+    assert on["description"] == off["description"]
+    assert on["stats"] == off["stats"]
+    assert (on["outputs"] is None) == (off["outputs"] is None)
+    if on["outputs"] is not None:
+        for name, value in off["outputs"].items():
+            assert np.array_equal(on["outputs"][name], value), name
+
+
+def full(profile):
+    """The same profile with checkpoints and replay off."""
+    return dataclasses.replace(profile, replay=None)
+
+
+def fresh_profile(app, config):
+    """A profile of its own, so no other test has captured checkpoints."""
+    if isinstance(app, str):
+        app = get_application(app)
+    return profile_app(app, config)
+
+
+def populate(app, profile, kernel_index=0):
+    """Capture every checkpoint of launch ``kernel_index``: a plan that
+    fires in the launch's last cycle keeps the injector pristine."""
+    cycles = profile.launches[kernel_index]["cycles"]
+    run(app, profile, MicroarchFaultPlan(kernel_index, cycles - 1,
+                                         Structure.L1T, seed=1))
+    slots = profile.replay.launches[kernel_index].checkpoints
+    assert all(slot is not None for slot in slots)
+    return slots
+
+
+# ---------------------------------------------------------------------- #
+# Exactness: checkpoints on vs. full simulation
+# ---------------------------------------------------------------------- #
+CELLS = {
+    "gemm-rf": ("gemm", "gemm_tile", Structure.RF, {}, {"ff", "converged"}),
+    "gemm-smem": ("gemm", "gemm_tile", Structure.SMEM, {},
+                  {"ff", "converged"}),
+    "gemm-control": ("gemm", "gemm_tile", None, {"target": "control"},
+                     {"ff"}),
+    "gemm-rf-2bit": ("gemm", "gemm_tile", Structure.RF, {"num_bits": 2},
+                     {"ff", "converged"}),
+    "va-rf-stuck0": ("va", "va_k1", Structure.RF, {"fault_model": "stuck0"},
+                     {"ff"}),
+    "hotspot-l1d": ("hotspot", "hotspot_k1", Structure.L1D, {},
+                    {"ff", "converged"}),
+    "hotspot-sw-ld": ("hotspot", "hotspot_k1", "sw-ld", {}, {"ff"}),
+    "pathfinder-src": ("pathfinder", "pathfinder_k1", "src", {},
+                       {"converged"}),
+    "sradv1-l2": ("sradv1", "sradv1_k1", Structure.L2, {},
+                  {"ff", "converged"}),
+}
+
+
+def draw(level, launches, seed, **kw):
+    if level == "sw" or level == "sw-ld":
+        return plan_software_fault(launches, seed, level == "sw-ld")
+    if level == "src":
+        return plan_source_fault(launches, seed, sticky=False)
+    return plan_microarch_fault(launches, level, seed, **kw)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_checkpoints_on_and_off_agree(cell, spy, gv100, v100):
+    app_name, kernel, level, kw, mechanisms = CELLS[cell]
+    config = v100 if isinstance(level, str) else gv100
+    app = get_application(app_name)
+    profile = golden_profile(app_name, config)
+    launches = profile.kernel_launches(kernel)
+    seen = set()
+    for seed in range(16):
+        spy.clear()
+        on = run(app, profile, draw(level, launches, seed, **kw))
+        seen |= kinds(spy)
+        off = run(app, full(profile), draw(level, launches, seed, **kw))
+        assert_same(on, off)
+        assert off["simulated"] == [r["cycles"] for r in off["stats"]]
+    # Every mechanism the cell is meant to exercise did engage; src
+    # faults never fast-forward and persistent ones never converge.
+    assert mechanisms <= seen
+    if level == "src":
+        assert "ff" not in seen
+    if kw.get("fault_model") == "stuck0":
+        assert "converged" not in seen
+
+
+def test_converged_launch_takes_the_golden_record(spy, gv100):
+    app = get_application("gemm")
+    profile = golden_profile("gemm", gv100)
+    golden = profile.replay.launches[0].record
+    for seed in range(16):
+        spy.clear()
+        plan = plan_microarch_fault(profile.launches, Structure.SMEM, seed)
+        got = run(app, profile, plan)
+        if "converged" in kinds(spy):
+            break
+    else:
+        pytest.fail("no SMEM fault converged")
+    (_, _, at), = [e for e in spy if e[1] == "converged"]
+    start = max([now for _, kind, now in spy if kind == "ff"], default=0)
+    assert got["simulated"] == [at - start]
+    assert 0 < at - start < golden.cycles
+    assert got["stats"] == [golden.stats.snapshot()]
+
+
+# ---------------------------------------------------------------------- #
+# Resume rules at a checkpoint's own cycle and counter
+# ---------------------------------------------------------------------- #
+def test_uarch_fault_drawn_at_a_checkpoint_cycle(spy, gv100):
+    app = get_application("gemm")
+    profile = fresh_profile("gemm", gv100)
+    slots = populate(app, profile)
+    for k in (3, 9):
+        checkpoint = slots[k]
+        for cycle in (checkpoint.now - 1, checkpoint.now):
+            for seed in range(4):
+                spy.clear()
+                make = lambda: MicroarchFaultPlan(0, cycle, Structure.RF, seed)
+                on = run(app, profile, make())
+                assert_same(on, run(app, full(profile), make()))
+                ff = [now for _, kind, now in spy if kind == "ff"]
+                # Resumes from the checkpoint at the fault's own cycle,
+                # never from one past it.
+                assert ff == [checkpoint.now if cycle == checkpoint.now
+                              else slots[k - 1].now]
+
+
+@pytest.mark.parametrize("loads_only", [False, True])
+def test_sw_candidate_equal_to_a_checkpoint_counter(loads_only, spy, v100):
+    app = get_application("hotspot")
+    profile = fresh_profile("hotspot", v100)
+    slots = populate(app, profile)
+    counter = ("sw_injectable_loads" if loads_only
+               else "sw_injectable_instructions")
+    k = next(k for k in range(8, len(slots))
+             if slots[k].stat(counter) > slots[k - 1].stat(counter))
+    checkpoint = slots[k]
+    count = checkpoint.stat(counter)
+    for candidate in (count - 1, count, count + 1):
+        for bit in (0, 13, 31):
+            spy.clear()
+            make = lambda: SoftwareFaultPlan(0, candidate, bit, loads_only)
+            on = run(app, profile, make())
+            assert_same(on, run(app, full(profile), make()))
+            ff = [now for _, kind, now in spy if kind == "ff"]
+            expected = checkpoint if candidate >= count else slots[k - 1]
+            assert ff == [expected.now]
+            assert on["description"]
+
+
+# ---------------------------------------------------------------------- #
+# Persistent plans
+# ---------------------------------------------------------------------- #
+def test_persistent_plan_fired_earlier_never_fast_forwards(spy, gv100,
+                                                           monkeypatch):
+    """Later launches of a stuck-at fault that fired in launch 0 can
+    repeat their golden entry state, but the defect acts on them from
+    cycle 0: they use no checkpoint."""
+    app = get_application("pathfinder")
+    profile = golden_profile("pathfinder", gv100)
+    populate(app, profile, kernel_index=2)
+    matched = []
+    original = ReplayTrack.find
+
+    def find(track, gpu, index, program, launch):
+        golden = original(track, gpu, index, program, launch)
+        matched.append(index if golden is not None else None)
+        return golden
+
+    monkeypatch.setattr(ReplayTrack, "find", find)
+    for seed in range(8):
+        spy.clear()
+        make = lambda: MicroarchFaultPlan(0, 5, Structure.RF, seed,
+                                          fault_model="stuck1")
+        on = run(app, profile, make())
+        assert_same(on, run(app, full(profile), make()))
+        assert all(index == 0 for index, _, _ in spy)
+    assert {1, 2, 3} & set(matched)
+
+
+def test_active_persistent_plan_never_converges(spy, gv100):
+    """A stuck-at fault fast-forwards to its cycle, then is simulated to
+    the end of the launch whatever the state: the defect stays active."""
+    app = get_application("va")
+    profile = golden_profile("va", gv100)
+    populate(app, profile)
+    seen = set()
+    for seed in range(16):
+        spy.clear()
+        make = lambda: plan_microarch_fault(profile.launches, Structure.RF,
+                                            seed, fault_model="stuck0")
+        on = run(app, profile, make())
+        assert_same(on, run(app, full(profile), make()))
+        assert on["simulated"] == [on["cycles"] - max(
+            [now for _, kind, now in spy if kind == "ff"], default=0)]
+        seen |= kinds(spy)
+    assert "ff" in seen and "converged" not in seen
+
+
+# ---------------------------------------------------------------------- #
+# Fallbacks
+# ---------------------------------------------------------------------- #
+def test_tracer_disables_capture_and_fast_forward(spy, gv100):
+    from repro.analysis.reuse import TraceRecorder
+
+    app = get_application("gemm")
+    profile = fresh_profile("gemm", gv100)
+    plan = MicroarchFaultPlan(0, 4000, Structure.RF, seed=3)
+    run(app, profile, plan, tracer=TraceRecorder())
+    assert spy == []
+    assert profile.replay.launches[0].checkpoints == [None] * (
+        CHECKPOINTS_PER_LAUNCH)
+    populate(app, profile)
+    spy.clear()
+    got = run(app, profile, MicroarchFaultPlan(0, 4000, Structure.RF, seed=3),
+              tracer=TraceRecorder())
+    assert spy == [] and got["simulated"] == [got["cycles"]]
+
+
+def test_profile_records_no_checkpoints(gv100):
+    profile = fresh_profile("sradv1", gv100)
+    for golden in profile.replay.launches:
+        assert golden.checkpoints == [None] * CHECKPOINTS_PER_LAUNCH
+
+
+def test_other_inputs_never_use_checkpoints(spy, gv100, v100):
+    app = get_application("gemm")
+    profile = golden_profile("gemm", gv100)
+    populate(app, profile)
+    spy.clear()
+    make = lambda: MicroarchFaultPlan(0, 3000, Structure.RF, seed=2)
+    # Another configuration, and another app seed (other inputs).
+    gpu = _gpu_factory(profile, v100)()
+    got = run(app, profile, make(), gpu=gpu)
+    assert spy == [] and got["simulated"] == [got["cycles"]]
+    other = get_application("gemm", seed=7)
+    got = run(other, profile, make())
+    assert spy == [] and got["simulated"] == [got["cycles"]]
+    assert_same(got, run(other, full(profile), make()))
+
+
+@pytest.mark.parametrize("limit", ["launch", "trial"])
+def test_golden_launch_over_budget_uses_no_checkpoints(limit, spy, gv100):
+    app = get_application("gemm")
+    profile = golden_profile("gemm", gv100)
+    populate(app, profile)
+    spy.clear()
+    cycles = profile.launches[0]["cycles"]
+
+    def trial(prof):
+        gpu = _gpu_factory(profile, gv100)()
+        if limit == "trial":
+            gpu.trial_cycle_budget = cycles - 100
+        else:
+            gpu.cycle_budget_fn = lambda i, name: cycles - 100
+        return run(app, prof, MicroarchFaultPlan(0, cycles // 2,
+                                                 Structure.SMEM, 4), gpu=gpu)
+
+    on, off = trial(profile), trial(full(profile))
+    assert on["outcome"][0] == "SimTimeout"
+    assert_same(on, off)
+    assert spy == []
+
+
+# ---------------------------------------------------------------------- #
+# Uid and LRU-clock offsets, revived lanes, stored checkpoints
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("level", ["sw", "control"])
+def test_reused_gpu_with_uid_and_lru_offsets(level, spy, gv100, v100):
+    """A trial GPU is reused: uid counters and LRU clocks keep counting
+    across trials, and fault descriptions name warps by uid."""
+    app = get_application("gemm")
+    config = v100 if level == "sw" else gv100
+    profile = golden_profile("gemm", config)
+    launches = profile.kernel_launches("gemm_tile")
+
+    def make(seed):
+        if level == "sw":
+            return plan_software_fault(launches, seed)
+        return plan_microarch_fault(launches, None, seed, target="control")
+
+    on_gpu = _gpu_factory(profile, config)()
+    off_gpu = _gpu_factory(profile, config)()
+    populate(app, profile)
+    spy.clear()
+    for seed in range(10):
+        on = run(app, profile, make(seed), gpu=on_gpu)
+        off = run(app, full(profile), make(seed), gpu=off_gpu)
+        assert_same(on, off)
+    assert "ff" in kinds(spy)
+    assert on_gpu._warp_uid == off_gpu._warp_uid > 16
+    assert on_gpu.l2._lru_clock != off_gpu.l2._lru_clock
+    assert [sm.rf._next_uid for sm in on_gpu.sms] == [
+        sm.rf._next_uid for sm in off_gpu.sms]
+
+
+def test_control_fault_reviving_a_finished_lane(spy, gv100, monkeypatch):
+    """An alive-mask fault that revives a finished lane of a diverged
+    warp, which then reads the lane's stale per-lane PC. Fast-forward
+    must restore per-lane PCs even of warps that are uniform at the
+    checkpoint."""
+    from repro.fi import gpufi
+
+    revived = []
+    original = gpufi._AliveMaskBit.pin
+
+    def pin(bit, value):
+        if value == 0 and bit.warp.done[bit.lane]:
+            revived.append(bit.warp.diverged)
+        original(bit, value)
+
+    monkeypatch.setattr(gpufi._AliveMaskBit, "pin", pin)
+    app = get_application("nw")
+    profile = golden_profile("nw", gv100)
+    launches = profile.kernel_launches("nw_k1")
+    diverged_hits = 0
+    for seed in (37, 56, 101, 255, 256):
+        make = lambda: plan_microarch_fault(launches, None, seed,
+                                            target="control")
+        revived.clear()
+        off = run(app, full(profile), make())
+        assert revived, seed
+        for _ in range(2):  # the first run captures, the second resumes
+            spy.clear()
+            assert_same(run(app, profile, make()), off)
+        assert "ff" in kinds(spy), seed
+        diverged_hits += revived[0]
+    assert diverged_hits
+
+
+def deep_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple | list):
+        return (isinstance(b, tuple | list) and len(a) == len(b)
+                and all(deep_equal(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
+def test_stored_checkpoints_equal_a_fault_free_capture(gv100, tmp_cache):
+    app = get_application("sradv1")
+    profile = fresh_profile("sradv1", gv100)
+    run_campaign(CampaignSpec(level="uarch", app=app, structure="l2",
+                              trials=24, seed=9), profile=profile)
+    clean = fresh_profile("sradv1", gv100)
+    stored = 0
+    for index, golden in enumerate(profile.replay.launches):
+        if not any(golden.checkpoints):
+            continue
+        reference = populate(app, clean, kernel_index=index)
+        for mine, theirs in zip(golden.checkpoints, reference):
+            if mine is not None:
+                stored += 1
+                assert mine.now == theirs.now
+                assert deep_equal(mine.parts, theirs.parts)
+    assert stored > 0
+
+
+# ---------------------------------------------------------------------- #
+# Completeness: every component is compared and restored
+# ---------------------------------------------------------------------- #
+class WideVectorAdd(GPUApplication):
+    """``va`` over more CTAs than the device holds at once, so CTAs wait
+    in the pending queue in the middle of the launch."""
+
+    name = "va-wide"
+    kernel_names = ("va_k1",)
+    N = 3072
+
+    def make_inputs(self, rng):
+        return {"a": rng.random(self.N, dtype=np.float32),
+                "b": rng.random(self.N, dtype=np.float32)}
+
+    def run(self, gpu, harness=None):
+        h = harness or DeviceHarness()
+        a, b = h.upload(gpu, self.inputs["a"]), h.upload(gpu, self.inputs["b"])
+        c = h.alloc(gpu, 4 * self.N)
+        h.launch(gpu, VA_K1, (self.N // 64, 1), (64, 1), [a, b, c, self.N],
+                 name="va_k1", outputs=(c,))
+        return {"c": h.download(gpu, c, np.float32, self.N)}
+
+    def reference(self):
+        return {"c": self.inputs["a"] + self.inputs["b"]}
+
+
+class Perturbation(MicroarchFaultPlan):
+    """A transient "fault" that changes exactly one piece of device state
+    (``change(gpu)``) after the issue phase of loop top ``cycle``."""
+
+    def __init__(self, cycle, change):
+        super().__init__(0, cycle, Structure.RF, seed=0)
+        self.change = change
+
+    def fire(self, gpu):
+        self.fired = True
+        self.change(gpu)
+        self.description = "perturbed"
+
+
+class LoopTops(MicroarchFaultPlan):
+    """Never fires; records every loop top of the launch instead."""
+
+    def __init__(self):
+        super().__init__(0, 0, Structure.RF, seed=0)
+        self.tops = []
+
+    def fire(self, gpu):
+        self.tops.append(gpu.now)
+        self.cycle = gpu.now + 1
+
+
+def _resident_cta(gpu):
+    return next(cta for sm in gpu.sms for cta in sm.ctas)
+
+
+def _uniform_warp(gpu):
+    return next(w for sm in gpu.sms for w in sm.warps
+                if not w.diverged and not w.finished)
+
+
+def _valid_l2_line(gpu):
+    return int(np.flatnonzero(gpu.l2.valid)[0])
+
+
+def _busy_sm(gpu):
+    return next(sm for sm in gpu.sms if len(sm.warps) > 1)
+
+
+#: component -> (app, change). Each change leaves every other piece of
+#: state at its golden value, so only that component can tell.
+PERTURBATIONS = {
+    "launch counters": ("gemm", lambda gpu: setattr(
+        gpu.stats, "thread_instructions", gpu.stats.thread_instructions + 1)),
+    "pending CTAs": ("va-wide", lambda gpu: gpu._pending.pop(0)),
+    "scheduler cursor": ("gemm", lambda gpu: setattr(
+        _busy_sm(gpu), "scheduler_cursor",
+        (_busy_sm(gpu).scheduler_cursor + 1) % len(_busy_sm(gpu).warps))),
+    "barrier arrivals": ("gemm", lambda gpu: setattr(
+        _resident_cta(gpu), "barrier_arrived",
+        _resident_cta(gpu).barrier_arrived + 1)),
+    "uniform PC": ("gemm", lambda gpu: setattr(
+        _uniform_warp(gpu), "upc", _uniform_warp(gpu).upc + 1)),
+    "stale per-lane PC": ("gemm", lambda gpu: _uniform_warp(gpu).pc.__setitem__(
+        3, _uniform_warp(gpu).pc[3] + 7)),
+    "done mask": ("va-wide", lambda gpu: _uniform_warp(gpu).done.__setitem__(
+        0, ~_uniform_warp(gpu).done[0])),
+    "registers": ("gemm", lambda gpu: gpu.sms[0].rf.live_banks()[0].regs.__setitem__(
+        (0, 0), gpu.sms[0].rf.live_banks()[0].regs[0, 0] ^ 1)),
+    "SMEM bytes": ("gemm", lambda gpu: _resident_cta(gpu).smem.data.__setitem__(
+        0, _resident_cta(gpu).smem.data[0] ^ 1)),
+    "fill_done": ("gemm", lambda gpu: gpu.l2.fill_done.__setitem__(
+        _valid_l2_line(gpu), gpu.l2.fill_done[_valid_l2_line(gpu)] + 1)),
+    "fills in flight": ("gemm", lambda gpu: gpu.sms[0].l1d._fills_in_flight
+                        .append(gpu.now + 10_000)),
+    "cache counters": ("gemm", lambda gpu: setattr(
+        gpu.sms[0].l1d.stats, "evictions", gpu.sms[0].l1d.stats.evictions + 1)),
+    "L2 lines": ("gemm", lambda gpu: gpu.l2.data.__setitem__(
+        (_valid_l2_line(gpu), 0), gpu.l2.data[_valid_l2_line(gpu), 0] ^ 1)),
+}
+
+
+def _app(name):
+    return WideVectorAdd() if name == "va-wide" else get_application(name)
+
+
+@pytest.mark.parametrize("component", sorted(PERTURBATIONS))
+def test_a_single_differing_component_blocks_convergence(component, spy,
+                                                         gv100):
+    """Change one component at the last loop top before a checkpoint:
+    the trial must not converge there, and it must finish exactly as a
+    full simulation of the same change does."""
+    app_name, change = PERTURBATIONS[component]
+    app = _app(app_name)
+    profile = fresh_profile(app, gv100) if app_name == "va-wide" else (
+        golden_profile(app_name, gv100))
+    slots = populate(app, profile)
+    probe = LoopTops()
+    run(app, full(profile), probe)
+    distinct = list(dict.fromkeys(slots))
+    # CTAs wait only early in the wide launch (pop raises once none do).
+    for checkpoint in (distinct[:2] if component == "pending CTAs"
+                       else distinct[-2:]):
+        before = max(t for t in probe.tops if t < checkpoint.now)
+        spy.clear()
+        on = run(app, profile, Perturbation(before, change))
+        assert (0, "converged", checkpoint.now) not in spy
+        assert_same(on, run(app, full(profile), Perturbation(before, change)))
+
+
+@pytest.mark.parametrize("app_name", ["gemm", "nw", "pathfinder", "va-wide"])
+def test_restored_checkpoint_equals_its_capture(app_name, gv100,
+                                                monkeypatch):
+    """A fast-forwarded launch holds exactly the captured state: every
+    component round-trips through ``restore``."""
+    app = _app(app_name)
+    profile = fresh_profile(app, gv100)
+    slots = populate(app, profile)
+    differs = []
+    original = Checkpoint.restore
+
+    def restore(checkpoint, gpu, base, ctas):
+        original(checkpoint, gpu, base, ctas)
+        differs.append(checkpoint.mismatch(gpu, base))
+
+    monkeypatch.setattr(Checkpoint, "restore", restore)
+    distinct = list(dict.fromkeys(slots))
+    for checkpoint in distinct:
+        plan = MicroarchFaultPlan(0, checkpoint.now, Structure.L1T, seed=2)
+        on = run(app, profile, plan)
+        assert_same(on, run(app, full(profile), MicroarchFaultPlan(
+            0, checkpoint.now, Structure.L1T, seed=2)))
+    assert differs == [None] * len(distinct)

@@ -152,6 +152,16 @@ def test_render_summary_prints_every_section():
     assert "1 miss(es)" in text
     assert "per-kernel rollup" in text and "va_k1" in text
     assert "launches replayed  0 of 4" in text  # a stream without replay
+    assert "cycles simulated" not in text  # ...nor simulated-cycle counts
+
+
+def test_render_summary_reports_simulated_cycles():
+    events = _stream()
+    for e in events:
+        if e["kind"] == "kernels":
+            e["kernels"]["va_k1"]["simulated_cycles"] = 20
+    text = render_summary(summarize_events(events))
+    assert "cycles simulated   80 of 200 (40.0%)" in text
 
 
 def test_severity_counters_from_commit_events():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
@@ -8,6 +13,26 @@ def test_list(capsys):
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
+
+
+@pytest.mark.parametrize("command", [["list"], ["apps"]])
+def test_closed_stdout_exits_quietly(command):
+    """``repro list | head -1``: the reader has gone before the CLI
+    writes, so every write hits a closed pipe."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro.cli", *command],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_apps(capsys):

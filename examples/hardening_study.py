@@ -2,7 +2,8 @@
 
 Hardens HotSpot with thread-level Triple Modular Redundancy via the
 TMR harness — input triplication, per-launch copy execution, on-device
-majority voting — then measures:
+majority voting; ``CampaignSpec(harden="tmr")`` in campaigns — then
+measures:
 
 * the ~3x execution-time penalty,
 * the SDC elimination under both AVF and SVF,
@@ -41,14 +42,11 @@ def main() -> None:
     base = CampaignSpec(level="uarch", app=app, kernel=KERNEL,
                         structure=Structure.RF, config=quadro_gv100_like(),
                         trials=TRIALS, seed=2)
-    for hardened, factory, tag in ((False, None, "baseline"),
-                                   (True, tmr_harness_factory, "TMR")):
-        uarch = run_campaign(base.derive(hardened=hardened),
-                             harness_factory=factory)
+    for harden, tag in ((None, "baseline"), ("tmr", "TMR")):
+        uarch = run_campaign(base.derive(harden=harden))
         sw = run_campaign(base.derive(level="sw", structure=None,
                                       config=tesla_v100_like(),
-                                      hardened=hardened),
-                          harness_factory=factory)
+                                      harden=harden))
         for name, result in ((f"AVF-RF {tag}", uarch), (f"SVF {tag}", sw)):
             c = result.counts
             print(f"{name:<28} {c.masked:>7} {c.sdc:>5} {c.timeout:>5} "

@@ -225,7 +225,7 @@ def _cmd_staticvf(args) -> int:
     programs = _select_programs(args.target)
     if programs is None:
         return 2
-    if args.structure in ("smem", "control"):
+    if args.structure == "smem":
         return _staticvf_structures(programs)
     header = (f"{'kernel':<16} {'instrs':>6} {'regs':>5} {'live':>6} "
               f"{'ACE':>7} {'reads/wr':>8} {'dead-wr':>7}")
@@ -243,24 +243,23 @@ def _cmd_staticvf(args) -> int:
 
 
 def _staticvf_structures(programs) -> int:
-    """``staticvf --structure smem|control``: launch-aware estimates."""
+    """``staticvf --structure smem``: launch-aware SMEM estimates."""
     from repro.arch.config import quadro_gv100_like
     from repro.staticanalysis import static_structure_report
     from repro.staticanalysis.launches import kernel_launch_contexts
 
     config = quadro_gv100_like()
     header = (f"{'kernel':<16} {'SMEM ACE':>9} {'SMEM DF':>9} "
-              f"{'AVF-SMEM':>10} {'ctrl ACE':>9}")
+              f"{'AVF-SMEM':>10}")
     print(header)
     print("-" * len(header))
     for (app, kernel), program in programs.items():
         contexts = kernel_launch_contexts(app, kernel)
         r = static_structure_report(program, contexts, config)
         print(f"{kernel:<16} {r.smem_ace:>9.1%} {r.smem_derating:>9.4f} "
-              f"{r.avf_smem:>10.4%} {r.control_ace:>9.1%}")
+              f"{r.avf_smem:>10.4%}")
     print("\nSMEM ACE = store-to-last-load live byte-weight over the "
-          "shared window (abstract\ninterpretation); control ACE = "
-          "loop-trip-weighted PC/active-mask lifetime.\nSee 'repro.cli run "
+          "shared window (abstract\ninterpretation).\nSee 'repro.cli run "
           "static-structures' for the comparison against campaigns.")
     return 0
 
@@ -321,7 +320,6 @@ def _cmd_campaign_run(args) -> int:
     from repro.errors import ReproError
     from repro.fi import CampaignSpec, FaultOutcome, StopRule, run_campaign
     from repro.fi.runner import resolve_workers
-    from repro.hardening import tmr_harness_factory
     from repro.kernels import get_application
     from repro.telemetry import (TelemetrySession, read_events, telemetry_dir,
                                  write_trace)
@@ -336,17 +334,12 @@ def _cmd_campaign_run(args) -> int:
         print(f"{args.app} has no kernel {kernel!r} "
               f"(has: {', '.join(app.kernel_names)})", file=sys.stderr)
         return 2
-    if args.harden and args.hardened:
-        print("--harden names a registry scheme and --hardened is its "
-              "legacy TMR shorthand; pass one, not both", file=sys.stderr)
-        return 2
     label = f"{args.app}/{kernel}/{args.level}"
     if args.fault_model != "transient" or args.target != "storage":
         label += f"/{args.fault_model}/{args.target}"
     if args.harden:
         label += f"/{args.harden}"
     reporter = None if args.quiet else _CampaignProgress(label)
-    factory = tmr_harness_factory if args.hardened else None
     telemetry_on = bool(args.telemetry or args.trace or args.events)
     session = None
     if telemetry_on:
@@ -384,7 +377,6 @@ def _cmd_campaign_run(args) -> int:
         trials=args.trials,
         seed=args.seed,
         workers=args.workers,
-        hardened=args.hardened,
         harden=args.harden,
         fault_model=args.fault_model,
         target=args.target,
@@ -397,7 +389,6 @@ def _cmd_campaign_run(args) -> int:
     try:
         result = run_campaign(
             spec,
-            harness_factory=factory,
             progress=reporter,
             worker_progress=(reporter.worker_update
                              if reporter is not None
@@ -997,10 +988,10 @@ def main(argv: list[str] | None = None) -> int:
     staticvf_parser.add_argument("target", nargs="?", default="all",
                                  help="application id, kernel id, or 'all'")
     staticvf_parser.add_argument("--structure", default="rf",
-                                 choices=["rf", "smem", "control"],
+                                 choices=["rf", "smem"],
                                  help="estimate family: RF liveness table "
                                       "(default) or the launch-aware "
-                                      "SMEM/control estimates")
+                                      "SMEM estimates")
     staticvf_parser.set_defaults(func=_cmd_staticvf)
 
     campaign_parser = sub.add_parser(
@@ -1051,8 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
                       metavar="N|auto",
                       help="trial-execution pool size (default: "
                            "REPRO_WORKERS; 'auto' = all cores but one)")
-    crun.add_argument("--hardened", action="store_true",
-                      help="run the TMR-hardened variant")
     crun.add_argument("--harden", default=None,
                       choices=["tmr", "dmr", "abft", "range"],
                       help="run under a hardening-zoo scheme (named "

@@ -5,8 +5,8 @@ shares: per kernel, microarchitecture-level FI on all five structures on the
 GV100-like configuration and software-level FI (plus the loads-only SVF-LD
 variant) on the V100-like configuration — the paper's tool pairing.
 
-Hardened variants run the same applications through the ``"tmr"`` scheme
-from the hardening registry (:mod:`repro.hardening.registry`).
+Hardened variants run the same applications as ``harden="tmr"`` campaigns
+(the TMR scheme of :mod:`repro.hardening.registry`).
 """
 
 from __future__ import annotations
@@ -169,9 +169,9 @@ def collect_suite(
         trials = hardened_trials() if hardened else default_trials()
     uarch_config = quadro_gv100_like()
     sw_config = tesla_v100_like()
-    # The suite's hardened pass is TMR by name from the hardening-zoo
-    # registry (spec identity — hardened=True — is unchanged).
-    factory = hardening_scheme("tmr") if hardened else None
+    harden = "tmr" if hardened else None
+    # Profiles must be taken under the harness the campaigns run.
+    factory = hardening_scheme(harden) if harden else None
     kernels: dict[tuple[str, str], KernelData] = {}
     for app in all_applications():
         if apps is not None and app.name not in apps:
@@ -199,8 +199,7 @@ def collect_suite(
                 CampaignSpec(level=level, app=app, kernel=kernel,
                              structure=structure, config=config,
                              trials=trials, seed=seed, workers=workers,
-                             hardened=hardened, sdc_anatomy=sdc_anatomy),
-                harness_factory=factory,
+                             harden=harden, sdc_anatomy=sdc_anatomy),
                 profile_supplier=supplier(config),
                 progress=reporter(label),
             )

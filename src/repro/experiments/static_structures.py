@@ -1,19 +1,12 @@
-"""Static SMEM + control-state estimates vs campaign AVFs: rank agreement.
+"""Static SMEM estimates vs campaign AVFs: rank agreement.
 
 The RF estimator's validation move (:mod:`repro.experiments.static_vf`)
-extended to the other two structure families the campaigns target:
-
-* **SMEM** — ``static_structure_report`` predicts each kernel's AVF-SMEM
-  as ``SMEM ACE x SMEM derating``, where the ACE fraction comes from
-  store-to-last-load live intervals over the abstract interpreter's
-  value sets (zero injections) and the derating from the launch geometry.
-  Compared against the cached SMEM storage-target campaigns.
-* **control** — the loop-trip-weighted PC/active-mask lifetime fraction,
-  compared against control-target campaigns (parallelism-management
-  state: PCs, active masks, barrier/scheduler registers; derating 1 —
-  control state is always live).
-
-Both comparisons ask the predictor question: does the static estimate
+extended to shared memory: ``static_structure_report`` predicts each
+kernel's AVF-SMEM as ``SMEM ACE x SMEM derating``, where the ACE fraction
+comes from store-to-last-load live intervals over the abstract
+interpreter's value sets (zero injections) and the derating from the
+launch geometry. Compared against the cached SMEM storage-target
+campaigns, it asks the predictor question: does the static estimate
 *rank* the applications the way fault injection does?
 """
 
@@ -23,25 +16,22 @@ from repro.analysis.trends import compare_trends, spearman
 from repro.arch.config import quadro_gv100_like
 from repro.arch.structures import Structure
 from repro.experiments.common import APP_ORDER, app_label, collect_suite
-from repro.fi import CampaignSpec, avf_of_structure, run_campaign
+from repro.fi import avf_of_structure
 from repro.kernels import kernel_programs
 from repro.staticanalysis import static_structure_report
 from repro.staticanalysis.launches import suite_launch_contexts
 from repro.utils.stats import weighted_mean
 
-#: The comparison's structure families.
-FAMILIES = ("smem", "control")
-
 
 def data(trials: int | None = None):
-    """family -> (static_estimate, campaign_avf) per application."""
+    """(static_estimate, campaign_avf) of AVF-SMEM per application."""
     suite = collect_suite(hardened=False, trials=trials, with_ld=False)
     programs = kernel_programs()
     config = quadro_gv100_like()
     contexts = suite_launch_contexts()
 
-    static: dict[str, dict[str, float]] = {f: {} for f in FAMILIES}
-    campaign: dict[str, dict[str, float]] = {f: {} for f in FAMILIES}
+    static: dict[str, float] = {}
+    campaign: dict[str, float] = {}
     for app in APP_ORDER:
         items = {
             kernel: d for (a, kernel), d in suite.kernels.items() if a == app
@@ -49,48 +39,31 @@ def data(trials: int | None = None):
         if not items:
             continue
         weights = [max(d.cycles, 1) for d in items.values()]
-        reports = {
-            kernel: static_structure_report(
-                programs[(app, kernel)], contexts[(app, kernel)], config)
-            for kernel in items
-        }
-        static["smem"][app] = weighted_mean(
-            [reports[k].avf_smem for k in items], weights)
-        static["control"][app] = weighted_mean(
-            [reports[k].control_ace for k in items], weights)
-        campaign["smem"][app] = weighted_mean(
+        static[app] = weighted_mean(
+            [static_structure_report(programs[(app, k)], contexts[(app, k)],
+                                     config).avf_smem for k in items],
+            weights)
+        campaign[app] = weighted_mean(
             [avf_of_structure(d.uarch[Structure.SMEM]).total
              for d in items.values()], weights)
-        control_runs = [
-            run_campaign(CampaignSpec(level="uarch", app=app, kernel=kernel,
-                                      target="control", trials=trials))
-            for kernel in items
-        ]
-        campaign["control"][app] = weighted_mean(
-            [avf_of_structure(r).total for r in control_runs], weights)
-    return ({f: static[f] for f in FAMILIES},
-            {f: campaign[f] for f in FAMILIES})
+    return static, campaign
 
 
 def run(trials: int | None = None) -> str:
-    static, campaign = data(trials)
-    lines = ["== Static SMEM/control estimates vs campaign AVFs =="]
-    for family in FAMILIES:
-        s, c = static[family], campaign[family]
-        lines.append(f"-- {family} --")
-        lines.append(f"{'app':<12} {'static est':>10} {'campaign':>10}")
-        for app in s:
-            lines.append(
-                f"{app_label(app):<12} {s[app]:>10.4%} {c[app]:>10.4%}")
-        rho = spearman(s, c)
-        cmp = compare_trends(s, c)
-        lines.append(
-            f"Spearman rank correlation: {rho:+.3f} over {len(s)} apps; "
-            f"pairwise trends: {cmp.consistent} consistent / "
-            f"{cmp.opposite} opposite")
+    s, c = data(trials)
+    lines = ["== Static SMEM estimates vs campaign AVF-SMEM ==",
+             f"{'app':<12} {'static est':>10} {'campaign':>10}"]
+    for app in s:
+        lines.append(f"{app_label(app):<12} {s[app]:>10.4%} {c[app]:>10.4%}")
+    rho = spearman(s, c)
+    cmp = compare_trends(s, c)
+    lines.append(
+        f"Spearman rank correlation: {rho:+.3f} over {len(s)} apps; "
+        f"pairwise trends: {cmp.consistent} consistent / "
+        f"{cmp.opposite} opposite")
     lines.append(
         "static side: 0 injections (abstract interpretation + CFG weights); "
-        "campaign side: SMEM storage-target and control-target FI")
+        "campaign side: SMEM storage-target FI")
     return "\n".join(lines)
 
 

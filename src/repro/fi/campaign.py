@@ -8,7 +8,9 @@ a reset device with one planned fault, and tallies the outcome classes.
 :class:`CampaignSpec` names the injection ``level`` (``uarch``, ``sw``,
 ``sw-ld``, ``src``, ``src-sticky``), the application/kernel, the trial
 budget, the seed and the worker-pool size; runtime-only collaborators
-(profiles, harness factories, progress callbacks) are keyword arguments.
+(profiles, progress callbacks, telemetry sessions) are keyword arguments.
+A hardened campaign names its scheme (``CampaignSpec(harden="tmr")``), so
+the harness always follows from the spec's identity.
 
 ``uarch`` campaigns additionally select a fault model
 (``CampaignSpec(fault_model=...)``: ``transient`` — the paper's SEU —
@@ -33,8 +35,9 @@ cache key; with it off, journals and cache payloads are byte-identical to
 an anatomy-unaware build.
 
 Results are cached as JSON under ``.repro_cache/`` keyed by every parameter
-that affects the outcome — the worker count deliberately excluded, so serial
-and parallel runs share cache entries — and experiments and benchmarks
+that affects the outcome (the identity of :mod:`repro.identity`) — the
+worker count deliberately excluded, so serial and parallel runs share
+cache entries — and experiments and benchmarks
 sharing campaigns (Figs. 1, 2, 4, 5, Table I all reuse the same base
 campaigns) never redo simulation work.
 
@@ -83,6 +86,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.arch.config import GPUConfig
 from repro.arch.structures import Structure
@@ -99,6 +103,12 @@ from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
 from repro.fi.outcomes import FaultOutcome, OutcomeCounts
 from repro.fi.planner import StopRule
 from repro.fi.runner import ProgressFn, WorkerProgressFn, execute_trials
+from repro.identity import (
+    FAULT_AXES,
+    campaign_identity,
+    identity_extras,
+    identity_tag,
+)
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
 from repro.sim.gpu import GPU
@@ -224,6 +234,11 @@ def profile_app(
     )
 
 
+#: :class:`CampaignResult` fields a payload carries only when set.
+_OPTIONAL_PAYLOAD = frozenset({"harden", "fault_model", "fault_target",
+                               "sdc_anatomy", "planned_trials", "stop_rule"})
+
+
 @dataclass
 class CampaignResult:
     """Outcome tally + the profile-derived weights the AVF/SVF math needs."""
@@ -240,45 +255,36 @@ class CampaignResult:
     kernel_cycles: int = 0
     kernel_instructions: int = 0
     control_path_masked: int = 0  # masked trials whose cycle count changed
+    #: Always ``False`` for new results (hardening is the ``harden``
+    #: axis); kept in every payload so unhardened payloads stay
+    #: byte-identical, and ``True`` only on payloads of older builds.
     hardened: bool = False
     #: Hardening-zoo scheme name when the campaign ran under a registry
-    #: scheme (``CampaignSpec.harden``); ``None`` otherwise — and then
-    #: absent from the cache payload, keeping unhardened payloads
-    #: identical to pre-zoo builds.
+    #: scheme (``CampaignSpec.harden``); ``None`` otherwise.
     harden: str | None = None
     #: Fault model / target axes of a uarch campaign (see
-    #: :data:`repro.fi.gpufi.FAULT_MODELS`). Defaults describe every legacy
-    #: campaign and are then omitted from the cache payload, keeping
-    #: transient-path payloads identical to pre-permanent-fault builds.
+    #: :data:`repro.fi.gpufi.FAULT_MODELS`).
     fault_model: str = "transient"
     fault_target: str = "storage"
     #: SDC anatomy aggregate (``sdc_anatomy=True`` campaigns only):
     #: ``{"tolerable": int, "critical": int, "records": [...]}`` with one
-    #: record per SDC trial in trial order. ``None`` when anatomy was off
-    #: (and then absent from the cache payload, keeping off-path payloads
-    #: identical to anatomy-unaware builds).
+    #: record per SDC trial in trial order.
     sdc_anatomy: dict | None = None
-    #: Adaptive campaigns only (``None`` → absent from the cache payload):
-    #: the trial budget the campaign was planned for, and the stop rule's
-    #: identity payload. ``trials`` then records the count actually run.
+    #: Adaptive campaigns only: the trial budget the campaign was planned
+    #: for, and the stop rule's identity payload. ``trials`` then records
+    #: the count actually run.
     planned_trials: int | None = None
     stop_rule: dict | None = None
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
+        """The cache payload. Like a campaign identity (see
+        :mod:`repro.identity`), the fields newer than the payload format
+        appear only when off their default, keeping payloads of campaigns
+        that do not use them identical to those of older builds."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+             if f.name not in _OPTIONAL_PAYLOAD
+             or getattr(self, f.name) != f.default}
         d["counts"] = self.counts.to_dict()
-        if self.harden is None:
-            del d["harden"]
-        if self.sdc_anatomy is None:
-            del d["sdc_anatomy"]
-        if self.fault_model == "transient":
-            del d["fault_model"]
-        if self.fault_target == "storage":
-            del d["fault_target"]
-        if self.planned_trials is None:
-            del d["planned_trials"]
-        if self.stop_rule is None:
-            del d["stop_rule"]
         return d
 
     @classmethod
@@ -297,8 +303,8 @@ class CampaignSpec:
     means the application's first kernel, ``config=None`` the paper's
     tool pairing for the level (GV100 for ``uarch``, V100 otherwise).
     ``trials=None`` and ``workers=None`` defer to ``REPRO_TRIALS`` /
-    ``REPRO_WORKERS``. Runtime-only collaborators (profiles, harness
-    factories, progress callbacks) are keyword arguments of
+    ``REPRO_WORKERS``. Runtime-only collaborators (profiles, progress
+    callbacks, telemetry sessions) are keyword arguments of
     :func:`run_campaign`, not part of the spec — the spec is exactly the
     identity that determines the result.
     """
@@ -311,14 +317,11 @@ class CampaignSpec:
     trials: int | None = None
     seed: int = 1
     workers: int | None = None
-    hardened: bool = False
     #: Hardening-zoo scheme by name (``tmr``/``dmr``/``abft``/``range``,
     #: see :mod:`repro.hardening.registry`): the campaign resolves its
     #: harness factory from the registry, and the scheme joins the cache
     #: key, seed tag and journal meta. ``None`` (the default) leaves
-    #: every existing identity byte-for-byte untouched. The legacy
-    #: ``hardened`` flag stays the experiment-local TMR shorthand;
-    #: setting both is a config error.
+    #: every unhardened identity byte-for-byte untouched.
     harden: str | None = None
     num_bits: int = 1  # uarch fault model: 1 = single-bit, 2 = adjacent
     ecc_protected: bool = False  # uarch only: SECDED on the target structure
@@ -362,10 +365,10 @@ class CampaignSpec:
         """A copy of this spec with the given fields replaced.
 
         The campaign analogue of :func:`dataclasses.replace`: experiments
-        that sweep one axis (hardened, fault model, structure, trial
-        count) derive the variants from one base spec instead of
+        that sweep one axis (hardening scheme, fault model, structure,
+        trial count) derive the variants from one base spec instead of
         restating every field —
-        ``spec.derive(hardened=True, trials=40)``.
+        ``spec.derive(harden="tmr", trials=40)``.
         """
         return dataclasses.replace(self, **overrides)
 
@@ -399,7 +402,6 @@ def _resolve_config(config, level: str) -> GPUConfig:
 def run_campaign(
     spec: CampaignSpec,
     *,
-    harness_factory=None,
     profile: "AppProfile | None" = None,
     profile_supplier=None,
     max_failure_rate: float | None = None,
@@ -421,6 +423,10 @@ def run_campaign(
     ``telemetry=False``); without it, an enabled campaign writes to
     ``<cache_dir>/telemetry/<cache key>.jsonl``. The caller owns a
     session it passed in; campaign-created sessions are closed here.
+
+    Every level runs the same steps — cache key, cache load, telemetry
+    session, golden run, :func:`~repro.fi.runner.execute_trials`, result,
+    cache store, ledger; a :class:`_Level` driver supplies what differs.
     """
     if spec.level not in CAMPAIGN_LEVELS:
         raise ConfigError(
@@ -430,15 +436,139 @@ def run_campaign(
     kernel = spec.kernel if spec.kernel is not None else app.kernel_names[0]
     config = _resolve_config(spec.config, spec.level)
     stop_rule = _resolve_stop_rule(spec)
-    runtime = dict(
-        trials=spec.trials, seed=spec.seed, use_cache=spec.use_cache,
-        profile=profile, profile_supplier=profile_supplier,
-        max_failure_rate=max_failure_rate, progress=progress,
-        workers=spec.workers, worker_progress=worker_progress,
-        sdc_anatomy=spec.sdc_anatomy,
-        telemetry=spec.telemetry, telemetry_session=telemetry_session,
-        stop_rule=stop_rule, budget=spec.budget,
-    )
+    level = _level_driver(spec, f"{app.name}/{kernel}")
+    harness_factory = None
+    if spec.harden is not None:
+        from repro.hardening.registry import hardening_scheme  # local:
+        # the default path must not import kernel/hardening modules.
+
+        harness_factory = hardening_scheme(spec.harden)
+
+    trials_from_env = spec.trials is None and spec.budget is None
+    trials = spec.trials if spec.trials is not None else default_trials()
+    # An explicit budget caps the adaptive plan regardless of `trials`;
+    # the key's "trials" entry is always the planned count, so a
+    # budget-100 spec and a trials-100 spec with the same rule (which
+    # behave identically) share one cache entry.
+    planned = spec.budget if spec.budget is not None else trials
+    rule = stop_rule.to_payload() if stop_rule is not None else None
+    structure = level.structure
+    structure_name = structure.value if structure is not None else None
+    identity = campaign_identity(
+        level.kind, app.name, kernel, config.name, structure=structure_name,
+        num_bits=spec.num_bits, ecc=spec.ecc_protected,
+        sdc_anatomy=spec.sdc_anatomy, fault_model=spec.fault_model,
+        target=spec.target, harden=spec.harden, stop_rule=rule)
+    key = _cache_key({"v": CACHE_VERSION, "app_seed": app.seed,
+                      "trials": planned, "seed": spec.seed, **identity})
+    if spec.use_cache:
+        cached = _cache_load(key)
+        if cached is not None:
+            if telemetry_session is not None:
+                telemetry_session.telemetry(key).emit(
+                    "cache", op="load", hit=True)
+            return CampaignResult.from_dict(cached)
+
+    tel, session, owns_session = _campaign_telemetry(
+        key, spec.telemetry, telemetry_session)
+    try:
+        if tel.enabled and spec.use_cache:
+            tel.emit("cache", op="load", hit=False)
+        if profile is None:
+            with tel.span("golden_run"):
+                profile = (profile_supplier() if profile_supplier is not None
+                           else profile_app(app, config, harness_factory))
+        launches = profile.kernel_launches(kernel, level.include_post)
+        if not launches:
+            raise PlanningError(
+                f"{app.name} has no launches of kernel {kernel!r}")
+
+        tag = identity_tag(identity)
+        tally = execute_trials(
+            key=key,
+            seeds=spawn_seeds(spec.seed, tag, planned),
+            trial_fn=_injection_trial_fn(
+                app, profile, harness_factory,
+                lambda s: level.plan(launches, s),
+                level.injector_attr, level.injector_cls,
+                sdc_anatomy=spec.sdc_anatomy, site_fn=level.site),
+            gpu_factory=_gpu_factory(profile, config),
+            baseline_cycles=profile.total_cycles,
+            max_failure_rate=max_failure_rate,
+            progress=progress,
+            journal=spec.use_cache,
+            workers=spec.workers,
+            worker_progress=worker_progress,
+            meta=_journal_meta(level.kind, app, kernel, tag, spec.seed,
+                               planned, trials_from_env,
+                               identity_extras(identity)),
+            telemetry=tel,
+            event_tags=identity_extras(identity, FAULT_AXES) or None,
+            stop_rule=stop_rule,
+        )
+
+        from repro.fi.avf import derating_factor  # local: import cycle
+
+        result = CampaignResult(
+            app_name=app.name,
+            kernel=kernel,
+            injector=level.kind,
+            structure=structure_name,
+            trials=(tally.counts.total if stop_rule is not None
+                    else trials),
+            seed=spec.seed,
+            config_name=config.name,
+            counts=tally.counts,
+            # Software-level FI needs no derating (paper II-C).
+            derating_factor=(derating_factor(structure, launches, config)
+                             if structure is not None else 1.0),
+            kernel_cycles=profile.kernel_cycles(kernel),
+            kernel_instructions=sum(l[level.count] for l in launches),
+            control_path_masked=tally.control_path_masked,
+            harden=spec.harden,
+            fault_model=spec.fault_model,
+            fault_target=spec.target,
+            sdc_anatomy=_anatomy_aggregate(tally) if spec.sdc_anatomy else None,
+            planned_trials=planned if stop_rule is not None else None,
+            stop_rule=rule,
+        )
+        if spec.use_cache:
+            with tel.span("cache.store"):
+                _cache_store(key, result.to_dict())
+        _record_to_ledger(key, result, session)
+        return result
+    finally:
+        if owns_session:
+            session.close()
+
+
+@dataclass(frozen=True)
+class _Level:
+    """What one injection level adds to the shared campaign body."""
+
+    #: Injector label: cache-key ``kind``, journal level, payload injector.
+    kind: str
+    #: ``plan(launches, trial_seed)`` -> the trial's fault plan. The
+    #: planners are looked up as module globals when a trial runs.
+    plan: Callable
+    #: The GPU hook the plan's injector arms, and the injector class.
+    injector_attr: str
+    injector_cls: type
+    #: ``site(plan)`` -> the SDC-anatomy site tag.
+    site: Callable
+    #: The targeted storage structure (derates the failure rate); ``None``
+    #: for control-state and software-level campaigns.
+    structure: Structure | None = None
+    #: Plan over the hardening post-steps (``<kernel>@vote``) too; the
+    #: software level instruments the computational kernel only.
+    include_post: bool = True
+    #: Launch-record field summed into ``kernel_instructions``.
+    count: str = "injectable"
+
+
+def _level_driver(spec: CampaignSpec, context: str) -> _Level:
+    """Validate the level-specific spec fields and build the level's
+    driver; ``context`` labels planning errors."""
     if spec.fault_model not in FAULT_MODELS:
         raise ConfigError(
             f"unknown fault model {spec.fault_model!r} "
@@ -452,68 +582,55 @@ def run_campaign(
         raise ConfigError(
             "fault_model/target select microarchitecture-level fault "
             f"variants; the {spec.level!r} level has no notion of them")
-    if spec.harden is not None:
-        if spec.level.startswith("src"):
+    if spec.level.startswith("src"):
+        if spec.harden is not None:
             raise ConfigError(
                 "source-level campaigns have no hardened variant")
-        if spec.hardened:
-            raise ConfigError(
-                "harden names a scheme from the hardening registry and "
-                "hardened is its legacy TMR shorthand; set one, not both")
-        if harness_factory is not None:
-            raise ConfigError(
-                "harden resolves the harness factory from the hardening "
-                "registry; drop the explicit harness_factory")
-        from repro.hardening.registry import hardening_scheme  # local:
-        # the default path must not import kernel/hardening modules.
+        from repro.fi.svf_modes import SourceInjector, plan_source_fault
 
-        harness_factory = hardening_scheme(spec.harden)
-    if (spec.hardened and harness_factory is None
-            and not spec.level.startswith("src")):
-        # Without a harness the campaign would run unhardened and be
-        # cached under the hardened key.
-        raise ConfigError(
-            "hardened=True labels a TMR campaign but runs whatever harness "
-            "it is given; pass harness_factory (e.g. "
-            "repro.hardening.tmr.tmr_harness_factory) or use harden='tmr'")
-    if spec.level == "uarch":
-        if spec.target == "control":
-            if spec.structure is not None:
-                raise ConfigError(
-                    "control-target campaigns inject the parallelism-"
-                    "management state and pick their own sites; drop the "
-                    "structure")
-            if spec.ecc_protected:
-                raise ConfigError(
-                    "ECC protects storage arrays, not parallelism-"
-                    "management state; drop ecc_protected for "
-                    "target='control'")
-            structure = None
-        else:
-            if spec.structure is None:
-                raise ConfigError("uarch campaigns need a target structure")
-            structure = (Structure(spec.structure)
-                         if not isinstance(spec.structure, Structure)
-                         else spec.structure)
-        return _microarch_campaign(
-            app, kernel, structure, config,
-            harness_factory=harness_factory, hardened=spec.hardened,
-            harden=spec.harden,
-            num_bits=spec.num_bits, ecc_protected=spec.ecc_protected,
-            fault_model=spec.fault_model, target=spec.target,
-            **runtime)
-    if spec.level in ("sw", "sw-ld"):
-        return _software_campaign(
-            app, kernel, config, loads_only=spec.level == "sw-ld",
-            harness_factory=harness_factory, hardened=spec.hardened,
-            harden=spec.harden,
-            **runtime)
-    # src / src-sticky
-    if spec.hardened:
-        raise ConfigError("source-level campaigns have no hardened variant")
-    runtime.pop("profile_supplier")
-    return _source_campaign(
-        app, kernel, config, sticky=spec.level == "src-sticky", **runtime)
+        sticky = spec.level == "src-sticky"
+        return _Level(
+            kind="sw-src-sticky" if sticky else "sw-src-transient",
+            plan=lambda launches, s: plan_source_fault(
+                launches, s, sticky, context=context),
+            injector_attr="sw_injector", injector_cls=SourceInjector,
+            site=lambda plan: "src")
+    if spec.level != "uarch":
+        loads_only = spec.level == "sw-ld"
+        return _Level(
+            kind=spec.level,
+            plan=lambda launches, s: plan_software_fault(
+                launches, s, loads_only, context=context),
+            injector_attr="sw_injector", injector_cls=SoftwareInjector,
+            site=lambda plan: plan.injected_class or spec.level,
+            include_post=False,
+            count="injectable_loads" if loads_only else "injectable")
+    if spec.target == "control":
+        if spec.structure is not None:
+            raise ConfigError(
+                "control-target campaigns inject the parallelism-"
+                "management state and pick their own sites; drop the "
+                "structure")
+        if spec.ecc_protected:
+            raise ConfigError(
+                "ECC protects storage arrays, not parallelism-"
+                "management state; drop ecc_protected for "
+                "target='control'")
+        structure = None
+    elif spec.structure is None:
+        raise ConfigError("uarch campaigns need a target structure")
+    else:
+        structure = Structure(spec.structure)
+    return _Level(
+        kind="uarch",
+        plan=lambda launches, s: plan_microarch_fault(
+            launches, structure, s, spec.num_bits, spec.ecc_protected,
+            spec.fault_model, spec.target, context=context),
+        injector_attr="uarch_injector", injector_cls=MicroarchInjector,
+        # Control-target campaigns have no storage structure; "control"
+        # stands in wherever a structure name labels things.
+        site=lambda plan: structure.value if structure else "control",
+        structure=structure)
 
 
 def _resolve_stop_rule(spec: CampaignSpec) -> "StopRule | None":
@@ -821,358 +938,3 @@ def _record_to_ledger(key: str, result: CampaignResult,
                                   events_path=events_path)
     except Exception as exc:
         log.warning("run ledger record failed for campaign %s: %s", key, exc)
-
-
-def _microarch_campaign(
-    app, kernel, structure, config, *, trials, seed, harness_factory,
-    hardened, harden, use_cache, profile, profile_supplier, num_bits,
-    ecc_protected, fault_model, target, max_failure_rate, progress, workers,
-    worker_progress, sdc_anatomy, telemetry, telemetry_session,
-    stop_rule, budget,
-) -> CampaignResult:
-    from repro.fi.avf import derating_factor  # local: avoid import cycle
-
-    trials_from_env = trials is None and budget is None
-    trials = trials if trials is not None else default_trials()
-    # An explicit budget caps the adaptive plan regardless of `trials`;
-    # the key's "trials" entry is always the planned count, so a
-    # budget-100 spec and a trials-100 spec with the same rule (which
-    # behave identically) share one cache entry.
-    planned = budget if budget is not None else trials
-    # Control-target campaigns have no storage structure; "control" stands
-    # in wherever a structure name keys or labels things.
-    structure_name = structure.value if structure is not None else "control"
-    new_models = fault_model != "transient" or target != "storage"
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": "uarch",
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "structure": structure_name,
-            "config": config.name,
-            "trials": planned,
-            "seed": seed,
-            "hardened": hardened,
-            "num_bits": num_bits,
-            "ecc": ecc_protected,
-            # Only present when on: off-path keys keep their legacy shape.
-            **({"sdc_anatomy": True} if sdc_anatomy else {}),
-            **({"harden": harden} if harden else {}),
-            **({"fault_model": fault_model}
-               if fault_model != "transient" else {}),
-            **({"target": target} if target != "storage" else {}),
-            **({"stop_rule": stop_rule.to_payload()}
-               if stop_rule is not None else {}),
-        }
-    )
-    if use_cache:
-        cached = _cache_load(key)
-        if cached is not None:
-            if telemetry_session is not None:
-                telemetry_session.telemetry(key).emit(
-                    "cache", op="load", hit=True)
-            return CampaignResult.from_dict(cached)
-
-    tel, session, owns_session = _campaign_telemetry(
-        key, telemetry, telemetry_session)
-    try:
-        if tel.enabled and use_cache:
-            tel.emit("cache", op="load", hit=False)
-        if profile is None:
-            with tel.span("golden_run"):
-                profile = (profile_supplier() if profile_supplier is not None
-                           else profile_app(app, config, harness_factory))
-        launches = profile.kernel_launches(kernel)
-        if not launches:
-            raise PlanningError(
-                f"{app.name} has no launches of kernel {kernel!r}")
-
-        tag = (f"{app.name}/{kernel}/uarch/{structure_name}"
-               f"/{config.name}/{hardened}")
-        if new_models:
-            # Non-default axes get their own seed stream and journal/
-            # telemetry identity; the legacy tag (and thus the trial seeds)
-            # is untouched when the new models are off.
-            tag += f"/{fault_model}/{target}"
-        if harden:
-            tag += f"/{harden}"
-        model_tags = ({"fault_model": fault_model, "target": target}
-                      if new_models else None)
-        meta_extra = dict(model_tags or {})
-        if harden:
-            meta_extra["harden"] = harden
-        context = f"{app.name}/{kernel}"
-        tally = execute_trials(
-            key=key,
-            seeds=spawn_seeds(seed, tag, planned),
-            trial_fn=_injection_trial_fn(
-                app, profile, harness_factory,
-                lambda s: plan_microarch_fault(launches, structure, s,
-                                               num_bits, ecc_protected,
-                                               fault_model, target,
-                                               context=context),
-                "uarch_injector", MicroarchInjector,
-                sdc_anatomy=sdc_anatomy,
-                site_fn=lambda plan: structure_name),
-            gpu_factory=_gpu_factory(profile, config),
-            baseline_cycles=profile.total_cycles,
-            max_failure_rate=max_failure_rate,
-            progress=progress,
-            journal=use_cache,
-            workers=workers,
-            worker_progress=worker_progress,
-            meta=_journal_meta("uarch", app, kernel, tag, seed, planned,
-                               trials_from_env, extra=meta_extra or None),
-            telemetry=tel,
-            event_tags=model_tags,
-            stop_rule=stop_rule,
-        )
-
-        result = CampaignResult(
-            app_name=app.name,
-            kernel=kernel,
-            injector="uarch",
-            structure=structure.value if structure is not None else None,
-            trials=(tally.counts.total if stop_rule is not None
-                    else trials),
-            seed=seed,
-            config_name=config.name,
-            counts=tally.counts,
-            derating_factor=(derating_factor(structure, launches, config)
-                             if structure is not None else 1.0),
-            kernel_cycles=profile.kernel_cycles(kernel),
-            kernel_instructions=profile.kernel_instructions(kernel),
-            control_path_masked=tally.control_path_masked,
-            hardened=hardened,
-            harden=harden,
-            fault_model=fault_model,
-            fault_target=target,
-            sdc_anatomy=_anatomy_aggregate(tally) if sdc_anatomy else None,
-            planned_trials=planned if stop_rule is not None else None,
-            stop_rule=(stop_rule.to_payload() if stop_rule is not None
-                       else None),
-        )
-        if use_cache:
-            with tel.span("cache.store"):
-                _cache_store(key, result.to_dict())
-        _record_to_ledger(key, result, session)
-        return result
-    finally:
-        if owns_session:
-            session.close()
-
-
-def _software_campaign(
-    app, kernel, config, *, trials, seed, loads_only, harness_factory,
-    hardened, harden, use_cache, profile, profile_supplier,
-    max_failure_rate, progress, workers, worker_progress, sdc_anatomy,
-    telemetry, telemetry_session, stop_rule, budget,
-) -> CampaignResult:
-    trials_from_env = trials is None and budget is None
-    trials = trials if trials is not None else default_trials()
-    planned = budget if budget is not None else trials
-    injector_kind = "sw-ld" if loads_only else "sw"
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": injector_kind,
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "config": config.name,
-            "trials": planned,
-            "seed": seed,
-            "hardened": hardened,
-            **({"sdc_anatomy": True} if sdc_anatomy else {}),
-            **({"harden": harden} if harden else {}),
-            **({"stop_rule": stop_rule.to_payload()}
-               if stop_rule is not None else {}),
-        }
-    )
-    if use_cache:
-        cached = _cache_load(key)
-        if cached is not None:
-            if telemetry_session is not None:
-                telemetry_session.telemetry(key).emit(
-                    "cache", op="load", hit=True)
-            return CampaignResult.from_dict(cached)
-
-    tel, session, owns_session = _campaign_telemetry(
-        key, telemetry, telemetry_session)
-    try:
-        if tel.enabled and use_cache:
-            tel.emit("cache", op="load", hit=False)
-        if profile is None:
-            with tel.span("golden_run"):
-                profile = (profile_supplier() if profile_supplier is not None
-                           else profile_app(app, config, harness_factory))
-        launches = profile.kernel_launches(kernel)
-        if not launches:
-            raise PlanningError(
-                f"{app.name} has no launches of kernel {kernel!r}")
-
-        sw_launches = profile.kernel_launches(kernel, include_post=False)
-        context = f"{app.name}/{kernel}"
-        tag = f"{app.name}/{kernel}/{injector_kind}/{config.name}/{hardened}"
-        if harden:
-            tag += f"/{harden}"
-        tally = execute_trials(
-            key=key,
-            seeds=spawn_seeds(seed, tag, planned),
-            trial_fn=_injection_trial_fn(
-                app, profile, harness_factory,
-                lambda s: plan_software_fault(sw_launches, s, loads_only,
-                                              context=context),
-                "sw_injector", SoftwareInjector,
-                sdc_anatomy=sdc_anatomy,
-                site_fn=lambda plan: plan.injected_class or injector_kind),
-            gpu_factory=_gpu_factory(profile, config),
-            baseline_cycles=profile.total_cycles,
-            max_failure_rate=max_failure_rate,
-            progress=progress,
-            journal=use_cache,
-            workers=workers,
-            worker_progress=worker_progress,
-            meta=_journal_meta(injector_kind, app, kernel, tag, seed,
-                               planned, trials_from_env,
-                               extra={"harden": harden} if harden else None),
-            telemetry=tel,
-            stop_rule=stop_rule,
-        )
-
-        result = CampaignResult(
-            app_name=app.name,
-            kernel=kernel,
-            injector=injector_kind,
-            structure=None,
-            trials=(tally.counts.total if stop_rule is not None
-                    else trials),
-            seed=seed,
-            config_name=config.name,
-            counts=tally.counts,
-            derating_factor=1.0,  # software-level FI needs no derating (paper II-C)
-            kernel_cycles=profile.kernel_cycles(kernel),
-            kernel_instructions=sum(
-                l["injectable_loads" if loads_only else "injectable"]
-                for l in sw_launches
-            ),
-            control_path_masked=tally.control_path_masked,
-            hardened=hardened,
-            harden=harden,
-            sdc_anatomy=_anatomy_aggregate(tally) if sdc_anatomy else None,
-            planned_trials=planned if stop_rule is not None else None,
-            stop_rule=(stop_rule.to_payload() if stop_rule is not None
-                       else None),
-        )
-        if use_cache:
-            with tel.span("cache.store"):
-                _cache_store(key, result.to_dict())
-        _record_to_ledger(key, result, session)
-        return result
-    finally:
-        if owns_session:
-            session.close()
-
-
-def _source_campaign(
-    app, kernel, config, *, trials, seed, sticky, use_cache, profile,
-    max_failure_rate, progress, workers, worker_progress, sdc_anatomy,
-    telemetry, telemetry_session, stop_rule, budget,
-) -> CampaignResult:
-    from repro.fi.svf_modes import SourceInjector, plan_source_fault
-
-    trials_from_env = trials is None and budget is None
-    trials = trials if trials is not None else default_trials()
-    planned = budget if budget is not None else trials
-    injector_kind = "sw-src-sticky" if sticky else "sw-src-transient"
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": injector_kind,
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "config": config.name,
-            "trials": planned,
-            "seed": seed,
-            **({"sdc_anatomy": True} if sdc_anatomy else {}),
-            **({"stop_rule": stop_rule.to_payload()}
-               if stop_rule is not None else {}),
-        }
-    )
-    if use_cache:
-        cached = _cache_load(key)
-        if cached is not None:
-            if telemetry_session is not None:
-                telemetry_session.telemetry(key).emit(
-                    "cache", op="load", hit=True)
-            return CampaignResult.from_dict(cached)
-
-    tel, session, owns_session = _campaign_telemetry(
-        key, telemetry, telemetry_session)
-    try:
-        if tel.enabled and use_cache:
-            tel.emit("cache", op="load", hit=False)
-        if profile is None:
-            with tel.span("golden_run"):
-                profile = profile_app(app, config)
-        launches = profile.kernel_launches(kernel)
-        if not launches:
-            raise PlanningError(
-                f"{app.name} has no launches of kernel {kernel!r}")
-
-        context = f"{app.name}/{kernel}"
-        tag = f"{app.name}/{kernel}/{injector_kind}/{config.name}"
-        tally = execute_trials(
-            key=key,
-            seeds=spawn_seeds(seed, tag, planned),
-            trial_fn=_injection_trial_fn(
-                app, profile, None,
-                lambda s: plan_source_fault(launches, s, sticky,
-                                            context=context),
-                "sw_injector", SourceInjector,
-                sdc_anatomy=sdc_anatomy,
-                site_fn=lambda plan: "src"),
-            gpu_factory=_gpu_factory(profile, config),
-            baseline_cycles=profile.total_cycles,
-            max_failure_rate=max_failure_rate,
-            progress=progress,
-            journal=use_cache,
-            workers=workers,
-            worker_progress=worker_progress,
-            meta=_journal_meta(injector_kind, app, kernel, tag, seed,
-                               planned, trials_from_env),
-            telemetry=tel,
-            stop_rule=stop_rule,
-        )
-
-        result = CampaignResult(
-            app_name=app.name,
-            kernel=kernel,
-            injector=injector_kind,
-            structure=None,
-            trials=(tally.counts.total if stop_rule is not None
-                    else trials),
-            seed=seed,
-            config_name=config.name,
-            counts=tally.counts,
-            derating_factor=1.0,
-            kernel_cycles=profile.kernel_cycles(kernel),
-            kernel_instructions=profile.kernel_instructions(kernel),
-            control_path_masked=tally.control_path_masked,
-            hardened=False,
-            sdc_anatomy=_anatomy_aggregate(tally) if sdc_anatomy else None,
-            planned_trials=planned if stop_rule is not None else None,
-            stop_rule=(stop_rule.to_payload() if stop_rule is not None
-                       else None),
-        )
-        if use_cache:
-            with tel.span("cache.store"):
-                _cache_store(key, result.to_dict())
-        _record_to_ledger(key, result, session)
-        return result
-    finally:
-        if owns_session:
-            session.close()

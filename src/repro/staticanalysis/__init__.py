@@ -48,7 +48,6 @@ from repro.staticanalysis.vf import (
     StaticVFReport,
     instruction_weights,
     static_avf_rf,
-    static_control_ace,
     static_smem_ace,
     static_structure_report,
     static_vf_report,
@@ -86,7 +85,6 @@ __all__ = [
     "StaticVFReport",
     "instruction_weights",
     "static_avf_rf",
-    "static_control_ace",
     "static_smem_ace",
     "static_structure_report",
     "static_vf_report",

@@ -23,8 +23,8 @@ program-analysis SDC model (PAPERS.md):
   expected reads-before-redefinition per destination write, from def-use
   chains instead of a trace.
 
-Beyond the RF, the same ACE reasoning extends to the two other structures
-the campaigns target (validated by the ``static-structures`` experiment):
+Beyond the RF, the same ACE reasoning extends to shared memory
+(validated by the ``static-structures`` experiment):
 
 * ``static_smem_ace`` — shared-memory bits are ACE from a store until the
   last load that can read them (value-set intersection from the abstract
@@ -32,11 +32,10 @@ the campaigns target (validated by the ``static-structures`` experiment):
   interval measured in static execution weight. Scoped to barrier epochs:
   tiles are produce/consume state, so a word with no downstream reader
   contributes nothing.
-* ``static_control_ace`` — control state (per-warp PC, active mask) has no
-  bytes to trace; its lifetime is the warp's weighted dynamic instruction
-  count. A PC bit is live essentially everywhere, an active-mask bit is
-  load-bearing only where control flow is non-uniform, so the estimate is
-  the loop-trip-weighted mean of the two exposures.
+
+A control-state (PC/active-mask lifetime) estimator was tried the same way
+and dropped: it anti-correlates with the control-target campaigns (see
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def static_vf_report(
 
 
 # --------------------------------------------------------------------------- #
-# SMEM and control-state estimators (launch-context aware)
+# SMEM estimators (launch-context aware)
 # --------------------------------------------------------------------------- #
 def _access_bytes(rng, smem_bytes: int) -> int:
     """Bytes one static access's lanes can collectively touch."""
@@ -262,34 +261,9 @@ def static_smem_ace(program: Program, ctx) -> float:
     return min(1.0, live_mass / (smem * mass))
 
 
-def static_control_ace(program: Program) -> float:
-    """ACE fraction of per-warp control state (PC + active mask).
-
-    Two equal-weight exposures, both integrated over the loop-trip
-    instruction weights: the PC is live for essentially the warp's whole
-    lifetime (any flip derails the remaining execution), while an
-    active-mask bit only carries architecturally-required state where
-    control flow is non-uniform — in uniform regions the mask is a
-    recomputable constant. Straight-line kernels bottom out at 0.5,
-    divergent loop nests approach 1.0.
-    """
-    cfg = build_cfg(program)
-    weights = instruction_weights(cfg)
-    mass = sum(weights)
-    if mass <= 0.0:
-        return 0.0
-    uniform = cfg.uniform_blocks()
-    divergent_mass = 0.0
-    for block in cfg.blocks:
-        if block.index in uniform:
-            continue
-        divergent_mass += sum(weights[block.start:block.end])
-    return 0.5 + 0.5 * (divergent_mass / mass)
-
-
 @dataclass(frozen=True)
 class StaticStructureReport:
-    """Static SMEM/control vulnerability estimates of one kernel."""
+    """Static SMEM vulnerability estimates of one kernel."""
 
     kernel: str
     #: Live shared bytes-weight / allocated, context-averaged.
@@ -298,14 +272,11 @@ class StaticStructureReport:
     smem_derating: float
     #: The SMEM headline: ``smem_ace * smem_derating``.
     avf_smem: float
-    #: Loop-trip-weighted PC/active-mask lifetime fraction.
-    control_ace: float
 
     def summary(self) -> str:
         return (
             f"{self.kernel}: AVF-SMEM(est) = {self.avf_smem:.4%} "
-            f"(ACE {self.smem_ace:.1%} x DF {self.smem_derating:.4f}), "
-            f"control ACE {self.control_ace:.1%}"
+            f"(ACE {self.smem_ace:.1%} x DF {self.smem_derating:.4f})"
         )
 
 
@@ -314,7 +285,7 @@ def static_structure_report(
     contexts,
     config: GPUConfig | None = None,
 ) -> StaticStructureReport:
-    """SMEM + control estimates of one kernel over its launch contexts.
+    """SMEM estimates of one kernel over its launch contexts.
 
     Context-dependent quantities (SMEM ACE, derating) are averaged over
     the distinct launch shapes in ``contexts``
@@ -338,5 +309,4 @@ def static_structure_report(
         smem_ace=smem_ace,
         smem_derating=df,
         avf_smem=smem_ace * df,
-        control_ace=static_control_ace(program),
     )

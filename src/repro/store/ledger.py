@@ -33,6 +33,7 @@ import sqlite3
 import time
 from pathlib import Path
 
+from repro.identity import campaign_identity, identity_tag
 from repro.log import get_logger
 from repro.store.db import connect, store_path
 from repro.store.perf import PerfMetrics
@@ -55,60 +56,34 @@ ROW_FIELDS = (
 )
 
 
+def _payload_identity(payload: dict) -> dict:
+    """The campaign identity (:mod:`repro.identity`) a cached payload
+    records, less the trial budget (stop rule). Payloads carry no
+    ``num_bits``/``ecc``, so those take their defaults — as in the seed
+    tag, which never held them either."""
+    return campaign_identity(
+        payload["injector"], payload["app_name"], payload["kernel"],
+        payload["config_name"], structure=payload.get("structure"),
+        hardened=bool(payload.get("hardened", False)),
+        fault_model=payload.get("fault_model"),
+        target=payload.get("fault_target"), harden=payload.get("harden"),
+        sdc_anatomy=payload.get("sdc_anatomy") is not None)
+
+
 def spec_fingerprint(payload: dict) -> str:
     """Stable identity of a campaign *family*: every identity axis except
-    the seed and the trial budget, so re-runs of the same cell at
-    different seeds/budgets share a fingerprint and ``campaign history``
-    can chart them as one trend line."""
-    identity = {
-        "level": payload["injector"],
-        "app": payload["app_name"],
-        "kernel": payload["kernel"],
-        "structure": payload.get("structure"),
-        "config": payload["config_name"],
-        "hardened": bool(payload.get("hardened", False)),
-        "fault_model": payload.get("fault_model", "transient"),
-        "target": payload.get("fault_target", "storage"),
-        "sdc_anatomy": payload.get("sdc_anatomy") is not None,
-        # Present only when set, like the payload field itself: every
-        # pre-zoo row keeps its fingerprint.
-        **({"harden": payload["harden"]} if payload.get("harden") else {}),
-    }
-    blob = json.dumps(identity, sort_keys=True).encode()
+    the seed and the trial budget (the stop rule included), so re-runs of
+    the same cell at different seeds/budgets share a fingerprint and
+    ``campaign history`` can chart them as one trend line."""
+    blob = json.dumps(_payload_identity(payload), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
 def tag_from_payload(payload: dict) -> str:
-    """Reconstruct the journal/seed-stream tag of a cached campaign.
-
-    Mirrors the tag construction in :mod:`repro.fi.campaign` exactly
-    (uarch: ``app/kernel/uarch/structure/config/hardened`` plus the
-    fault-model/target suffix when non-default; sw: ``app/kernel/kind/
-    config/hardened``; src: ``app/kernel/kind/config``), so ledger rows
-    join against journal metadata and telemetry labels.
-    """
-    app = payload["app_name"]
-    kernel = payload["kernel"]
-    kind = payload["injector"]
-    config = payload["config_name"]
-    hardened = bool(payload.get("hardened", False))
-    harden = payload.get("harden")
-    if kind == "uarch":
-        structure = payload.get("structure") or "control"
-        tag = f"{app}/{kernel}/uarch/{structure}/{config}/{hardened}"
-        fault_model = payload.get("fault_model", "transient")
-        target = payload.get("fault_target", "storage")
-        if fault_model != "transient" or target != "storage":
-            tag += f"/{fault_model}/{target}"
-        if harden:
-            tag += f"/{harden}"
-        return tag
-    if kind.startswith("sw-src"):
-        return f"{app}/{kernel}/{kind}/{config}"
-    tag = f"{app}/{kernel}/{kind}/{config}/{hardened}"
-    if harden:
-        tag += f"/{harden}"
-    return tag
+    """The journal/seed-stream tag of a cached campaign, built by the same
+    identity rule as the campaign's own, so ledger rows join against
+    journal metadata and telemetry labels."""
+    return identity_tag(_payload_identity(payload))
 
 
 def row_from_payload(key: str, payload: dict) -> dict:
@@ -240,7 +215,6 @@ class RunLedger:
     def runs(self, *, app: str | None = None, kernel: str | None = None,
              level: str | None = None, structure: str | None = None,
              fault_model: str | None = None, tag: str | None = None,
-             hardened: bool | None = None,
              harden: str | None = None) -> list[dict]:
         """Filtered run rows, newest first. ``tag`` matches substrings so
         ``--tag va/`` finds every campaign of one app. ``harden`` filters
@@ -260,9 +234,6 @@ class RunLedger:
             if value is not None:
                 clauses.append(f"{column} = ?")
                 params.append(value)
-        if hardened is not None:
-            clauses.append("hardened = ?")
-            params.append(int(hardened))
         if tag is not None:
             clauses.append("tag LIKE ?")
             params.append(f"%{tag}%")

@@ -207,9 +207,9 @@ def test_fi_public_surface_resolves():
 
 def test_spec_derive_overrides_one_field():
     spec = _spec(trials=16)
-    hardened = spec.derive(hardened=True)
-    assert hardened.hardened and not spec.hardened
+    hardened = spec.derive(harden="tmr")
+    assert hardened.harden == "tmr" and spec.harden is None
     assert hardened.trials == spec.trials == 16
-    assert hardened.derive(hardened=False) == spec
+    assert hardened.derive(harden=None) == spec
     with pytest.raises(TypeError):
         spec.derive(not_a_field=1)

@@ -116,22 +116,24 @@ def test_run_campaign_validation_errors(tmp_cache, gv100):
     with pytest.raises(ConfigError, match="unknown application"):
         run_campaign(CampaignSpec(level="sw", app="not-an-app"))
     with pytest.raises(ConfigError, match="no hardened variant"):
-        run_campaign(CampaignSpec(level="src", app="va", hardened=True))
+        run_campaign(CampaignSpec(level="src", app="va", harden="tmr"))
 
 
-@pytest.mark.parametrize("level", ["uarch", "sw", "sw-ld"])
-def test_hardened_without_harness_is_refused(level, tmp_cache):
-    """``hardened=True`` alone would run unhardened under the hardened
-    cache key; nothing may be simulated or cached."""
-    spec = CampaignSpec(level=level, app="va", trials=2, hardened=True,
-                        structure="rf" if level == "uarch" else None)
-    with pytest.raises(ConfigError, match="harness_factory"):
-        run_campaign(spec)
-    assert not tmp_cache.exists() or not any(tmp_cache.glob("*.json"))
-    from repro.hardening.tmr import tmr_harness_factory
+def test_hardened_run_never_poisons_the_plain_cache_entry(tmp_cache):
+    """A hardened campaign is named only by ``harden``, so its result
+    lands under its own key: the plain spec run afterwards on the same
+    cache still gets the plain result."""
+    from repro.hardening.dmr import dmr_harness_factory
 
-    result = run_campaign(spec, harness_factory=tmr_harness_factory)
-    assert result.hardened and result.counts.total == 2
+    plain = CampaignSpec(level="sw", app="va", trials=8, seed=3)
+    hardened = run_campaign(plain.derive(harden="dmr"))
+    assert hardened.harden == "dmr"
+    cached = run_campaign(plain)
+    fresh = run_campaign(plain.derive(use_cache=False))
+    assert cached.to_dict() == fresh.to_dict()
+    assert cached.harden is None and not cached.hardened
+    with pytest.raises(TypeError):
+        run_campaign(plain, harness_factory=dmr_harness_factory)
 
 
 def test_deprecated_wrappers_are_gone():

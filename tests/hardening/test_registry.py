@@ -85,26 +85,12 @@ def test_harden_and_plain_use_distinct_cache_keys(tmp_cache, v100):
 
 
 def test_harden_tmr_runs_the_tmr_harness(tmp_cache, v100):
-    """Resolving "tmr" by name runs the same factory the legacy hardened
-    path uses (the schemes sample distinct fault sets because the scheme
-    name enters the seed tag, so only the machinery — not the per-trial
-    outcomes — is comparable)."""
+    """Resolving "tmr" by name runs the TMR harness factory."""
     assert hardening_scheme("tmr") is tmr_harness_factory
     by_name = run_campaign(_spec(config=v100, harden="tmr",
                                  use_cache=False))
     assert by_name.counts.total == 12
     assert by_name.harden == "tmr"
-
-
-def test_harden_plus_hardened_rejected(tmp_cache, v100):
-    with pytest.raises(ConfigError, match="legacy TMR shorthand"):
-        run_campaign(_spec(config=v100, harden="tmr", hardened=True))
-
-
-def test_harden_plus_explicit_factory_rejected(tmp_cache, v100):
-    with pytest.raises(ConfigError, match="hardening registry"):
-        run_campaign(_spec(config=v100, harden="tmr"),
-                     harness_factory=tmr_harness_factory)
 
 
 def test_unknown_harden_scheme_rejected(tmp_cache, v100):

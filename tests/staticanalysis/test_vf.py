@@ -10,7 +10,6 @@ from repro.staticanalysis import (
     build_cfg,
     instruction_weights,
     static_avf_rf,
-    static_control_ace,
     static_smem_ace,
     static_structure_report,
     static_vf_report,
@@ -176,24 +175,6 @@ def test_static_smem_ace_zero_without_loads():
     assert static_smem_ace(_SMEM_WRITE_ONLY, _ctx(_SMEM_WRITE_ONLY)) == 0.0
 
 
-def test_static_control_ace_floor_and_divergence():
-    # Straight-line code: only the PC half of the control state is
-    # load-bearing, so the estimate sits exactly on the 0.5 floor.
-    assert static_control_ace(_SMEM_ROUNDTRIP) == pytest.approx(0.5)
-    # Half the warp skips the middle block: its mask bits carry state.
-    divergent = assemble(
-        """
-        S2R R0, SR_TID.X
-        ISETP.LT P0, R0, 0x10
-    @P0 BRA skip
-        IADD R1, R0, 0x1
-    skip:
-        EXIT
-    """
-    )
-    assert static_control_ace(divergent) > 0.5
-
-
 def test_static_structure_report_composes(gv100):
     ctx = _ctx(_SMEM_ROUNDTRIP)
     report = static_structure_report(_SMEM_ROUNDTRIP, [ctx], gv100)
@@ -201,7 +182,6 @@ def test_static_structure_report_composes(gv100):
     assert report.avf_smem == pytest.approx(
         report.smem_ace * report.smem_derating)
     assert 0.0 < report.smem_derating <= 1.0
-    assert report.control_ace == pytest.approx(0.5)
     assert "smem_rt" in report.summary()
 
 

@@ -4,6 +4,9 @@ queries, backfill-vs-live identity, and concurrent writers."""
 import json
 import multiprocessing as mp
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.store import (
     RunLedger,
@@ -12,6 +15,9 @@ from repro.store import (
     tag_from_payload,
 )
 from repro.store.ledger import ROW_FIELDS
+
+IDENTITY_FIXTURE = (Path(__file__).resolve().parents[2] / "benchmarks"
+                    / "baselines" / "identity-digest.json")
 
 
 def _payload(**overrides):
@@ -30,19 +36,28 @@ def _payload(**overrides):
 
 
 def test_tag_matches_campaign_formats():
-    assert tag_from_payload(_payload()) == \
-        "va/va_k1/uarch/rf/quadro-gv100-like/False"
-    assert tag_from_payload(_payload(structure=None, fault_model="stuck1",
-                                     fault_target="control")) == \
-        "va/va_k1/uarch/control/quadro-gv100-like/False/stuck1/control"
+    """The ledger rebuilds every campaign's seed tag from its payload: for
+    each cell of the identity fixture, the tag equals the one the
+    campaign journaled."""
+    cells = json.loads(IDENTITY_FIXTURE.read_text())["cells"]
+    for name, cell in cells.items():
+        assert tag_from_payload(cell["result"]) == cell["meta"]["tag"], name
+    # Payloads of builds that had the legacy ``hardened`` flag keep the
+    # tag their journals carry.
     assert tag_from_payload(_payload(injector="sw", structure=None,
                                      hardened=True,
                                      config_name="tesla-v100-like")) == \
         "va/va_k1/sw/tesla-v100-like/True"
-    assert tag_from_payload(_payload(injector="sw-src-sticky",
-                                     structure=None,
-                                     config_name="tesla-v100-like")) == \
-        "va/va_k1/sw-src-sticky/tesla-v100-like"
+
+
+def test_store_import_loads_no_simulator():
+    """The ledger shares the campaign identity rule without importing the
+    fault-injection or simulator packages."""
+    code = ("import sys, repro.store; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('repro.sim', 'repro.fi'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_fingerprint_ignores_seed_and_trials():

@@ -123,9 +123,11 @@ def test_staticvf_smem_structure(capsys):
 
 
 def test_staticvf_control_structure(capsys):
-    assert main(["staticvf", "va_k1", "--structure", "control"]) == 0
-    out = capsys.readouterr().out
-    assert "ctrl ACE" in out and "va_k1" in out
+    """The control-state estimate was dropped (it anti-correlates with
+    the control-target campaigns); the family is no longer a choice."""
+    with pytest.raises(SystemExit):
+        main(["staticvf", "va_k1", "--structure", "control"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_campaign_run_and_status(capsys, tmp_cache):

@@ -25,6 +25,32 @@ attached, uses the golden run in one of two ways:
   reaches; on equality the fault has died inside the launch, and the rest
   of the launch is taken from the golden run.
 
+Convergence compares every component exactly except the registers, which
+compare only the (register, lane) cells live-in at the lane's next pc
+(:meth:`Checkpoint.live_registers`): a uniform warp's lanes sit at its
+``upc``, a diverged warp's at their per-lane PCs, and done lanes compare
+nothing. A pc outside the program, or in a block the CFG cannot reach,
+compares every register. A trial that matches golden on every live cell
+has the golden future, because:
+
+* the executor writes a register at issue, with no scoreboard and no
+  deferred writeback;
+* no instruction reads another lane's GPR (there is no SHFL, and VOTE
+  reads predicates of co-active lanes only);
+* ALU ops compute over all 32 lanes but write only guarded lanes, with
+  NumPy's floating-point errors ignored, so a dead value in an inactive
+  lane has no side effect;
+* timing depends on values only through addresses and branch guards, and
+  those read live cells;
+* comparison runs only once every injector has fired and none is
+  persistent.
+
+The liveness mask is built from the checkpoint's own control and lane
+state; a trial that differs there is rejected by those components, so the
+golden mask is the trial's. Predicates, PCs, the done mask, shared memory,
+caches and DRAM are compared exactly, and a restored checkpoint writes
+every register.
+
 Both end in one path, "finish from golden" (``GPU._finish_from_golden``):
 restore the golden exit boundary, set the uid counters to their entry
 values plus the golden deltas, and append a copy of the golden record
@@ -68,6 +94,7 @@ import numpy as np
 
 from repro.arch.config import GPUConfig
 from repro.isa.program import Program
+from repro.staticanalysis import dataflow
 from repro.sim.register_file import WarpRegisters
 from repro.sim.shared_memory import SharedWindow
 from repro.sim.stats import LaunchStats
@@ -178,6 +205,42 @@ def _registers(gpu, base) -> bytes:
                      for bank in sm.rf._banks.values()])
 
 
+def _registers_match(gpu, base, stored, checkpoint) -> bool:
+    """Whether every live (register, lane) cell of ``checkpoint`` holds
+    its golden value. Equal bytes settle it at the cost of a full
+    compare; the live cells are gathered only when the bytes differ."""
+    now = _registers(gpu, base)
+    if now == stored:
+        return True
+    if len(now) != len(stored):
+        return False
+    cells, values = checkpoint.live_registers(gpu)
+    return np.array_equal(np.frombuffer(now, np.uint32)[cells], values)
+
+
+#: Live-in tables by program identity (see :func:`_live_table`). Each
+#: entry holds its program, so no other program can reuse that id.
+_LIVE_TABLES: dict[int, tuple[Program, np.ndarray]] = {}
+
+
+def _live_table(program: Program) -> np.ndarray:
+    """``table[pc, r]``: whether GPR ``r`` is live-in at instruction
+    ``pc`` of ``program``. The rows of unreachable instructions, and the
+    extra last row that stands for any pc outside the program, are all
+    True: a lane there compares every register."""
+    entry = _LIVE_TABLES.get(id(program))
+    if entry is None:
+        result = dataflow.liveness(program)
+        table = np.ones((len(program) + 1, max(program.num_regs, 1)), bool)
+        for pc, live in enumerate(result.live_in):
+            if result.reachable[pc]:
+                table[pc] = False
+                table[pc, [v for v in live
+                           if not dataflow.is_pred_var(v)]] = True
+        entry = _LIVE_TABLES[id(program)] = (program, table)
+    return entry[1]
+
+
 def _shared(gpu, base) -> bytes:
     return b"".join([window.data.tobytes() for sm in gpu.sms
                      for window in sm.smem._windows.values()])
@@ -190,7 +253,8 @@ def _caches(gpu) -> list:
 class _Component(NamedTuple):
     name: str
     capture: Callable
-    #: ``matches(gpu, base, stored)``; None compares ``capture`` with ``==``.
+    #: ``matches(gpu, base, stored, checkpoint)``; None compares
+    #: ``capture`` with ``==``.
     matches: Callable | None = None
 
 
@@ -199,16 +263,17 @@ _COMPONENTS = (
     _Component("counters", _counters),
     _Component("control", _control),
     _Component("lanes", _lanes),
-    _Component("registers", _registers),
+    _Component("registers", _registers, _registers_match),
     _Component("shared", _shared),
     _Component("caches",
                lambda gpu, base: tuple(c.checkpoint_state()
                                        for c in _caches(gpu)),
-               lambda gpu, base, stored: all(
+               lambda gpu, base, stored, checkpoint: all(
                    c.matches_checkpoint(s)
                    for c, s in zip(_caches(gpu), stored))),
     _Component("memory", lambda gpu, base: gpu.mem.boundary_state(),
-               lambda gpu, base, stored: gpu.mem.matches_boundary(stored)),
+               lambda gpu, base, stored, checkpoint:
+               gpu.mem.matches_boundary(stored)),
 )
 _MEMORY = len(_COMPONENTS) - 1
 
@@ -220,6 +285,8 @@ class Checkpoint:
 
     now: int
     parts: tuple
+    #: :meth:`live_registers`, once built.
+    _live: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def capture(cls, gpu, base, now: int, memory=None) -> "Checkpoint":
@@ -249,9 +316,47 @@ class Checkpoint:
             if component.matches is None:
                 if component.capture(gpu, base) != stored:
                     return i
-            elif not component.matches(gpu, base, stored):
+            elif not component.matches(gpu, base, stored, self):
                 return i
         return None
+
+    def live_registers(self, gpu) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the ``registers`` part (indices of its uint32
+        words) live-in at their lane's next pc, and their golden values.
+        Built once, from this checkpoint's own control and lane state: a
+        uniform warp's lanes sit at its ``upc``, a diverged warp's at
+        their per-lane PCs, and done lanes compare nothing."""
+        if self._live is None:
+            warp_size = gpu.config.warp_size
+            program = gpu.kernel.program
+            table = _live_table(program)
+            off_program = len(program)
+            _, control, lanes, registers = self.parts[:4]
+            rows = np.frombuffer(lanes, np.uint8).reshape(
+                -1, (NUM_PREDS + 4 + 1) * warp_size)
+            pc_at, done_at = NUM_PREDS * warp_size, (NUM_PREDS + 4) * warp_size
+            lane_pcs = rows[:, pc_at:done_at].copy().view(np.int32)
+            alive = ~rows[:, done_at:].view(bool)
+            banks = []
+            warp = 0
+            for warp_rows, _, bank_order, _ in control:
+                sm_banks = np.zeros(
+                    (len(bank_order), table.shape[1], warp_size), bool)
+                bank_at = {rel: i for i, rel in enumerate(bank_order)}
+                for row in warp_rows:
+                    bank_rel, diverged, upc = row[3], row[6], row[7]
+                    pcs = lane_pcs[warp] if diverged else np.full(
+                        warp_size, upc)
+                    pcs = np.where((pcs >= 0) & (pcs < off_program), pcs,
+                                   off_program)
+                    sm_banks[bank_at[bank_rel]] = (
+                        table[pcs] & alive[warp][:, None]).T
+                    warp += 1
+                banks.append(sm_banks)
+            cells = np.flatnonzero(np.concatenate(banks))
+            values = np.frombuffer(registers, np.uint32)[cells]
+            object.__setattr__(self, "_live", (cells, values))
+        return self._live
 
     def restore(self, gpu, base, ctas: list) -> None:
         """Load this checkpoint at the start of a launch whose entry state

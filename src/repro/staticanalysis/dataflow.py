@@ -97,11 +97,18 @@ def instr_kills(instr: Instruction) -> tuple[int, ...]:
 # --------------------------------------------------------------------------- #
 @dataclass
 class LivenessResult:
-    """Per-instruction live-variable sets (GPRs and predicates)."""
+    """Per-instruction live-variable sets (GPRs and predicates).
+
+    ``reachable[i]`` says whether instruction ``i`` lies in a block reachable
+    from the entry. The analysis skips the other blocks, so their live sets
+    are empty because they were never analysed, not because nothing is live
+    there.
+    """
 
     cfg: ControlFlowGraph
     live_in: list[frozenset[int]]
     live_out: list[frozenset[int]]
+    reachable: list[bool]
 
     def live_regs_in(self, index: int) -> int:
         """Number of live *GPRs* entering instruction ``index``."""
@@ -150,6 +157,7 @@ def liveness(target: Program | ControlFlowGraph) -> LivenessResult:
         cfg=cfg,
         live_in=[frozenset(s) for s in live_in],
         live_out=[frozenset(s) for s in live_out],
+        reachable=[cfg.block_of_instr[i] in reachable for i in range(n)],
     )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.sim.gpu as gpu_module
+import repro.sim.replay as replay_module
 from repro.arch.config import quadro_gv100_like, tesla_v100_like
 from repro.arch.structures import Structure
 from repro.errors import ExecutionError
@@ -26,6 +27,7 @@ from repro.sim.replay import (
     CheckpointCursor,
     ReplayTrack,
 )
+from repro.staticanalysis.dataflow import is_pred_var, liveness
 from tests.sim.test_replay import golden_profile
 
 
@@ -483,10 +485,11 @@ class WideVectorAdd(GPUApplication):
 
 class Perturbation(MicroarchFaultPlan):
     """A transient "fault" that changes exactly one piece of device state
-    (``change(gpu)``) after the issue phase of loop top ``cycle``."""
+    (``change(gpu)``) after the issue phase of loop top ``cycle`` of
+    launch ``launch``."""
 
-    def __init__(self, cycle, change):
-        super().__init__(0, cycle, Structure.RF, seed=0)
+    def __init__(self, cycle, change, launch=0):
+        super().__init__(launch, cycle, Structure.RF, seed=0)
         self.change = change
 
     def fire(self, gpu):
@@ -496,10 +499,10 @@ class Perturbation(MicroarchFaultPlan):
 
 
 class LoopTops(MicroarchFaultPlan):
-    """Never fires; records every loop top of the launch instead."""
+    """Never fires; records every loop top of launch ``launch`` instead."""
 
-    def __init__(self):
-        super().__init__(0, 0, Structure.RF, seed=0)
+    def __init__(self, launch=0):
+        super().__init__(launch, 0, Structure.RF, seed=0)
         self.tops = []
 
     def fire(self, gpu):
@@ -561,6 +564,17 @@ def _app(name):
     return WideVectorAdd() if name == "va-wide" else get_application(name)
 
 
+def _checkpoint_tops(app, profile, launch):
+    """Each distinct stored checkpoint of launch ``launch``, paired with
+    the last loop top before it: a change made after that loop top's
+    issue phase is what the trial holds at the checkpoint."""
+    slots = populate(app, profile, launch)
+    probe = LoopTops(launch)
+    run(app, full(profile), probe)
+    return [(max(t for t in probe.tops if t < checkpoint.now), checkpoint)
+            for checkpoint in dict.fromkeys(slots)]
+
+
 @pytest.mark.parametrize("component", sorted(PERTURBATIONS))
 def test_a_single_differing_component_blocks_convergence(component, spy,
                                                          gv100):
@@ -571,18 +585,156 @@ def test_a_single_differing_component_blocks_convergence(component, spy,
     app = _app(app_name)
     profile = fresh_profile(app, gv100) if app_name == "va-wide" else (
         golden_profile(app_name, gv100))
-    slots = populate(app, profile)
-    probe = LoopTops()
-    run(app, full(profile), probe)
-    distinct = list(dict.fromkeys(slots))
+    tops = _checkpoint_tops(app, profile, 0)
     # CTAs wait only early in the wide launch (pop raises once none do).
-    for checkpoint in (distinct[:2] if component == "pending CTAs"
-                       else distinct[-2:]):
-        before = max(t for t in probe.tops if t < checkpoint.now)
+    for before, checkpoint in (tops[:2] if component == "pending CTAs"
+                               else tops[-2:]):
         spy.clear()
         on = run(app, profile, Perturbation(before, change))
         assert (0, "converged", checkpoint.now) not in spy
         assert_same(on, run(app, full(profile), Perturbation(before, change)))
+
+
+# ---------------------------------------------------------------------- #
+# Liveness: registers compare only the cells live-in at each lane's pc
+# ---------------------------------------------------------------------- #
+def _flip_first(pick):
+    """A change flipping bit 0 of the first register cell that
+    ``pick(warp, liveness)`` names as ``(register, lane)``; it sets
+    ``change.hit`` to whether any warp had one."""
+    def change(gpu):
+        result = liveness(gpu.kernel.program)
+        change.hit = False
+        for warp in (w for sm in gpu.sms for w in sm.warps):
+            if not warp.diverged and not warp.finished:
+                cell = pick(warp, result)
+                if cell is not None:
+                    warp.bank.regs[cell] ^= np.uint32(1)
+                    change.hit = True
+                    return
+    return change
+
+
+def _gprs(variables) -> list[int]:
+    return sorted(v for v in variables if not is_pred_var(v))
+
+
+def _first(lanes) -> int:
+    return int(np.flatnonzero(lanes)[0])
+
+
+def _dead_register(warp, result):
+    """A register no lane of the warp reads again, in an alive lane."""
+    live = result.live_in[warp.upc]
+    dead = [r for r in range(warp.bank.num_regs) if r not in live]
+    return (dead[0], _first(warp.alive)) if dead else None
+
+
+def _done_lane(warp, result):
+    """A register the warp's alive lanes still read, in a done lane."""
+    live = _gprs(result.live_in[warp.upc])
+    return (live[0], _first(warp.done)) if live and warp.done.any() else None
+
+
+def _last_read(warp, result):
+    """A register the instruction at the warp's pc reads for the last
+    time (live-in there, not live-out), in an alive lane."""
+    pc = warp.upc
+    last = _gprs(result.live_in[pc] - result.live_out[pc])
+    return (last[0], _first(warp.alive)) if last else None
+
+
+#: case -> (app, launch, cell picker, whether the flip converges).
+LIVENESS_FLIPS = {
+    "dead register": ("gemm", 0, _dead_register, True),
+    "done lane": ("nw", 4, _done_lane, True),
+    "register read last at the pc": ("gemm", 0, _last_read, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIVENESS_FLIPS))
+def test_only_live_register_cells_block_convergence(case, spy, gv100):
+    """Flip one register cell at the last loop top before a checkpoint:
+    a dead cell (or one of a done lane) converges at that checkpoint, a
+    live-in cell does not, and either way the trial finishes exactly as
+    a full simulation of the same flip does."""
+    app_name, launch, pick, converges = LIVENESS_FLIPS[case]
+    app = get_application(app_name)
+    profile = golden_profile(app_name, gv100)
+    hits = 0
+    for before, checkpoint in _checkpoint_tops(app, profile, launch)[1::4]:
+        change = _flip_first(pick)
+        spy.clear()
+        on = run(app, profile, Perturbation(before, change, launch))
+        if not change.hit:
+            continue
+        hits += 1
+        assert ((launch, "converged", checkpoint.now) in spy) == converges
+        assert_same(on, run(app, full(profile),
+                            Perturbation(before, change, launch)))
+    assert hits >= 2
+
+
+def _flip_every_dead_cell(checkpoint):
+    """A change inverting every register cell ``checkpoint`` does not
+    compare; ``change.flipped`` counts them."""
+    def change(gpu):
+        cells, _ = checkpoint.live_registers(gpu)
+        banks = [bank.regs for sm in gpu.sms for bank in sm.rf._banks.values()]
+        dead = np.ones(sum(regs.size for regs in banks), dtype=bool)
+        dead[cells] = False
+        at = 0
+        for regs in banks:
+            flat = regs.reshape(-1)
+            flat[dead[at:at + flat.size]] ^= np.uint32(0xFFFFFFFF)
+            at += flat.size
+        change.flipped = int(dead.sum())
+    return change
+
+
+@pytest.mark.parametrize("app_name, launch", [
+    ("gemm", 0), ("nw", 4), ("bfs", 2), ("pathfinder", 0)])
+def test_flipping_every_dead_cell_changes_nothing(app_name, launch, spy,
+                                                  gv100):
+    """The liveness mask does not take ``instr_uses`` on trust: invert
+    every cell it calls dead at a checkpoint, finish the launch by full
+    simulation, and outputs, stats and cycles equal the unperturbed
+    run's; with checkpoints on, the trial converges right there."""
+    app = get_application(app_name)
+    profile = golden_profile(app_name, gv100)
+    golden = run(app, full(profile), Perturbation(0, lambda gpu: None, launch))
+    flipped = 0
+    for before, checkpoint in _checkpoint_tops(app, profile, launch)[::3]:
+        change = _flip_every_dead_cell(checkpoint)
+        assert_same(run(app, full(profile),
+                        Perturbation(before, change, launch)), golden)
+        flipped += change.flipped
+        spy.clear()
+        assert_same(run(app, profile, Perturbation(before, change, launch)),
+                    golden)
+        assert (launch, "converged", checkpoint.now) in spy
+    assert flipped
+
+
+def test_liveness_converges_more_gemm_rf_launches(spy, gv100, monkeypatch):
+    """The same gemm RF faults converge in strictly more launches than
+    under a mask that calls every cell live (the full compare)."""
+    app = get_application("gemm")
+
+    def converged():
+        profile = fresh_profile(app, gv100)
+        populate(app, profile)
+        launches = profile.kernel_launches("gemm_tile")
+        spy.clear()
+        for seed in range(32):
+            run(app, profile,
+                plan_microarch_fault(launches, Structure.RF, seed))
+        return sum(kind == "converged" for _, kind, _ in spy)
+
+    live = converged()
+    monkeypatch.setattr(replay_module, "_live_table", lambda program: np.ones(
+        (len(program) + 1, max(program.num_regs, 1)), dtype=bool))
+    assert live > converged()
 
 
 @pytest.mark.parametrize("app_name", ["gemm", "nw", "pathfinder", "va-wide"])

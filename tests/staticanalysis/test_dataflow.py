@@ -180,3 +180,48 @@ def test_def_use_ignores_unreachable_blocks():
     )
     chains = def_use_chains(prog)
     assert (1, 9) not in chains.uses_of
+
+
+def test_liveness_reports_reachability():
+    """Unreachable instructions are never analysed: their empty live set
+    means "unknown", which ``reachable`` tells apart from "nothing live"."""
+    prog = assemble(
+        """
+        MOV R1, 0x0
+        BRA end
+        ST [R1], R2
+    end:
+        MOV R3, 0x0
+        ST [R3], R1
+        EXIT
+    """
+    )
+    live = liveness(prog)
+    assert live.reachable == [True, True, False, True, True, True]
+    assert live.live_in[2] == frozenset()
+    assert live.live_in[5] == frozenset()
+
+
+def test_checkpoint_live_table_treats_unreachable_pcs_as_all_live():
+    from repro.sim.replay import _live_table
+
+    prog = assemble(
+        """
+        MOV R1, 0x0
+        BRA end
+        ST [R1], R2
+    end:
+        MOV R3, 0x0
+        ST [R3], R1
+        EXIT
+    """
+    )
+    table = _live_table(prog)
+    assert table.shape == (len(prog) + 1, prog.num_regs)
+    # Reachable rows hold live_in's GPRs: nothing at entry or at EXIT.
+    assert not table[0].any() and not table[5].any()
+    assert table[3].tolist() == [False, True, False, False]
+    assert table[4].tolist() == [False, True, False, True]
+    # The unreachable ST and the off-program row compare every register.
+    assert table[2].all() and table[len(prog)].all()
+    assert _live_table(prog) is table  # memoised per program

@@ -2,21 +2,29 @@
 
 Hypothesis generates small programs (straight-line arithmetic, predicated
 instructions, forward branches) and runs them through the simulator with a
-tracer attached. For every lane we replay its executed-instruction sequence
+tracer attached; the same check then runs over fault-free traces of every
+registered (app, kernel) pair, which add loops, barriers, divergence and
+memory. For every lane we replay its executed-instruction sequence
 backwards, computing the *dynamic* live-in set at each executed instruction
 — the registers/predicates whose current value that lane still reads later.
 May-liveness must contain every dynamically live variable: a miss would mean
 the analysis can claim a register "dead" while a fault in it still matters,
-which is exactly the error the AVF estimator cannot afford.
+which is exactly the error the AVF estimator — and checkpoint convergence,
+which compares only live registers — cannot afford.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import quadro_gv100_like
 from repro.isa import assemble
+from repro.kernels.base import DeviceHarness
+from repro.kernels.registry import all_applications, kernel_index
 from repro.sim import GPU
+from repro.sim.warp import NUM_PREDS
 from repro.staticanalysis import instr_defs, instr_uses, liveness
+from repro.staticanalysis.dataflow import PRED_BASE
 
 
 class LaneTracer:
@@ -97,3 +105,71 @@ def test_defs_uses_match_trace_effects(program):
     for idx, instr, gm in tracer.events:
         assert set(instr.source_registers()) <= set(instr_uses(instr))
         assert set(instr.dest_registers()) <= set(instr_defs(instr))
+
+
+class WarpStreams:
+    """Per-warp issue streams of one launch: warp uid -> [(pc, guard mask)]."""
+
+    def __init__(self):
+        self.streams: dict[int, list] = {}
+
+    def record(self, instr_index, instr, warp, gm) -> None:
+        self.streams.setdefault(warp.uid, []).append((instr_index, gm.copy()))
+
+
+class LivenessCheckingHarness(DeviceHarness):
+    """Traces every launch and checks each (warp, lane) stream against the
+    static liveness of the launched program."""
+
+    def __init__(self):
+        self.checked: set[str] = set()
+        self.failures: list[str] = []
+
+    def launch(self, gpu, program, grid, block, params=(), smem_bytes=0,
+               name=None, outputs=()):
+        tracer = WarpStreams()
+        gpu.tracer = tracer
+        try:
+            super().launch(gpu, program, grid, block, params, smem_bytes,
+                           name, outputs)
+        finally:
+            gpu.tracer = None
+        self._check(program, tracer.streams)
+        self.checked.add(name or program.name)
+
+    def _check(self, program, streams) -> None:
+        """Replay each stream backwards, all 32 lanes at once: ``live[v,
+        lane]`` says the lane still reads variable ``v`` before writing it."""
+        n_vars = PRED_BASE + NUM_PREDS
+        static = np.zeros((len(program), n_vars), dtype=bool)
+        for pc, live_in in enumerate(liveness(program).live_in):
+            static[pc, list(live_in)] = True
+        uses = [list(instr_uses(instr)) for instr in program.instructions]
+        defs = [list(instr_defs(instr)) for instr in program.instructions]
+        for uid, events in streams.items():
+            live = np.zeros((n_vars, len(events[0][1])), dtype=bool)
+            for pc, gm in reversed(events):
+                lanes = np.flatnonzero(gm)
+                if not len(lanes):
+                    continue
+                live[np.ix_(defs[pc], lanes)] = False
+                live[np.ix_(uses[pc], lanes)] = True
+                missing = live[:, lanes] & ~static[pc][:, None]
+                if missing.any() and len(self.failures) < 5:
+                    var, lane = np.argwhere(missing)[0]
+                    self.failures.append(
+                        f"{program.name}:{pc} warp {uid} lane "
+                        f"{lanes[lane]}: variable {var} is read later "
+                        f"but not in live_in")
+
+
+def test_dynamic_live_subset_of_static_over_the_suite():
+    """Every registered kernel, traced fault-free on its app's inputs."""
+    harness = LivenessCheckingHarness()
+    for app in all_applications(suite="all"):
+        gpu = GPU(quadro_gv100_like())
+        app.run(gpu, harness)
+    assert not harness.failures, "\n".join(harness.failures)
+    pairs = kernel_index(suite="all")
+    assert len(pairs) == 29
+    assert {kernel for _, kernel in pairs} <= harness.checked

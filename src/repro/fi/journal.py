@@ -6,11 +6,18 @@ phase), so a crashed or preempted campaign never redoes completed work.
 This module provides the same guarantee for ``repro`` campaigns:
 
 * Each completed trial is appended as one JSON line to
-  ``.repro_cache/journal/<key>.jsonl`` and flushed+fsynced before the next
-  trial starts, so at most the in-flight trial is lost to a crash.
-* ``load()`` is crash-tolerant: a SIGKILL mid-append leaves a truncated
-  final line, which is detected and dropped (the journal file is compacted
-  back to its valid prefix so later appends stay well-formed).
+  ``.repro_cache/journal/<key>.jsonl`` and flushed to the OS before the
+  next trial starts, so a SIGKILL, OOM kill or preemption loses at most
+  the in-flight trial.
+* Appends are group-committed: the file is fsynced on the first append,
+  then at most once per :data:`SYNC_INTERVAL_S`, and by :meth:`sync`
+  when a campaign stops abnormally. An OS crash or power loss therefore
+  loses at most about one second of committed trials; they re-run
+  deterministically on resume.
+* ``load()`` is crash-tolerant: a SIGKILL mid-append, or an OS crash,
+  leaves a torn (or NUL-filled) final line, which is detected and dropped
+  (the journal file is compacted back to its valid prefix so later
+  appends stay well-formed).
 * Completed campaigns delete their journal; the final tally lives in the
   regular result cache instead.
 
@@ -34,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,6 +49,12 @@ from repro.config import get_settings
 from repro.log import get_logger
 
 log = get_logger(__name__)
+
+#: Longest time committed records wait for an fsync (group commit).
+SYNC_INTERVAL_S = 1.0
+
+#: The group-commit clock (a module attribute so tests can drive it).
+_clock = time.monotonic
 
 
 def cache_dir() -> Path:
@@ -59,6 +73,8 @@ class CampaignJournal:
         self.key = key
         self.path = (directory if directory is not None else journal_dir()) \
             / f"{key}.jsonl"
+        self._synced_at: float | None = None  # clock at the last fsync
+        self._unsynced = False  # records appended since the last fsync
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -78,8 +94,12 @@ class CampaignJournal:
         valid_bytes = 0
         for line in raw.splitlines(keepends=True):
             try:
-                record = json.loads(line)
+                # A record counts once its newline is written too: an OS
+                # crash can cut the file anywhere, even just before it.
+                record = json.loads(line) if line.endswith(b"\n") else None
             except json.JSONDecodeError:
+                record = None
+            if record is None:
                 log.warning(
                     "journal %s has a torn record after %d entries "
                     "(interrupted append); dropping the tail",
@@ -109,17 +129,19 @@ class CampaignJournal:
             log.warning("could not compact journal %s: %s", self.path, exc)
 
     def append(self, record: dict) -> None:
-        """Append one record and force it to disk before returning."""
+        """Append one record (see :meth:`append_many`)."""
         self.append_many([record])
 
     def append_many(self, records: list[dict]) -> None:
-        """Append several records with a single flush+fsync.
+        """Append several records as whole lines, in order, and flush them
+        to the OS before returning.
 
-        Used by the parallel execution pool when a burst of out-of-order
-        trial results becomes journalable at once: every record still hits
-        the disk before the method returns, but the batch pays for one
-        fsync instead of one per record. The file remains a valid prefix
-        at every instant (records are written whole lines, in order).
+        The parallel execution pool uses this when a burst of out-of-order
+        trial results becomes journalable at once. Once this returns, the
+        records survive a SIGKILL of this process, and ``campaign watch``
+        sees them. They survive an OS crash once fsynced: on the first
+        append, then at most once per :data:`SYNC_INTERVAL_S`, or by
+        :meth:`sync`. The file remains a valid prefix at every instant.
         """
         if not records:
             return
@@ -128,7 +150,28 @@ class CampaignJournal:
             for record in records:
                 f.write(json.dumps(record, sort_keys=True) + "\n")
             f.flush()
-            os.fsync(f.fileno())
+            now = _clock()
+            if self._synced_at is None or now - self._synced_at >= SYNC_INTERVAL_S:
+                os.fsync(f.fileno())
+                self._synced_at = now
+                self._unsynced = False
+            else:
+                self._unsynced = True
+
+    def sync(self) -> None:
+        """Force every appended record to disk (a campaign that stops
+        abnormally leaves its journal behind for resume)."""
+        if not self._unsynced:
+            return
+        try:
+            with open(self.path, "ab") as f:
+                os.fsync(f.fileno())
+        except OSError as exc:
+            # Runs while another exception propagates: do not replace it.
+            log.warning("could not sync journal %s: %s", self.path, exc)
+            return
+        self._synced_at = _clock()
+        self._unsynced = False
 
     def discard(self) -> None:
         """Delete the journal (campaign finished, or its log is stale)."""

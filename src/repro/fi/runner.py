@@ -15,12 +15,14 @@ fast* rather than about *which fault to inject*:
   raises :class:`CampaignError` instead of producing garbage statistics.
 
 * **Journaled checkpoint/resume** — every completed trial is appended to
-  ``.repro_cache/journal/<key>.jsonl`` (flush+fsync) before it is counted.
-  A killed campaign resumes from the last completed trial on the next
-  invocation; per-trial seeds from :func:`spawn_seeds` are deterministic,
-  so the resumed run's final tallies are bit-for-bit identical to an
-  uninterrupted run. Completed campaigns delete their journal (the result
-  lives in the regular cache).
+  ``.repro_cache/journal/<key>.jsonl`` and flushed to the OS before it is
+  counted, so a SIGKILL loses at most the in-flight trial; fsyncs are
+  group-committed, so an OS crash loses at most about one second of
+  trials (see :mod:`repro.fi.journal`). A killed campaign resumes from
+  the last journaled trial on the next invocation; per-trial seeds from
+  :func:`spawn_seeds` are deterministic, so the resumed run's final
+  tallies are bit-for-bit identical to an uninterrupted run. Completed
+  campaigns delete their journal (the result lives in the regular cache).
 
 * **Parallel execution** — ``workers > 1`` fans the remaining trials out
   over a pool of forked worker processes (``REPRO_WORKERS``, ``auto`` =
@@ -372,8 +374,14 @@ def execute_trials(
         tel.emit("campaign", phase="begin", key=key, total=total,
                  resumed=done, workers=workers, **(event_tags or {}))
 
-    if workers > 1 and remaining > 1:
-        if "fork" in multiprocessing.get_all_start_methods():
+    if (workers > 1 and remaining > 1
+            and "fork" not in multiprocessing.get_all_start_methods()):
+        log.warning("REPRO_WORKERS=%d requested but the 'fork' start method "
+                    "is unavailable on this platform; running serially",
+                    workers)
+        workers = 1
+    try:
+        if workers > 1 and remaining > 1:
             tally.workers = min(workers, remaining)
             _execute_parallel(
                 key=key, seeds=seeds, trial_fn=trial_fn,
@@ -382,19 +390,19 @@ def execute_trials(
                 worker_progress=worker_progress, jr=jr, tally=tally,
                 done=done, total=total, workers=tally.workers, tel=tel,
                 event_tags=event_tags, stop_rule=stop_rule)
-            if jr is not None:
-                jr.discard()
-            _emit_end(tel, key, tally, stop_rule)
-            return tally
-        log.warning("REPRO_WORKERS=%d requested but the 'fork' start method "
-                    "is unavailable on this platform; running serially",
-                    workers)
-
-    _execute_serial(
-        key=key, seeds=seeds, trial_fn=trial_fn, gpu_factory=gpu_factory,
-        baseline_cycles=baseline_cycles, threshold=threshold,
-        progress=progress, jr=jr, tally=tally, done=done, total=total,
-        tel=tel, event_tags=event_tags, stop_rule=stop_rule)
+        else:
+            _execute_serial(
+                key=key, seeds=seeds, trial_fn=trial_fn,
+                gpu_factory=gpu_factory, baseline_cycles=baseline_cycles,
+                threshold=threshold, progress=progress, jr=jr, tally=tally,
+                done=done, total=total, tel=tel, event_tags=event_tags,
+                stop_rule=stop_rule)
+    except BaseException:
+        # The journal stays behind for resume: put its group-committed
+        # tail on disk.
+        if jr is not None:
+            jr.sync()
+        raise
     if jr is not None:
         jr.discard()
     _emit_end(tel, key, tally, stop_rule)

@@ -44,6 +44,11 @@ class DRAMInterface:
             self.stats.memory_write_bytes += payload.size
         self.memory.write_line(line_addr, payload)
 
+    def write_lines(self, line_addrs: np.ndarray, payloads: np.ndarray) -> None:
+        if self.stats is not None:
+            self.stats.memory_write_bytes += payloads.size
+        self.memory.write_lines(line_addrs, payloads)
+
 
 class Cache:
     """One cache instance (an SM's L1D/L1T, or the chip-shared L2)."""
@@ -266,12 +271,15 @@ class Cache:
     # Maintenance
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Write every dirty line below (keeps lines valid)."""
+        """Write every dirty line below in one batch (keeps lines valid).
+        Valid tags are distinct aligned lines, so the writes never overlap
+        and their order does not matter."""
         if self.write_back:
-            for way in np.nonzero(self.valid & self.dirty)[0]:
-                self.stats.writebacks += 1
-                self.below.write_line(int(self.tags[way]), self.data[way].copy())
-                self.dirty[way] = False
+            ways = np.flatnonzero(self.valid & self.dirty)
+            if ways.size:
+                self.below.write_lines(self.tags[ways], self.data[ways])
+                self.stats.writebacks += ways.size
+                self.dirty[ways] = False
 
     def invalidate_all(self) -> None:
         """Drop every line without writeback (caller flushes first if needed)."""

@@ -136,3 +136,16 @@ class GlobalMemory:
         if line_addr < self.size:
             self.data[line_addr:end] = payload[: end - line_addr]
             self._written_end = max(self._written_end, end)
+
+    def write_lines(self, line_addrs: np.ndarray, payloads: np.ndarray) -> None:
+        """Write back several lines (distinct, line-aligned ``line_addrs``;
+        one row of ``payloads`` each) with one store, clipped like
+        :meth:`write_line`."""
+        line_bytes = payloads.shape[1]
+        end = int(line_addrs.max()) + line_bytes
+        if end > self.size:
+            for addr, payload in zip(line_addrs.tolist(), payloads):
+                self.write_line(addr, payload)
+            return
+        self.data[line_addrs[:, None] + np.arange(line_bytes)] = payloads
+        self._written_end = max(self._written_end, end)

@@ -582,9 +582,5 @@ class ReplayTrack:
 def golden_record(golden: GoldenLaunch, simulated_cycles: int):
     """A copy of the golden record for a launch that clocked
     ``simulated_cycles`` of its cycles itself."""
-    stats = golden.record.stats
-    stats = dataclasses.replace(
-        stats, l1d=dataclasses.replace(stats.l1d),
-        l1t=dataclasses.replace(stats.l1t), l2=dataclasses.replace(stats.l2))
-    return dataclasses.replace(golden.record, stats=stats,
+    return dataclasses.replace(golden.record, stats=golden.record.stats.copy(),
                                simulated_cycles=simulated_cycles)

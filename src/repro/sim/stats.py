@@ -55,6 +55,11 @@ class CacheStats:
             f"{self.reservation_fails} > misses={self.misses} "
             f"(reservation fails are a subset of misses)")
 
+    def copy(self) -> "CacheStats":
+        out = object.__new__(CacheStats)
+        out.__dict__.update(self.__dict__)
+        return out
+
     def merge(self, other: "CacheStats") -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
@@ -89,6 +94,14 @@ class LaunchStats:
     l1d: CacheStats = field(default_factory=CacheStats)
     l1t: CacheStats = field(default_factory=CacheStats)
     l2: CacheStats = field(default_factory=CacheStats)
+
+    def copy(self) -> "LaunchStats":
+        """An independent copy: the counters, and a new instance of each
+        cache's :class:`CacheStats`."""
+        out = object.__new__(LaunchStats)
+        out.__dict__.update(self.__dict__)
+        out.l1d, out.l1t, out.l2 = self.l1d.copy(), self.l1t.copy(), self.l2.copy()
+        return out
 
     def occupancy(self, max_warps_per_sm: int, num_sms: int) -> float:
         """Time-weighted resident-warp occupancy in [0, 1]."""

@@ -1,8 +1,8 @@
 """``campaign watch``: a live dashboard over an in-flight campaign.
 
 A running campaign leaves two observable streams on disk: its journal
-(``<cache_dir>/journal/<key>.jsonl`` — one fsynced line per *committed*
-trial, in trial order) and, when telemetry is on, its event stream
+(``<cache_dir>/journal/<key>.jsonl`` — one line per *committed* trial,
+in trial order, flushed to the OS as it is committed) and, when telemetry is on, its event stream
 (``<cache_dir>/telemetry/<key>.jsonl`` — spans with worker identity).
 This module tails both read-only and renders a refresh-in-place frame:
 
@@ -12,7 +12,7 @@ This module tails both read-only and renders a refresh-in-place frame:
 * per-worker lanes (trials done, busy seconds, last phase seen) from
   the telemetry spans — absent when the campaign runs without telemetry.
 
-Reading is strictly non-intrusive. The writer side fsyncs whole lines, so
+Reading is strictly non-intrusive. The writer side appends whole lines, so
 a concurrently-growing journal is always a valid prefix plus at most one
 torn tail; :func:`read_journal_prefix` keeps the prefix and — unlike
 :meth:`repro.fi.journal.CampaignJournal.load` — never compacts the file

@@ -24,7 +24,8 @@ The span/phase vocabulary emitted by the stack:
 * ``trial`` — one whole injection trial (carries ``trial`` index).
 * ``inject.plan`` — fault planning + injector arming inside a trial.
 * ``classify`` — injected run + output classification inside a trial.
-* ``journal.commit`` — fsynced journal append batches (parent).
+* ``journal.commit`` — journal append batches, flushed to the OS
+  (parent; fsyncs are group-committed, see :mod:`repro.fi.journal`).
 * ``cache.store`` — campaign result cache write (parent).
 
 Plus the plain events ``campaign`` (``phase=begin/end`` with campaign

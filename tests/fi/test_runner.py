@@ -2,12 +2,20 @@
 crash-safe caching (repro.fi.runner + repro.fi.journal)."""
 
 import logging
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import CampaignError, ConfigError
 from repro.fi import campaign as campaign_mod
+from repro.fi import journal as journal_mod
 from repro.fi.campaign import (
     CampaignSpec,
     default_trials,
@@ -200,6 +208,186 @@ def test_journal_prefix_validation():
     assert not _journal_prefix_valid(recs, [11])  # more records than trials
     assert not _journal_prefix_valid(
         [{"trial": 0, "seed": 11, "outcome": "nope", "cycles": 1}], [11])
+
+
+# ---------------------------------------------------- journal durability
+
+#: A va campaign in a child process (argv: trials, seed). Each app run
+#: sleeps first, so a SIGKILL sent after a few trials lands mid-campaign.
+_CHILD_CAMPAIGN = """
+import sys, time
+from repro.arch.config import tesla_v100_like
+from repro.fi.campaign import CampaignSpec, run_campaign
+from repro.kernels import get_application
+
+class Slow:
+    def __init__(self, inner):
+        self.inner = inner
+        self.name, self.seed = inner.name, inner.seed
+        self.kernel_names = inner.kernel_names
+
+    def run(self, gpu, harness=None):
+        time.sleep(0.05)
+        return self.inner.run(gpu, harness)
+
+run_campaign(CampaignSpec(level="sw", app=Slow(get_application("va")),
+                          kernel="va_k1", config=tesla_v100_like(),
+                          trials=int(sys.argv[1]), seed=int(sys.argv[2])))
+"""
+
+
+@pytest.fixture()
+def discarded(monkeypatch):
+    """The records of each journal as a campaign discards it, in order."""
+    seen = []
+    real_discard = CampaignJournal.discard
+
+    def discard(self):
+        seen.append(self.load())
+        real_discard(self)
+
+    monkeypatch.setattr(CampaignJournal, "discard", discard)
+    return seen
+
+
+def _va_campaign(v100, va_profile, trials, seed, app=None):
+    return _sw_campaign(app or get_application("va"), "va_k1", v100,
+                        trials=trials, seed=seed, profile=va_profile)
+
+
+def _journaled_trials(directory: Path) -> int:
+    return sum(path.read_bytes().count(b'"event": "trial"')
+               for path in directory.glob("*.jsonl"))
+
+
+def test_sigkilled_campaign_resumes_bit_for_bit(tmp_path, monkeypatch, v100,
+                                                va_profile, discarded):
+    """A real SIGKILL mid-campaign: the journal keeps every trial flushed
+    before the kill, and the resumed campaign's tally, cached payload and
+    per-trial records equal an uninterrupted run's."""
+    trials, seed, k = 40, 11, 5
+    child_cache, ref_cache = tmp_path / "child", tmp_path / "ref"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "REPRO_CACHE_DIR": str(child_cache),
+           "REPRO_WORKERS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_CAMPAIGN, str(trials), str(seed)],
+        env=env)
+    deadline = time.monotonic() + 120
+    try:
+        while _journaled_trials(child_cache / "journal") < k:
+            assert child.poll() is None, "campaign ended before the kill"
+            assert time.monotonic() < deadline, "no trials journaled"
+            time.sleep(0.005)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == -signal.SIGKILL
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(ref_cache))
+    ref = _va_campaign(v100, va_profile, trials, seed)
+    ref_records = discarded[-1]
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(child_cache))
+    [journal] = list_journals()
+    assert k <= journal.trials < trials
+    app = FlakyApp(get_application("va"))
+    resumed = _va_campaign(v100, va_profile, trials, seed, app)
+    assert app.calls == trials - journal.trials
+    assert resumed.counts == ref.counts
+    assert discarded[-1] == ref_records
+    assert not list_journals()
+    [payload] = child_cache.glob("*.json")
+    [ref_payload] = ref_cache.glob("*.json")
+    assert payload.read_bytes() == ref_payload.read_bytes()
+
+
+def _trial_record(i: int) -> dict:
+    return {"event": "trial", "trial": i, "seed": i, "outcome": "masked",
+            "cycles": 1}
+
+
+def test_group_commit_fsyncs_once_per_interval(tmp_path, monkeypatch):
+    synced = []
+    monkeypatch.setattr(journal_mod.os, "fsync", synced.append)
+    now = [100.0]
+    monkeypatch.setattr(journal_mod, "_clock", lambda: now[0])
+    j = CampaignJournal("k", tmp_path)
+    j.append({"event": "meta"})
+    for i in range(39):
+        j.append(_trial_record(i))
+    assert len(synced) == 1  # the meta record's
+    assert len(j.load()) == 40  # every record reached the OS
+    now[0] += journal_mod.SYNC_INTERVAL_S
+    j.append(_trial_record(39))
+    assert len(synced) == 2
+    j.sync()  # nothing appended since the last fsync
+    assert len(synced) == 2
+    j.append(_trial_record(40))
+    j.sync()
+    assert len(synced) == 3
+
+
+@pytest.mark.parametrize("app, error", [
+    (lambda: FlakyApp(get_application("va"), fail_all=True), CampaignError),
+    (lambda: KillSwitchApp(get_application("va"), explode_at=6),
+     KeyboardInterrupt),
+], ids=["crash-threshold", "interrupt"])
+def test_abnormal_exit_syncs_the_journal(tmp_cache, monkeypatch, v100,
+                                         va_profile, app, error):
+    synced_sizes = []
+    monkeypatch.setattr(journal_mod.os, "fsync",
+                        lambda fd: synced_sizes.append(os.fstat(fd).st_size))
+    monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
+    with pytest.raises(error):
+        _va_campaign(v100, va_profile, 10, 3, app())
+    [journal] = list_journals()
+    # The meta record's fsync, then the exit's, which covers the whole file.
+    assert len(synced_sizes) == 2
+    assert synced_sizes[-1] == CampaignJournal(journal.key).path.stat().st_size
+
+
+@pytest.mark.parametrize("fill", ["truncated", "nul-filled"])
+@pytest.mark.parametrize("cut", [
+    lambda synced, size: synced,
+    lambda synced, size: synced + 1,
+    lambda synced, size: (synced + size) // 2,
+    lambda synced, size: size - 1,  # a whole record but for its newline
+], ids=["at-sync", "sync+1", "mid-tail", "before-last-newline"])
+def test_os_crash_after_last_sync_resumes_identically(
+        tmp_path, monkeypatch, v100, va_profile, discarded, cut, fill):
+    """An OS crash keeps the synced prefix and an arbitrary part of the
+    unsynced tail (cut short, or its lost pages read back as NULs); the
+    lost trials re-run and the tally and records come out identical."""
+    trials, seed = 12, 7
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref"))
+    ref = _va_campaign(v100, va_profile, trials, seed)
+    ref_records = discarded[-1]
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "crash"))
+    synced_sizes = []
+    with monkeypatch.context() as m:
+        m.setattr(journal_mod.os, "fsync",
+                  lambda fd: synced_sizes.append(os.fstat(fd).st_size))
+        m.setattr(journal_mod, "_clock", lambda: 0.0)
+        m.setattr(CampaignJournal, "sync", lambda self: None)  # OS died
+        with pytest.raises(KeyboardInterrupt):
+            _va_campaign(v100, va_profile, trials, seed,
+                         KillSwitchApp(get_application("va"), explode_at=6))
+    [journal] = list_journals()
+    path = CampaignJournal(journal.key).path
+    raw = path.read_bytes()
+    assert synced_sizes == [raw.index(b"\n") + 1]  # the meta record only
+    at = cut(synced_sizes[-1], len(raw))
+    tail = b"\0" * (len(raw) - at) if fill == "nul-filled" else b""
+    path.write_bytes(raw[:at] + tail)
+
+    resumed = _va_campaign(v100, va_profile, trials, seed)
+    assert resumed.counts == ref.counts
+    assert discarded[-1] == ref_records
+    assert not list_journals()
 
 
 # ------------------------------------------------------- crash-safe cache

@@ -144,3 +144,61 @@ def test_cache_data_coherent_with_memory(line_indices):
             assert np.array_equal(
                 cache.data[way], mem.data[tag : tag + 32]
             )
+
+
+def _reference_flush(cache):
+    """The per-line write-back loop the batched ``Cache.flush`` replaces."""
+    for way in np.nonzero(cache.valid & cache.dirty)[0]:
+        cache.stats.writebacks += 1
+        cache.below.write_line(int(cache.tags[way]), cache.data[way].copy())
+        cache.dirty[way] = False
+
+
+#: DRAM ends 20 bytes into a 32-byte line, so write-backs of the last line
+#: take the clip path.
+_CLIPPED_SIZE = 8192 + 20
+_WORDS = (_CLIPPED_SIZE + 12 - 4096) // 4  # word slots of lines from 4096
+
+_cache_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, _WORDS - 1),
+              st.integers(0, 0xFFFFFFFF)),
+    st.tuples(st.just("read"), st.integers(0, _WORDS // 8 - 1)),
+    st.tuples(st.just("flip"), st.integers(0, 512 * 8 - 1)),
+    st.tuples(st.just("flush")),
+), min_size=1, max_size=80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cache_ops, st.booleans())
+def test_batched_flush_equals_per_line_write_back(ops, attached):
+    """Property: the batched flush leaves DRAM, the written end, the
+    counters and the valid/dirty bits exactly as the per-line loop does,
+    with bit flips in dirty, clean and invalid lines."""
+    sides = []
+    for flush in (Cache.flush, _reference_flush):
+        mem = GlobalMemory(_CLIPPED_SIZE)
+        base = mem.alloc(4096)
+        stats = LaunchStats() if attached else None
+        dram = DRAMInterface(mem, latency=200, stats_ref=stats)
+        l2 = Cache("l2", CacheGeometry(512, 32, 2), 90, dram, write_back=True)
+        now = 0
+        for op in ops:
+            now += 500
+            if op[0] == "write":
+                l2.write_word(base + 4 * op[1], op[2], now)
+            elif op[0] == "read":
+                l2.read_line(base + 32 * op[1], 32, now)
+            elif op[0] == "flip":
+                l2.flip_bit(op[1])
+            else:
+                flush(l2)
+        flush(l2)
+        sides.append((mem, l2, stats))
+    (mem, l2, stats), (ref_mem, ref_l2, ref_stats) = sides
+    assert np.array_equal(mem.data, ref_mem.data)
+    assert mem._written_end == ref_mem._written_end
+    assert l2.stats == ref_l2.stats
+    assert np.array_equal(l2.valid, ref_l2.valid)
+    assert np.array_equal(l2.dirty, ref_l2.dirty)
+    if attached:
+        assert stats.memory_write_bytes == ref_stats.memory_write_bytes

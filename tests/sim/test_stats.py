@@ -1,6 +1,8 @@
 """CacheStats/LaunchStats counters: the access-resolution invariant,
 merge arithmetic, and snapshot round-trips."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.stats import CacheStats, LaunchStats
@@ -95,3 +97,31 @@ def test_launch_stats_snapshot_checks_nested_cache_invariants():
     ls.l2.accesses = 3  # unresolved: no hits/misses/pending recorded
     with pytest.raises(AssertionError, match="invariant violated"):
         ls.snapshot()
+
+
+def test_launch_stats_copy_is_complete_and_independent():
+    """Every field, nested ones included, is copied; the copy shares no
+    mutable instance with the original. A nested field that ``copy()``
+    misses fails here."""
+    values = iter(range(1, 10_000))
+    original = LaunchStats()
+    for f in dataclasses.fields(LaunchStats):
+        value = getattr(original, f.name)
+        if dataclasses.is_dataclass(value):
+            for sub in dataclasses.fields(value):
+                setattr(value, sub.name, next(values))
+        else:
+            setattr(original, f.name, next(values))
+    before = dataclasses.asdict(original)
+
+    copy = original.copy()
+    assert copy == original
+    for f in dataclasses.fields(LaunchStats):
+        value = getattr(copy, f.name)
+        if dataclasses.is_dataclass(value):
+            assert value is not getattr(original, f.name), f.name
+            for sub in dataclasses.fields(value):
+                setattr(value, sub.name, getattr(value, sub.name) + 10_000)
+        else:
+            setattr(copy, f.name, value + 10_000)
+    assert dataclasses.asdict(original) == before

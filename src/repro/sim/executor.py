@@ -3,8 +3,8 @@
 ``CompiledKernel`` turns each static instruction into a tuple of
 ``(instr, kind, fn, latency, flags, dst)`` so the per-issue hot path does no
 dict lookups or opcode branching. Semantics are lane-vectorised: a closure
-computes a full-width (32-lane) result with NumPy and writes it under the
-guard mask.
+computes a full-width (32-lane) result with NumPy and writes an array result
+in place under the guard mask with one masked ``np.copyto``.
 
 All arithmetic follows hardware conventions: 32-bit wraparound integers,
 IEEE-754 binary32 floats (via views, so bit flips are exact), shift counts
@@ -92,7 +92,7 @@ def _write_u(warp, dst: int, gm: np.ndarray, result) -> None:
         return
     row = warp.bank.regs[dst]
     if isinstance(result, np.ndarray) and result.ndim:
-        row[gm] = result[gm].astype(np.uint32, copy=False)
+        np.copyto(row, result, casting="unsafe", where=gm)
     else:
         row[gm] = np.uint32(int(result) & 0xFFFFFFFF)
 
@@ -101,12 +101,8 @@ def _write_f(warp, dst: int, gm: np.ndarray, result) -> None:
     """Write a float result as its IEEE-754 bits under the guard mask."""
     if dst == RZ:
         return
-    row = warp.bank.regs[dst]
-    res = np.asarray(result, dtype=np.float32)
-    if res.ndim:
-        row[gm] = res.view(np.uint32)[gm]
-    else:
-        row[gm] = res.view(np.uint32)
+    bits = np.asarray(result, dtype=np.float32).view(np.uint32)
+    np.copyto(warp.bank.regs[dst], bits, where=gm)
 
 
 _CMP_FNS = {
@@ -270,7 +266,7 @@ class CompiledKernel:
 
             def isetp(sm, w, gm):
                 res = cmp(np.asarray(a(w), dtype=dt), b(w))
-                w.preds[dp][gm] = np.asarray(res)[gm] if np.ndim(res) else res
+                np.copyto(w.preds[dp], res, where=gm)
 
             return isetp
 
@@ -310,7 +306,7 @@ class CompiledKernel:
 
             def fsetp(sm, w, gm):
                 res = cmp(np.asarray(a(w), dtype=np.float32), b(w))
-                w.preds[dp][gm] = np.asarray(res)[gm] if np.ndim(res) else res
+                np.copyto(w.preds[dp], res, where=gm)
 
             return fsetp
 
@@ -392,7 +388,7 @@ class CompiledKernel:
                         res = a_val | b_val
                     else:
                         res = a_val ^ b_val
-                w.preds[dp][gm] = res[gm]
+                np.copyto(w.preds[dp], res, where=gm)
 
             return psetp
 

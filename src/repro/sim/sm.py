@@ -124,15 +124,15 @@ class SM:
         """Issue one instruction for ``warp``; returns its latency."""
         gpu = self.gpu
         stats = gpu.stats
-        pcs = warp.pc
         uniform = not warp.diverged
         if uniform:
             cur = warp.upc
             active = warp.alive
         else:
-            alive = warp.alive
-            cur = int(pcs[alive].min())
-            active = alive & (pcs == cur)
+            groups = warp.groups
+            if groups is None:
+                groups = warp.regroup()
+            cur, active, n_active = groups[0]
         entries = gpu.kernel.entries
         if cur >= len(entries) or cur < 0:
             # Control flow ran outside the program (fault-corrupted
@@ -148,7 +148,7 @@ class SM:
         # Guard evaluation.
         if instr.guard_pred == 7 and not instr.guard_neg:
             gm = active
-            n_exec = warp.n_alive if uniform else int(np.count_nonzero(active))
+            n_exec = warp.n_alive if uniform else n_active
         else:
             gp = warp.preds[instr.guard_pred]
             gm = active & ~gp if instr.guard_neg else active & gp
@@ -187,25 +187,22 @@ class SM:
             if uniform:
                 warp.upc = cur + 1
             else:
-                pcs[active] += 1
+                warp.advance(cur, active, n_active)
         elif kind == K_BRA:
-            if uniform:
-                if n_exec == warp.n_alive:  # all active lanes take the branch
-                    warp.upc = instr.target
-                elif n_exec == 0:
-                    warp.upc = cur + 1
-                else:
-                    # Mixed outcome: materialise per-lane PCs and diverge.
-                    pcs[active] = cur + 1
-                    pcs[gm] = instr.target
-                    warp.diverged = True
+            if not uniform:
+                warp.branch(cur, active, n_active, instr.target, gm, n_exec)
+            elif n_exec == warp.n_alive:  # all active lanes take the branch
+                warp.upc = instr.target
+            elif n_exec == 0:
+                warp.upc = cur + 1
             else:
-                pcs[gm] = instr.target
-                pcs[active & ~gm] += 1
+                # Mixed outcome: materialise per-lane PCs and diverge (until
+                # the next issue, even if both sides land on one pc).
+                warp.branch(cur, active, warp.n_alive, instr.target, gm, n_exec)
         elif kind == K_EXIT:
             warp.done |= gm
             if not uniform:
-                pcs[active & ~gm] += 1
+                warp.pc[active & ~gm] += 1
             elif n_exec != warp.n_alive:
                 warp.upc = cur + 1  # surviving lanes continue uniformly
             if warp.update_finished():
@@ -213,28 +210,28 @@ class SM:
                 cta.maybe_release_barrier()
                 if cta.finished:
                     gpu.on_cta_finished(self, cta)
+            if not uniform:
+                warp.regroup()
         elif kind == K_BAR:
             # All lanes of the warp (guarded or not) converge at the barrier.
             if uniform:
                 warp.upc = cur + 1
             else:
-                pcs[active] += 1
+                warp.advance(cur, active, n_active)
             warp.cta.arrive_barrier(warp)
         else:  # K_NOP
             if uniform:
                 warp.upc = cur + 1
             else:
-                pcs[active] += 1
+                warp.advance(cur, active, n_active)
 
         if not uniform:
-            # Reconvergence check: all alive lanes back at one PC?
-            alive = warp.alive
-            if alive.any():
-                lane_pcs = pcs[alive]
-                first = int(lane_pcs[0])
-                if (lane_pcs == first).all():
-                    warp.diverged = False
-                    warp.upc = first
+            # Reconvergence: all alive lanes back at one PC.
+            groups = warp.groups
+            if len(groups) == 1:
+                warp.diverged = False
+                warp.upc = groups[0][0]
+                warp.groups = None
 
         tracer = gpu.tracer
         if tracer is not None:

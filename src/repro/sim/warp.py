@@ -6,6 +6,14 @@ execute together. Diverged lane groups therefore interleave and reconverge
 automatically once their PCs meet again, without an explicit reconvergence
 stack — adequate for the reducible control flow of the benchmark kernels and
 robust to fault-corrupted control flow.
+
+A diverged warp caches its alive lanes as ``groups``: ``(pc, mask, count)``
+tuples in ascending pc order, so an issue reads the min-PC group instead of
+rescanning the per-lane arrays. The arrays stay authoritative; the cache is
+derived from ``pc`` and ``alive``, and only the issue path (``SM.execute``
+through ``advance`` and ``branch``) keeps it in step. Any other writer of ``pc`` or ``done`` (EXIT, fault injectors, checkpoint
+restore) must go through ``update_finished`` or ``materialize_pcs``, which
+drop the cache so the next issue rebuilds it with ``regroup``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ class Warp:
         "n_alive",
         "diverged",
         "upc",
+        "groups",
     )
 
     def __init__(self, uid: int, cta: "CTA", index_in_cta: int, rf_uid: int, bank):
@@ -58,7 +67,12 @@ class Warp:
         #   are refreshed by ``update_finished`` (EXIT, alive-mask faults);
         # - while ``diverged`` is False, every alive lane sits at ``upc`` and
         #   the per-lane ``pc`` array is not consulted; a mixed-outcome branch
-        #   materialises per-lane PCs and flips ``diverged`` on.
+        #   materialises per-lane PCs and flips ``diverged`` on;
+        # - while ``diverged`` is True, ``groups`` (when not None) partitions
+        #   the alive lanes by pc, ascending; only the issue path updates it
+        #   (``advance``, ``branch``), every other write to ``pc``/``done``
+        #   must reset it to None via ``update_finished`` or
+        #   ``materialize_pcs``.
         self.diverged = False
         self.upc = 0
         self.update_finished()
@@ -93,7 +107,9 @@ class Warp:
 
     def update_finished(self) -> bool:
         """Refresh ``alive``, ``n_alive`` and ``finished`` from ``done``
-        (at creation, after an EXIT retires lanes, after a mask fault)."""
+        (at creation, after an EXIT retires lanes, after a mask fault) and
+        drop the lane-group cache."""
+        self.groups = None
         self.alive = ~self.done
         self.n_alive = int(np.count_nonzero(self.alive))
         self.finished = self.n_alive == 0
@@ -106,14 +122,65 @@ class Warp:
         is authoritative; fault injectors that corrupt an individual lane's
         PC first call this so the corruption is actually consulted by min-PC
         scheduling (the lanes reconverge on their own if the PCs stay equal).
+        Callers may then write ``pc`` freely: the lane-group cache is dropped.
         """
+        self.groups = None
         if not self.diverged:
             self.pc[:] = self.upc
             self.diverged = True
 
-    @property
-    def runnable(self) -> bool:
-        return not self.finished and not self.waiting_barrier
+    def regroup(self) -> list:
+        """Rebuild ``groups`` from ``pc`` and ``alive``: one ``(pc, mask,
+        count)`` tuple per distinct pc among alive lanes, ascending."""
+        alive = self.alive
+        pcs = self.pc
+        groups = []
+        for pc in np.unique(pcs[alive]).tolist():
+            mask = alive & (pcs == pc)
+            groups.append((pc, mask, int(np.count_nonzero(mask))))
+        self.groups = groups
+        return groups
+
+    def advance(self, cur: int, active: np.ndarray, count: int) -> None:
+        """Move the head group (``active``, at ``cur``) on to ``cur + 1``,
+        merging it with the group waiting there if there is one."""
+        groups = self.groups
+        nxt = cur + 1
+        self.pc[active] = nxt
+        if len(groups) > 1 and groups[1][0] == nxt:
+            _, mask, n = groups[1]
+            groups[0:2] = [(nxt, active | mask, count + n)]
+        else:
+            groups[0] = (nxt, active, count)
+
+    def branch(self, cur: int, active: np.ndarray, count: int, target: int,
+               taken: np.ndarray, n_taken: int) -> None:
+        """Send the ``taken`` lanes of ``active`` (the head group, or every
+        alive lane of a uniform warp, which diverges here) to ``target`` and
+        the rest to ``cur + 1``."""
+        if self.diverged:
+            del self.groups[0]
+        else:
+            self.diverged = True
+            self.groups = []
+        if n_taken:
+            self.pc[taken] = target
+            self._insert(target, taken, n_taken)
+        if n_taken != count:
+            fall = active & ~taken if n_taken else active
+            self.pc[fall] = cur + 1
+            self._insert(cur + 1, fall, count - n_taken)
+
+    def _insert(self, pc: int, mask: np.ndarray, count: int) -> None:
+        groups = self.groups
+        for i, group in enumerate(groups):
+            if group[0] == pc:
+                groups[i] = (pc, group[1] | mask, group[2] + count)
+                return
+            if group[0] > pc:
+                groups.insert(i, (pc, mask, count))
+                return
+        groups.append((pc, mask, count))
 
 
 class CTA:

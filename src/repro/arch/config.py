@@ -92,6 +92,13 @@ class GPUConfig:
             raise ConfigError("need at least one SM")
         if self.rf_bytes_per_sm % 4:
             raise ConfigError("register file size must be a multiple of 4 bytes")
+        if not self.l1d.line_bytes == self.l1t.line_bytes == self.l2.line_bytes:
+            # An L1 miss fills a whole line from the L2, and a store patches
+            # the L1 with lines computed at the L2's size.
+            raise ConfigError(
+                "L1D, L1T and L2 must share one line size, got "
+                f"{self.l1d.line_bytes}/{self.l1t.line_bytes}/{self.l2.line_bytes}"
+            )
 
     @property
     def rf_regs_per_sm(self) -> int:

@@ -6,6 +6,12 @@ propagates to subsequent loads, is silently discarded when a clean line is
 evicted (hardware masking, Section V-B of the paper), or reaches DRAM when a
 dirty line is written back (the paper's software-invisible SDC mechanism).
 
+Only this module writes ``tags`` and ``valid``: fault injection flips
+``data`` alone. A lookup goes through a dict from line address to way
+that holds exactly the valid lines; the arrays stay authoritative (launch
+boundaries, checkpoints and fault sites read and restore them), and a
+restore marks the dict stale, to be rebuilt by the next lookup.
+
 The timing side models fills in flight: an access to a line whose fill has
 not yet completed is a *pending hit*; a miss that finds all MSHR entries
 occupied is a *reservation fail* — both are counters Figure 3 correlates
@@ -77,6 +83,8 @@ class Cache:
         self.fill_done = np.zeros(n, dtype=np.int64)
         self._lru_clock = 0
         self._fills_in_flight: list[int] = []
+        # Line address -> way of every valid line; ``None`` when stale.
+        self._way_of: dict[int, int] | None = {}
         # Hot-path copies of the geometry (avoid property lookups).
         self._line_bytes = geometry.line_bytes
         self._num_sets = geometry.num_sets
@@ -91,11 +99,12 @@ class Cache:
         return start, start + self._assoc
 
     def _find(self, line_addr: int) -> int | None:
-        start, end = self._set_range(line_addr)
-        for way in range(start, end):
-            if self.valid[way] and self.tags[way] == line_addr:
-                return way
-        return None
+        way_of = self._way_of
+        if way_of is None:
+            ways = np.flatnonzero(self.valid)
+            way_of = self._way_of = dict(
+                zip(self.tags[ways].tolist(), ways.tolist()))
+        return way_of.get(line_addr)
 
     def _touch(self, way: int) -> None:
         self._lru_clock += 1
@@ -106,15 +115,19 @@ class Cache:
             self._fills_in_flight = [c for c in self._fills_in_flight if c > now]
 
     def _victim(self, line_addr: int) -> int:
+        """The first invalid way of the set, else its least recent one."""
         start, end = self._set_range(line_addr)
-        for way in range(start, end):
-            if not self.valid[way]:
-                return way
-        ways = range(start, end)
-        return min(ways, key=lambda w: self.lru[w])
+        valid = self.valid[start:end].tolist()
+        if not all(valid):
+            return start + valid.index(False)
+        lru = self.lru[start:end].tolist()
+        return start + lru.index(min(lru))
 
     def _evict(self, way: int) -> None:
+        """Drop ``way`` (writing it back if dirty). Every caller looked the
+        new line up first, so the way index is current."""
         if self.valid[way]:
+            del self._way_of[int(self.tags[way])]
             self.stats.evictions += 1
             if self.write_back and self.dirty[way]:
                 self.stats.writebacks += 1
@@ -161,6 +174,7 @@ class Cache:
         self.data[way] = payload
         self.tags[way] = line_addr
         self.valid[way] = True
+        self._way_of[line_addr] = way
         self.dirty[way] = False
         self.fill_done[way] = now + latency
         self._touch(way)
@@ -191,6 +205,7 @@ class Cache:
                 self.data[way] = payload
                 self.tags[way] = line_addr
                 self.valid[way] = True
+                self._way_of[line_addr] = way
                 self.fill_done[way] = now + below_latency
                 latency = self.hit_latency + below_latency
             else:
@@ -237,6 +252,7 @@ class Cache:
             self.data[way] = payload
             self.tags[way] = line_addr
             self.valid[way] = True
+            self._way_of[line_addr] = way
             self.fill_done[way] = now + below_latency
             latency = self.hit_latency + below_latency
         else:
@@ -286,6 +302,7 @@ class Cache:
         self.valid[:] = False
         self.dirty[:] = False
         self.tags[:] = -1
+        self._way_of = {}
         self.fill_done[:] = 0
         self._fills_in_flight.clear()
 
@@ -329,6 +346,7 @@ class Cache:
         self.dirty[:] = dirty
         self.tags[:] = -1
         self.tags[valid] = tags
+        self._way_of = None  # rebuilt by the next lookup
         self.lru[valid] = lru + self._lru_clock
         self.data[valid] = lines
 

@@ -422,21 +422,27 @@ class CompiledKernel:
                 lines = addrs & ~np.int64(lb - 1)
                 now = sm.gpu.now
                 row = w.bank.regs[dst] if dst != RZ else None
-                first = int(lines[0])
-                if (lines == first).all():
+                distinct = set(lines.tolist())
+                if len(distinct) == 1:
                     # Coalesced: one line, no split (same order and effects).
+                    first = distinct.pop()
                     data, latency = cache.read_line(first, lb, now)
                     if row is not None:
                         row[lanes] = data.view("<u4")[(addrs - first) >> 2]
                     return latency
+                # Read each line once, in ascending order, into a buffer of
+                # copies (a later fill may evict an earlier line's way),
+                # then write the row with one gather.
+                order = sorted(distinct)
+                buf = np.empty((len(order), lb), dtype=np.uint8)
                 latency = 0
-                for la in np.unique(lines):
-                    sel = lines == la
-                    data, line_lat = cache.read_line(int(la), lb, now)
-                    if row is not None:
-                        words = data.view("<u4")
-                        row[lanes[sel]] = words[(addrs[sel] - la) >> 2]
+                for i, la in enumerate(order):
+                    buf[i], line_lat = cache.read_line(la, lb, now)
                     latency = max(latency, line_lat)
+                if row is not None:
+                    words = np.searchsorted(order, lines) * (lb >> 2)
+                    words += (addrs - lines) >> 2
+                    row[lanes] = buf.view("<u4").ravel()[words]
                 return latency
 
             return load
@@ -460,19 +466,28 @@ class CompiledKernel:
                 lb = sm.gpu.l2.geo.line_bytes
                 lines = addrs & ~np.int64(lb - 1)
                 now = sm.gpu.now
-                first = int(lines[0])
-                if (lines == first).all():
+                distinct = set(lines.tolist())
+                if len(distinct) == 1:
                     # Coalesced: one line, no split (same order and effects).
+                    first = distinct.pop()
                     offs = addrs - first
                     sm.l1d.update_words_if_present(first, offs, vals)
                     sm.gpu.l2.write_words_line(first, offs, vals, now)
                     return lat.l1_hit
-                for la in np.unique(lines):
-                    sel = lines == la
-                    offs = (addrs[sel] - la).astype(np.int64)
+                # Lines in ascending order, lanes in order within a line (the
+                # last lane wins a duplicate address): one stable sort.
+                order = sorted(distinct)
+                by_line = np.argsort(lines, kind="stable")
+                lines = lines[by_line]
+                offs = addrs[by_line] - lines
+                vals = vals[by_line]
+                bounds = np.searchsorted(lines, order).tolist()
+                bounds.append(len(lines))
+                for i, la in enumerate(order):
+                    part = slice(bounds[i], bounds[i + 1])
                     # Write-through L1 coherence update, then L2 allocate.
-                    sm.l1d.update_words_if_present(int(la), offs, vals[sel])
-                    sm.gpu.l2.write_words_line(int(la), offs, vals[sel], now)
+                    sm.l1d.update_words_if_present(la, offs[part], vals[part])
+                    sm.gpu.l2.write_words_line(la, offs[part], vals[part], now)
                 # Stores retire through the store buffer: fixed issue cost.
                 return lat.l1_hit
 

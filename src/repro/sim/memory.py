@@ -92,7 +92,15 @@ class GlobalMemory:
     # Validity checking (vectorised over a warp's lane addresses)
     # ------------------------------------------------------------------ #
     def check_word_addresses(self, addrs: np.ndarray) -> None:
-        """Validate lane addresses for 4-byte accesses; raise on the first bad one."""
+        """Validate lane addresses for 4-byte accesses; raise on the first bad one.
+
+        A vector whose bounds and OR-ed low bits pass is accepted without
+        the per-lane mask, which only a failing vector builds."""
+        lane_addrs = addrs.tolist()
+        if (lane_addrs and min(lane_addrs) >= HEAP_BASE
+                and max(lane_addrs) + 4 <= self._next
+                and not np.bitwise_or.reduce(addrs) & 3):
+            return
         bad = (addrs < HEAP_BASE) | (addrs + 4 > self._next) | (addrs & 3 != 0)
         if bad.any():
             idx = int(np.argmax(bad))
@@ -124,10 +132,12 @@ class GlobalMemory:
         mid-line; the hardware would happily fetch it, so no error here.
         Word-access validity is enforced separately per lane address.
         """
-        end = min(line_addr + line_bytes, self.size)
+        end = line_addr + line_bytes
+        if end <= self.size:
+            return self.data[line_addr:end].copy()
         out = np.zeros(line_bytes, dtype=np.uint8)
         if line_addr < self.size:
-            out[: end - line_addr] = self.data[line_addr:end]
+            out[: self.size - line_addr] = self.data[line_addr:]
         return out
 
     def write_line(self, line_addr: int, payload: np.ndarray) -> None:

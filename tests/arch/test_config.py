@@ -43,6 +43,16 @@ def test_gpu_config_validation():
         GPUConfig(name="bad", num_sms=0)
 
 
+def test_gpu_config_rejects_mixed_line_sizes():
+    """Each L1 fills whole lines from the L2, so a config whose caches
+    differ in line size must fail at construction, not mid-launch."""
+    for cache in ("l1d", "l1t", "l2"):
+        with pytest.raises(ConfigError, match="line size"):
+            GPUConfig(name="bad", **{cache: CacheGeometry(4096, 64, 4)})
+    GPUConfig(name="ok", l1d=CacheGeometry(4096, 64, 4),
+              l1t=CacheGeometry(2048, 64, 2), l2=CacheGeometry(32768, 64, 8))
+
+
 def test_timeout_budget():
     cfg = quadro_gv100_like()
     assert cfg.timeout_cycles(10) == cfg.timeout_floor_cycles

@@ -202,3 +202,81 @@ def test_batched_flush_equals_per_line_write_back(ops, attached):
     assert np.array_equal(l2.dirty, ref_l2.dirty)
     if attached:
         assert stats.memory_write_bytes == ref_stats.memory_write_bytes
+
+
+def _scan(cache, line):
+    """The way holding ``line`` by a scan of the tag and valid arrays."""
+    ways = np.flatnonzero(cache.valid & (cache.tags == line))
+    assert ways.size <= 1
+    return int(ways[0]) if ways.size else None
+
+
+#: Lines the way-index test touches (64 lines over 8 L1 and 16 L2 sets),
+#: plus lines it never touches.
+_INDEX_LINES = 64
+_ABSENT_LINES = (-1, _INDEX_LINES, _INDEX_LINES + 7, 1 << 20)
+
+_level = st.sampled_from(("l1", "l2"))
+_line = st.integers(0, _INDEX_LINES - 1)
+_offsets = st.lists(st.integers(0, 7), min_size=1, max_size=8)
+_index_ops = st.lists(st.one_of(
+    st.tuples(st.just("read_line"), _level, _line),
+    st.tuples(st.just("write_word"), _level, _line, st.integers(0, 7)),
+    st.tuples(st.just("write_words_line"), _line, _offsets),
+    st.tuples(st.just("update_words_if_present"), _line, _offsets),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("invalidate_all"), _level),
+    st.tuples(st.just("new_clock_epoch"), _level),
+    st.tuples(st.just("save")),
+    st.tuples(st.just("restore_boundary"), _level),
+    st.tuples(st.just("restore_checkpoint"), _level),
+    st.tuples(st.just("flip_bit"), _level, st.integers(0, 512 * 8 - 1)),
+), min_size=1, max_size=60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_index_ops)
+def test_way_index_matches_tag_scan(ops):
+    """Property: after any sequence of cache operations, ``_find`` (the
+    line -> way dict, rebuilt after a restore) returns what a scan of
+    ``valid & (tags == line)`` returns, for every line touched and for
+    lines never touched."""
+    mem, l1, l2, _ = make_hierarchy()
+    base = mem.alloc(_INDEX_LINES * 32)
+    caches = {"l1": l1, "l2": l2}
+    saved = {}
+    now = 0
+    for op in ops:
+        now += 150
+        name, args = op[0], op[1:]
+        if name == "read_line":
+            caches[args[0]].read_line(base + 32 * args[1], 32, now)
+        elif name == "write_word":
+            addr = base + 32 * args[1] + 4 * args[2]
+            caches[args[0]].write_word(addr, now, now)
+        elif name in ("write_words_line", "update_words_if_present"):
+            offs = 4 * np.array(args[1], dtype=np.int64)
+            vals = np.arange(offs.size, dtype=np.uint32) + now
+            if name == "write_words_line":
+                l2.write_words_line(base + 32 * args[0], offs, vals, now)
+            else:
+                l1.update_words_if_present(base + 32 * args[0], offs, vals)
+        elif name == "flush":
+            l2.flush()
+        elif name in ("invalidate_all", "new_clock_epoch"):
+            getattr(caches[args[0]], name)()
+        elif name == "save":
+            saved = {level: (c.boundary_state(), c.checkpoint_state())
+                     for level, c in caches.items()}
+        elif name.startswith("restore_") and saved:
+            boundary, checkpoint = saved[args[0]]
+            if name == "restore_boundary":
+                caches[args[0]].restore_boundary(boundary)
+            else:
+                caches[args[0]].restore_checkpoint(checkpoint)
+        elif name == "flip_bit":
+            caches[args[0]].flip_bit(args[1])
+        for cache in caches.values():
+            for line in [*range(_INDEX_LINES), *_ABSENT_LINES]:
+                addr = base + 32 * line
+                assert cache._find(addr) == _scan(cache, addr), (op, line)

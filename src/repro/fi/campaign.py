@@ -787,19 +787,21 @@ def _gpu_factory(profile: AppProfile, config: GPUConfig):
 def _kernel_rollup(gpu: GPU) -> dict[str, dict[str, int]]:
     """Per-kernel LaunchStats rollup of one trial (small, summable
     counters only — the full snapshot would dominate the event stream).
-    ``replayed`` counts the launches taken whole from the golden run, and
-    ``simulated_cycles`` the cycles the trial clocked itself (see
-    :mod:`repro.sim.replay`)."""
+    ``replayed`` counts the launches taken whole from the golden run,
+    ``simulated_cycles`` the cycles the trial clocked itself, and
+    ``dead_at_fire`` the launches whose fault flipped only dead state and
+    ended at the fire cycle (see :mod:`repro.sim.replay`)."""
     rollup: dict[str, dict[str, int]] = {}
     for rec in gpu.launch_records:
         roll = rollup.setdefault(
             rec.name, {"launches": 0, "replayed": 0, "cycles": 0,
-                       "simulated_cycles": 0, "warp_instructions": 0,
-                       "thread_instructions": 0})
+                       "simulated_cycles": 0, "dead_at_fire": 0,
+                       "warp_instructions": 0, "thread_instructions": 0})
         roll["launches"] += 1
         roll["replayed"] += rec.replayed
         roll["cycles"] += rec.stats.cycles
         roll["simulated_cycles"] += rec.simulated_cycles
+        roll["dead_at_fire"] += rec.dead_at_fire
         roll["warp_instructions"] += rec.stats.warp_instructions
         roll["thread_instructions"] += rec.stats.thread_instructions
     return rollup

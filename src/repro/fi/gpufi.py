@@ -47,6 +47,9 @@ import numpy as np
 
 from repro.arch.structures import Structure
 from repro.errors import ExecutionError, PlanningError
+from repro.sim.cache import Cache
+from repro.sim.register_file import WarpRegisters
+from repro.sim.replay import bank_live_mask
 from repro.utils.rng import derive_rng
 
 #: The fault models the microarchitecture injector understands.
@@ -75,15 +78,16 @@ class ECCUncorrectableError(ExecutionError):
 
 class _BufferBit:
     """One bit of a uint8-viewable storage array (RF bank, SMEM window,
-    cache data array). Bit numbering matches
-    :func:`repro.utils.bitops.flip_bit_in_bytes`."""
+    cache data array) held by ``owner`` (the bank, window or cache). Bit
+    numbering matches :func:`repro.utils.bitops.flip_bit_in_bytes`."""
 
-    __slots__ = ("flat", "byte", "mask")
+    __slots__ = ("flat", "byte", "mask", "owner")
 
-    def __init__(self, buf: np.ndarray, bit: int):
+    def __init__(self, buf: np.ndarray, bit: int, owner):
         self.flat = buf.reshape(-1)
         self.byte, sub = divmod(bit, 8)
         self.mask = np.uint8(1 << sub)
+        self.owner = owner
 
     def flip(self) -> None:
         self.flat[self.byte] ^= self.mask
@@ -201,6 +205,24 @@ class _FlagBit:
             setattr(self.obj, self.attr, bool(value))
 
 
+def _dead_bit(gpu, bit) -> bool:
+    """Whether flipping ``bit`` now leaves every later read unchanged: it
+    is a bit of an invalid cache line (a fill writes the whole line before
+    it sets ``valid``), or of a register cell of a done lane or not
+    live-in at its lane's next pc (:func:`repro.sim.replay.bank_live_mask`)."""
+    if not isinstance(bit, _BufferBit):
+        return False
+    owner = bit.owner
+    if isinstance(owner, Cache):
+        return not owner.valid[bit.byte // owner.geo.line_bytes]
+    if isinstance(owner, WarpRegisters):
+        warp = next(w for sm in gpu.sms for w in sm.warps if w.bank is owner)
+        live = bank_live_mask(gpu.kernel.program, warp.diverged, warp.upc,
+                              warp.pc, ~warp.done)
+        return not live.reshape(-1)[bit.byte // 4]
+    return False
+
+
 def _control_sites(gpu) -> list[tuple[str, int, object]]:
     """Enumerate the live control-state sites as (name, bits, factory).
 
@@ -267,6 +289,10 @@ class MicroarchFaultPlan:
     fired: bool = field(default=False)
     hit_live_target: bool = field(default=True)
     description: str = field(default="")
+    #: The bit targets :meth:`fire` wrote (empty when it wrote none);
+    #: None before it fires.
+    _fire_bits: list | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def corrected_by_ecc(self) -> bool:
@@ -309,6 +335,15 @@ class MicroarchFaultPlan:
     def resume(self, checkpoint) -> None:
         """Nothing to take up: the plan keys on the clock alone."""
 
+    def dead_on_arrival(self, gpu) -> bool:
+        """Whether every bit :meth:`fire` wrote is dead (:func:`_dead_bit`),
+        or it wrote none. Asked right after the fire, while the plan is the
+        launch's only actor: until then the trial equals the golden run,
+        so it still does on every cell a later read sees. This says nothing
+        about later writes: only a transient plan writes no more."""
+        bits = self._fire_bits
+        return bits is not None and all(_dead_bit(gpu, bit) for bit in bits)
+
     # ------------------------------------------------------------ selection
     def _select_storage(self, gpu, rng) -> tuple[list, str]:
         structure = self.structure
@@ -321,7 +356,7 @@ class MicroarchFaultPlan:
             bit = int(rng.integers(total))
             for bank, size in zip(banks, sizes):
                 if bit < size:
-                    targets = [_BufferBit(bank.regs.view(np.uint8), b)
+                    targets = [_BufferBit(bank.regs.view(np.uint8), b, bank)
                                for b in self._bits(bit, size)]
                     return targets, f"RF bank bit {bit} x{self.num_bits}"
                 bit -= size
@@ -334,7 +369,7 @@ class MicroarchFaultPlan:
             bit = int(rng.integers(total))
             for window, size in zip(windows, sizes):
                 if bit < size:
-                    targets = [_BufferBit(window.data, b)
+                    targets = [_BufferBit(window.data, b, window)
                                for b in self._bits(bit, size)]
                     return targets, f"SMEM window bit {bit} x{self.num_bits}"
                 bit -= size
@@ -344,7 +379,7 @@ class MicroarchFaultPlan:
             bit = int(rng.integers(total))
             for cache in caches:
                 if bit < cache.total_bits:
-                    targets = [_BufferBit(cache.data, b)
+                    targets = [_BufferBit(cache.data, b, cache)
                                for b in self._bits(bit, cache.total_bits)]
                     return targets, f"{cache.name} bit {bit} x{self.num_bits}"
                 bit -= cache.total_bits
@@ -377,6 +412,7 @@ class MicroarchFaultPlan:
         """Corrupt the planned bit(s); called by the GPU clock at ``cycle``."""
         self.fired = True
         if self.corrected_by_ecc:
+            self._fire_bits = []
             self.description = "ECC corrected single-bit fault"
             return
         if self.ecc_protected and self.num_bits > 1:
@@ -385,6 +421,7 @@ class MicroarchFaultPlan:
                 f"{self.structure.value if self.structure else self.target}"
             )
         targets, label = self._select(gpu)
+        self._fire_bits = targets
         if not targets:
             self.hit_live_target = False
             return

@@ -95,11 +95,15 @@ class LaunchRecord:
     #: when it was replayed whole (see :mod:`repro.sim.replay`); ``stats``
     #: are the golden launch's when it finished from the golden run.
     simulated_cycles: int = 0
+    #: Observation only: the launch's fault flipped only dead state, so it
+    #: finished from the golden run at the fire cycle (see
+    #: :mod:`repro.sim.replay`).
+    dead_at_fire: bool = False
 
     @property
     def replayed(self) -> bool:
-        """Restored from the golden run without clocking a cycle."""
-        return self.simulated_cycles == 0
+        """Restored from the golden run without simulating."""
+        return self.simulated_cycles == 0 and not self.dead_at_fire
 
     @property
     def name(self) -> str:
@@ -324,6 +328,7 @@ class GPU:
         if converged:
             record = self._finish_from_golden(
                 golden, entry_uids, cursor.end - cursor.start)
+            record.dead_at_fire = cursor.dead_at_fire
             self.stats = record.stats
             return record
         start = checkpoint.now if checkpoint is not None else 0
@@ -420,8 +425,10 @@ class GPU:
         for every SM after the plan fires or a persistent plan re-pins.
 
         ``cursor`` is visited at the loop tops its golden checkpoints are
-        due at; returns True when it found the trial equal to one (the
-        rest of the launch is the golden run's), else False.
+        due at, and asked right after the plan fires whether the fault
+        landed only in dead state; returns True when the trial equals
+        golden at either (the rest of the launch is the golden run's),
+        else False.
         """
         now = self.now
         sms = self.sms
@@ -446,6 +453,9 @@ class GPU:
                 if not plan.fired:
                     if now >= plan.cycle:
                         plan.fire(self)
+                        if cursor is not None and cursor.converged_at_fire(
+                                self, plan, now):
+                            return True
                         ready = [sm.next_event() for sm in sms]
                 elif plan.persistent:
                     # Stuck-at / intermittent models: the defect re-asserts

@@ -51,11 +51,21 @@ golden mask is the trial's. Predicates, PCs, the done mask, shared memory,
 caches and DRAM are compared exactly, and a restored checkpoint writes
 every register.
 
-Both end in one path, "finish from golden" (``GPU._finish_from_golden``):
+*Fire-time convergence* takes the same decision at the fire itself: when
+a transient microarchitecture plan, the launch's only actor, writes only
+dead state (RF cells :func:`bank_live_mask` calls dead, bits of invalid
+cache lines, or nothing at all; see ``MicroarchFaultPlan.dead_on_arrival``),
+the trial, golden until the fire, equals golden on every cell a comparison
+reads, so the rest of the launch is golden
+(:meth:`CheckpointCursor.converged_at_fire`). Every cache fill writes the
+whole line before it sets ``valid``, so an invalid line is never read.
+
+All three end in one path, "finish from golden" (``GPU._finish_from_golden``):
 restore the golden exit boundary, set the uid counters to their entry
 values plus the golden deltas, and append a copy of the golden record
 whose ``simulated_cycles`` says how many cycles this run clocked (0 for a
-replayed launch). The result is exact by construction: the simulated
+replayed launch) and whose ``dead_at_fire`` says whether the fire ended
+it. The result is exact by construction: the simulated
 launch would have reached the same state with the same counters.
 
 Checkpoints are captured lazily, by injected trials themselves while their
@@ -241,6 +251,20 @@ def _live_table(program: Program) -> np.ndarray:
     return entry[1]
 
 
+def bank_live_mask(program: Program, diverged: bool, upc: int,
+                   lane_pcs: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """``mask[r, lane]`` of one warp's register bank: whether register
+    ``r`` is live-in at the lane's next pc in ``program``
+    (:func:`_live_table`). A uniform warp's lanes sit at its ``upc``, a
+    diverged warp's at their ``lane_pcs``; lanes not ``alive`` are all
+    dead, and a pc outside the program keeps every register live."""
+    table = _live_table(program)
+    off_program = len(program)
+    pcs = lane_pcs if diverged else np.full(len(alive), upc)
+    pcs = np.where((pcs >= 0) & (pcs < off_program), pcs, off_program)
+    return (table[pcs] & alive[:, None]).T
+
+
 def _shared(gpu, base) -> bytes:
     return b"".join([window.data.tobytes() for sm in gpu.sms
                      for window in sm.smem._windows.values()])
@@ -329,8 +353,7 @@ class Checkpoint:
         if self._live is None:
             warp_size = gpu.config.warp_size
             program = gpu.kernel.program
-            table = _live_table(program)
-            off_program = len(program)
+            num_regs = max(program.num_regs, 1)
             _, control, lanes, registers = self.parts[:4]
             rows = np.frombuffer(lanes, np.uint8).reshape(
                 -1, (NUM_PREDS + 4 + 1) * warp_size)
@@ -341,16 +364,12 @@ class Checkpoint:
             warp = 0
             for warp_rows, _, bank_order, _ in control:
                 sm_banks = np.zeros(
-                    (len(bank_order), table.shape[1], warp_size), bool)
+                    (len(bank_order), num_regs, warp_size), bool)
                 bank_at = {rel: i for i, rel in enumerate(bank_order)}
                 for row in warp_rows:
                     bank_rel, diverged, upc = row[3], row[6], row[7]
-                    pcs = lane_pcs[warp] if diverged else np.full(
-                        warp_size, upc)
-                    pcs = np.where((pcs >= 0) & (pcs < off_program), pcs,
-                                   off_program)
-                    sm_banks[bank_at[bank_rel]] = (
-                        table[pcs] & alive[warp][:, None]).T
+                    sm_banks[bank_at[bank_rel]] = bank_live_mask(
+                        program, diverged, upc, lane_pcs[warp], alive[warp])
                     warp += 1
                 banks.append(sm_banks)
             cells = np.flatnonzero(np.concatenate(banks))
@@ -483,6 +502,7 @@ class CheckpointCursor:
         self.start = 0  # the cycle simulation started from
         self.end = 0  # the cycle the trial converged at
         self.first = 0  # the component that differed at the last compare
+        self.dead_at_fire = False  # converged at the fire cycle
         self._last: Checkpoint | None = None
         self.next_cycle = self._due()
 
@@ -539,6 +559,18 @@ class CheckpointCursor:
             self.k += 1
         self.next_cycle = self._due()
         return False
+
+    def converged_at_fire(self, gpu, plan, now: int) -> bool:
+        """Whether ``plan``, a transient fault that is the launch's only
+        actor and has just fired at loop top ``now``, flipped only dead
+        state (``plan.dead_on_arrival``). The trial equaled golden up to
+        the fire, so it equals it on every cell a comparison reads: the
+        rest of the launch is golden."""
+        if (len(self.actors) > 1 or plan.persistent
+                or not plan.dead_on_arrival(gpu)):
+            return False
+        self.end, self.dead_at_fire = now, True
+        return True
 
     def _capture(self, gpu, now: int) -> Checkpoint:
         last = self._last

@@ -357,6 +357,9 @@ def render_summary(s: CampaignSummary) -> str:
             share = simulated / cycles if cycles else 0.0
             lines.append(f"  cycles simulated   {simulated} of {cycles} "
                          f"({share:.1%})")
+        if any("dead_at_fire" in r for r in s.kernels.values()):
+            dead = sum(r.get("dead_at_fire", 0) for r in s.kernels.values())
+            lines.append(f"  faults dead at fire {dead} of {s.trials} trials")
         lines.append("  per-kernel rollup (summed over injected trials):")
         for kernel in sorted(s.kernels):
             roll = s.kernels[kernel]

@@ -1,0 +1,272 @@
+"""Fire-time convergence (:mod:`repro.sim.replay`): a transient fault whose
+every flipped bit is dead (a register cell not live-in at its lane's next
+pc, a done lane, an invalid cache line) ends its launch from the golden
+run at the fire cycle. Every trial must equal full simulation, and every
+cell called dead must really be dead."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from repro.arch.structures import Structure
+from repro.errors import ExecutionError
+from repro.fi.campaign import _gpu_factory, _kernel_rollup
+from repro.fi.gpufi import (
+    MicroarchFaultPlan,
+    MicroarchInjector,
+    _BufferBit,
+    plan_microarch_fault,
+)
+from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
+from repro.kernels import get_application
+from repro.kernels.base import DeviceHarness
+from repro.sim.cache import Cache
+from repro.sim.register_file import WarpRegisters
+from repro.staticanalysis.dataflow import is_pred_var, liveness
+from tests.sim.test_checkpoint import assert_same, draw, fresh_profile, full, populate, run
+from tests.sim.test_replay import golden_profile
+
+#: app -> its target kernel.
+APPS = {"gemm": "gemm_tile", "hotspot": "hotspot_k1", "sradv1": "sradv1_k1",
+        "bfs": "bfs_k1", "nw": "nw_k1"}
+
+#: structure label -> (structure, upset width).
+STRUCTURES = {"rf": (Structure.RF, 1), "rf-2bit": (Structure.RF, 2),
+              "l1d": (Structure.L1D, 1), "l1t": (Structure.L1T, 1),
+              "l2": (Structure.L2, 1)}
+
+SEEDS = range(12)
+
+#: A cycle no launch reaches: a plan drawn there never fires.
+NEVER = 1 << 40
+
+
+def _as(cls, plan):
+    """``plan`` as an instance of the subclass ``cls``."""
+    return cls(**{f.name: getattr(plan, f.name) for f in fields(plan)
+                  if f.init})
+
+
+def _warp_of(gpu, bank):
+    return next(w for sm in gpu.sms for w in sm.warps if w.bank is bank)
+
+
+class Watched(MicroarchFaultPlan):
+    """The drawn plan; at fire time it notes why each register cell it
+    flipped could be dead: ``"done lane"`` when the lane is done though
+    the register is live-in at the lane's pc, ``"dead register"`` when the
+    lane is alive."""
+
+    def fire(self, gpu):
+        super().fire(gpu)
+        self.reasons = set()
+        for bit in self._fire_bits:
+            if isinstance(bit.owner, WarpRegisters):
+                warp = _warp_of(gpu, bit.owner)
+                reg, lane = divmod(bit.byte // 4, gpu.config.warp_size)
+                pc = int(warp.pc[lane]) if warp.diverged else warp.upc
+                live_in = liveness(gpu.kernel.program).live_in
+                if not warp.done[lane]:
+                    self.reasons.add("dead register")
+                elif 0 <= pc < len(live_in) and reg in live_in[pc]:
+                    self.reasons.add("done lane")
+
+
+class Inverted(MicroarchFaultPlan):
+    """The drawn plan, but inverting every bit of each register cell or
+    cache line its fault hits instead of one: a dead cell stays dead."""
+
+    def fire(self, gpu):
+        super().fire(gpu)
+        cells = {}
+        for bit in self._fire_bits:
+            bit.flip()  # undone, so each cell is inverted exactly once
+            owner = bit.owner
+            if isinstance(owner, Cache):
+                cells[id(owner), bit.byte // owner.geo.line_bytes] = (
+                    owner.data, bit.byte // owner.geo.line_bytes)
+            else:
+                cells[id(owner), bit.byte // 4] = (
+                    owner.regs.reshape(-1), bit.byte // 4)
+        for array, at in cells.values():
+            array[at] = ~array[at]
+
+
+def assert_golden(got: dict, golden: dict) -> None:
+    assert_same({**got, "description": ""}, golden)
+
+
+@pytest.mark.parametrize("label", sorted(STRUCTURES))
+def test_dead_at_fire_equals_full_simulation(label, gv100):
+    """Every trial, dead at fire or not, equals the checkpoints-off run in
+    outcome, cycles, outputs, per-launch stats and description. Each cell
+    called dead stays harmless when its whole register or line is
+    inverted and simulated in full. The structure takes the new path at
+    least twice, also fires faults that are not dead, and (RF) calls
+    dead both done lanes of live registers and dead registers of alive
+    lanes."""
+    structure, num_bits = STRUCTURES[label]
+    dead = live = 0
+    reasons = set()
+    for app_name, kernel in APPS.items():
+        app = get_application(app_name)
+        profile = golden_profile(app_name, gv100)
+        launches = profile.kernel_launches(kernel)
+        golden = run(app, full(profile),
+                     MicroarchFaultPlan(0, NEVER, structure, 0))
+        for seed in SEEDS:
+            make = lambda: plan_microarch_fault(launches, structure, seed,
+                                                num_bits=num_bits)
+            plan = _as(Watched, make())
+            on = run(app, profile, plan)
+            assert_same(on, run(app, full(profile), make()))
+            hits = on["dead_at_fire"]
+            assert sum(hits) <= 1
+            if any(hits):
+                dead += 1
+                # The dead launch is the planned one, cut at the fire.
+                at = plan.launch_index
+                assert hits[at] and plan.fired
+                assert on["simulated"][at] < on["stats"][at]["cycles"]
+                assert_golden(run(app, full(profile),
+                                  _as(Inverted, make())), golden)
+                reasons |= plan.reasons
+            elif plan.fired:
+                live += 1
+    assert dead >= 2 and live >= 1, (dead, live)
+    if structure is Structure.RF:
+        assert reasons == {"done lane", "dead register"}
+
+
+class JustWritten(MicroarchFaultPlan):
+    """Flips, as an RF fault, a register that the instruction a uniform
+    warp issued at this loop top wrote and that is live-in at the warp's
+    next pc, in an alive lane: at the first loop top from ``cycle`` on
+    that has one. ``before`` holds each uniform warp's pc after the
+    previous loop top's issue phase, which is its pc before this one's."""
+
+    def __init__(self, cycle):
+        super().__init__(0, cycle, Structure.RF, seed=0)
+        self.before = {}
+
+    def fire(self, gpu):
+        result = liveness(gpu.kernel.program)
+        for warp in (w for sm in gpu.sms for w in sm.warps):
+            pc = warp.upc
+            if (warp.diverged or warp.finished
+                    or self.before.get(warp.uid) != pc - 1):
+                continue
+            written = sorted(v for v in result.live_in[pc]
+                             - result.live_in[pc - 1] if not is_pred_var(v))
+            if written:
+                lane = int(np.flatnonzero(warp.alive)[0])
+                cell = written[0] * gpu.config.warp_size + lane
+                self.fired = True
+                self._fire_bits = [_BufferBit(warp.bank.regs.view(np.uint8),
+                                              32 * cell, warp.bank)]
+                self._fire_bits[0].flip()
+                self.description = f"R{written[0]} lane {lane}"
+                return
+        self.before = {w.uid: w.upc for sm in gpu.sms for w in sm.warps
+                       if not w.diverged}
+        self.cycle = gpu.now + 1
+
+
+@pytest.mark.parametrize("app_name", ["gemm", "hotspot"])
+def test_register_written_at_the_fire_cycle_is_live(app_name, gv100):
+    """The fault fires after the loop top's issue phase: a register the
+    issued instruction just wrote, read next, is live, never dead."""
+    app = get_application(app_name)
+    profile = golden_profile(app_name, gv100)
+    cycles = profile.launches[0]["cycles"]
+    hits = 0
+    for cycle in range(cycles // 8, cycles, cycles // 8):
+        on = run(app, profile, JustWritten(cycle))
+        assert_same(on, run(app, full(profile), JustWritten(cycle)))
+        if on["description"]:
+            hits += 1
+            assert not any(on["dead_at_fire"])
+    assert hits >= 4
+
+
+def test_dead_at_the_resume_cycle_is_not_a_replay(gv100):
+    """A dead fault fired at the cycle its launch fast-forwarded to clocks
+    no cycle, yet its launch was simulated: the record says dead at fire,
+    not replayed, and the trial rollup counts it."""
+    app = get_application("gemm")
+    profile = fresh_profile(app, gv100)
+    checkpoint = populate(app, profile)[5]
+    gpu = _gpu_factory(profile, gv100)()
+    # gemm reads no texture, so every L1T line is invalid.
+    make = lambda: MicroarchFaultPlan(0, checkpoint.now, Structure.L1T, 3)
+    on = run(app, profile, make(), gpu=gpu)
+    assert_same(on, run(app, full(profile), make()))
+    assert on["simulated"] == [0] and on["dead_at_fire"] == [True]
+    (record,) = gpu.launch_records
+    assert not record.replayed
+    rollup = _kernel_rollup(gpu)["gemm_tile"]
+    assert rollup["dead_at_fire"] == 1 and rollup["replayed"] == 0
+
+
+#: label -> (app, kernel, level, plan keywords): faults that must keep
+#: today's path however dead the bits they hit.
+OTHER_FAULTS = {
+    "smem": ("gemm", "gemm_tile", Structure.SMEM, {}),
+    "control": ("gemm", "gemm_tile", None, {"target": "control"}),
+    "rf-stuck0": ("gemm", "gemm_tile", Structure.RF, {"fault_model": "stuck0"}),
+    "l1t-stuck1": ("gemm", "gemm_tile", Structure.L1T,
+                   {"fault_model": "stuck1"}),
+    "l2-intermittent": ("sradv1", "sradv1_k1", Structure.L2,
+                        {"fault_model": "intermittent"}),
+    "sw": ("bfs", "bfs_k1", "sw", {}),
+    "sw-ld": ("nw", "nw_k1", "sw-ld", {}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(OTHER_FAULTS))
+def test_other_faults_never_end_at_fire(label, gv100, v100):
+    app_name, kernel, level, kw = OTHER_FAULTS[label]
+    config = v100 if isinstance(level, str) else gv100
+    app = get_application(app_name)
+    profile = golden_profile(app_name, config)
+    launches = profile.kernel_launches(kernel)
+    for seed in range(6):
+        on = run(app, profile, draw(level, launches, seed, **kw))
+        assert not any(on["dead_at_fire"]), seed
+        assert_same(on, run(app, full(profile),
+                            draw(level, launches, seed, **kw)))
+
+
+def test_a_second_actor_keeps_the_launch_simulated(gv100):
+    """A dead microarchitecture fault sharing its launch with a software
+    injector does not end the launch: the other actor may act later."""
+    app = get_application("gemm")
+    profile = golden_profile("gemm", gv100)
+    launches = profile.kernel_launches("gemm_tile")
+
+    def both(prof, seed):
+        gpu = _gpu_factory(profile, gv100)()
+        gpu.replay = prof.replay
+        # Early in the launch: gemm reads no texture, so the L1T bit is
+        # dead, and the software fault has not fired yet.
+        gpu.uarch_injector = MicroarchInjector(
+            MicroarchFaultPlan(0, 50, Structure.L1T, seed))
+        gpu.sw_injector = SoftwareInjector(plan_software_fault(launches, seed))
+        try:
+            outputs = app.run(gpu, DeviceHarness())
+            result = {k: v.tobytes() for k, v in outputs.items()}
+        except ExecutionError as exc:
+            result = type(exc).__name__
+        assert not any(r.dead_at_fire for r in gpu.launch_records)
+        return result
+
+    golden = {k: v.tobytes() for k, v in profile.golden.items()}
+    acted = 0
+    for seed in range(8):
+        on = both(profile, seed)
+        assert on == both(full(profile), seed)
+        acted += on != golden
+    assert acted  # some software fault did act after the dead one

@@ -133,9 +133,13 @@ def test_reused_gpu_keeps_replaying_despite_lru_clock_offset(gv100):
     app = get_application("sradv1")
     profile = golden_profile("sradv1", gv100)
     plan = lambda: plan_microarch_fault(profile.kernel_launches("sradv1_k1"),
-                                        Structure.L2, 4)
+                                        Structure.L2, 30)
     gpu = _gpu_factory(profile, gv100)()
-    first = run_trial(app, profile, gpu=gpu, uarch=plan())
+    fault = plan()
+    first = run_trial(app, profile, gpu=gpu, uarch=fault)
+    # The premise: the fault flips a valid L2 line, so the launch is not
+    # dead at fire and keeps accessing the L2 after it.
+    assert fault.fired and not gpu.launch_records[0].dead_at_fire
     clock = gpu.l2._lru_clock
     second = run_trial(app, profile, gpu=gpu, uarch=plan())
     assert gpu.l2._lru_clock != clock

@@ -162,6 +162,16 @@ def test_render_summary_reports_simulated_cycles():
             e["kernels"]["va_k1"]["simulated_cycles"] = 20
     text = render_summary(summarize_events(events))
     assert "cycles simulated   80 of 200 (40.0%)" in text
+    assert "faults dead at fire" not in text
+
+
+def test_render_summary_reports_faults_dead_at_fire():
+    events = _stream()
+    kernels = [e for e in events if e["kind"] == "kernels"]
+    for e, dead in zip(kernels, (1, 0, 1, 0)):
+        e["kernels"]["va_k1"]["dead_at_fire"] = dead
+    text = render_summary(summarize_events(events))
+    assert "faults dead at fire 2 of 4 trials" in text
 
 
 def test_severity_counters_from_commit_events():

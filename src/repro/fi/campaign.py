@@ -111,7 +111,7 @@ from repro.identity import (
 )
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
-from repro.sim.gpu import GPU
+from repro.sim.gpu import GPU, TrialConverged
 from repro.sim.replay import ReplayTrack
 from repro.telemetry.events import (
     NULL,
@@ -733,23 +733,44 @@ def _budget_fn(profile: AppProfile, config: GPUConfig):
     return fn
 
 
-def _classify(app, gpu, harness, golden
+def _classify(app, gpu, harness, profile: AppProfile
               ) -> "tuple[FaultOutcome, int, dict | None]":
     """Run once under injection; returns (outcome, total cycles executed,
     outputs). Outputs are only produced by runs that complete (None for
     Timeout/DUE) — the SDC-anatomy path diffs them against the golden
-    run."""
+    run. With telemetry on, emits the trial's per-kernel rollup."""
     try:
         outputs = app.run(gpu, harness)
         harness.finalize(gpu)
+    except TrialConverged as end:
+        return _converged(profile, gpu.launch_records, end.rest)
     except SimTimeout:
-        return FaultOutcome.TIMEOUT, _total_cycles(gpu), None
+        outcome, outputs = FaultOutcome.TIMEOUT, None
     except ExecutionError:
-        return FaultOutcome.DUE, _total_cycles(gpu), None
-    cycles = _total_cycles(gpu)
-    if outputs_equal(outputs, golden):
-        return FaultOutcome.MASKED, cycles, outputs
-    return FaultOutcome.SDC, cycles, outputs
+        outcome, outputs = FaultOutcome.DUE, None
+    else:
+        outcome = (FaultOutcome.MASKED if outputs_equal(outputs, profile.golden)
+                   else FaultOutcome.SDC)
+    tel = current_telemetry()
+    if tel.enabled:
+        tel.emit("kernels", kernels=_kernel_rollup(gpu.launch_records))
+    return outcome, _total_cycles(gpu), outputs
+
+
+def _converged(profile: AppProfile, records=(), rest=()
+               ) -> "tuple[FaultOutcome, int, dict]":
+    """The result of a trial that ended at convergence: its fault died
+    (or ECC corrected it) while every launch so far was a golden copy,
+    so the rest of the run is the golden run's (see
+    :mod:`repro.sim.gpu`). Its cycles are the golden run's, which keeps
+    it out of the control-path tally. ``records`` are the launches it
+    ran, ``rest`` the golden launches it did not; telemetry counts those
+    as replayed."""
+    tel = current_telemetry()
+    if tel.enabled:
+        tel.emit("kernels", kernels=_kernel_rollup(records, rest),
+                 converged=True)
+    return FaultOutcome.MASKED, profile.total_cycles, profile.golden
 
 
 def _total_cycles(gpu: GPU) -> int:
@@ -784,26 +805,34 @@ def _gpu_factory(profile: AppProfile, config: GPUConfig):
     return factory
 
 
-def _kernel_rollup(gpu: GPU) -> dict[str, dict[str, int]]:
-    """Per-kernel LaunchStats rollup of one trial (small, summable
-    counters only — the full snapshot would dominate the event stream).
-    ``replayed`` counts the launches taken whole from the golden run,
-    ``simulated_cycles`` the cycles the trial clocked itself, and
-    ``dead_at_fire`` the launches whose fault flipped only dead state and
-    ended at the fire cycle (see :mod:`repro.sim.replay`)."""
+def _kernel_rollup(records, rest=()) -> dict[str, dict[str, int]]:
+    """Per-kernel LaunchStats rollup of one trial's launch ``records``
+    (small, summable counters only — the full snapshot would dominate the
+    event stream). ``replayed`` counts the launches taken whole from the
+    golden run, ``simulated_cycles`` the cycles the trial clocked itself,
+    and ``dead_at_fire`` the launches whose fault flipped only dead state
+    and ended at the fire cycle (see :mod:`repro.sim.replay`). The golden
+    launches ``rest`` of a trial that ended at convergence count as
+    replayed."""
     rollup: dict[str, dict[str, int]] = {}
-    for rec in gpu.launch_records:
+
+    def add(rec, replayed, simulated_cycles, dead_at_fire):
         roll = rollup.setdefault(
             rec.name, {"launches": 0, "replayed": 0, "cycles": 0,
                        "simulated_cycles": 0, "dead_at_fire": 0,
                        "warp_instructions": 0, "thread_instructions": 0})
         roll["launches"] += 1
-        roll["replayed"] += rec.replayed
+        roll["replayed"] += replayed
         roll["cycles"] += rec.stats.cycles
-        roll["simulated_cycles"] += rec.simulated_cycles
-        roll["dead_at_fire"] += rec.dead_at_fire
+        roll["simulated_cycles"] += simulated_cycles
+        roll["dead_at_fire"] += dead_at_fire
         roll["warp_instructions"] += rec.stats.warp_instructions
         roll["thread_instructions"] += rec.stats.thread_instructions
+
+    for rec in records:
+        add(rec, rec.replayed, rec.simulated_cycles, rec.dead_at_fire)
+    for golden in rest:
+        add(golden.record, True, 0, False)
     return rollup
 
 
@@ -817,8 +846,8 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
     the GPU hook the plan's injector arms (``uarch_injector`` or
     ``sw_injector``). Telemetry (when the runner installed an emitter for
     this process) gets ``inject.plan`` / ``classify`` phase spans and a
-    per-trial per-kernel LaunchStats rollup; the disabled path adds
-    nothing but one attribute check.
+    per-trial per-kernel LaunchStats rollup; the disabled path enters two
+    no-op spans.
 
     With ``sdc_anatomy`` on, SDC trials return a third element — the
     anatomy record of :func:`repro.sdc.analyze_sdc`, tagged with
@@ -831,28 +860,21 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
 
     def trial_fn(gpu: GPU, trial_seed: int):
         tel = current_telemetry()
-        if tel.enabled:
-            with tel.span("inject.plan"):
-                plan = plan_fn(trial_seed)
-        else:
+        with tel.span("inject.plan"):
             plan = plan_fn(trial_seed)
         if getattr(plan, "corrected_by_ecc", False):
-            # Provably architecturally silent: no need to simulate. The
-            # baseline cycle count keeps it out of the control-path tally.
-            return FaultOutcome.MASKED, profile.total_cycles
+            # Provably architecturally silent: converged before the first
+            # launch, so nothing is simulated.
+            rest = profile.replay.launches if profile.replay else ()
+            return _converged(profile, rest=rest)[:2]
         gpu.reset()
         gpu.replay = profile.replay
         setattr(gpu, injector_attr, injector_cls(plan))
         harness = harness_factory() if harness_factory else DeviceHarness()
         try:
-            if tel.enabled:
-                with tel.span("classify"):
-                    outcome, cycles, outputs = _classify(
-                        app, gpu, harness, profile.golden)
-                tel.emit("kernels", kernels=_kernel_rollup(gpu))
-            else:
+            with tel.span("classify"):
                 outcome, cycles, outputs = _classify(app, gpu, harness,
-                                                     profile.golden)
+                                                     profile)
             if not sdc_anatomy:
                 return outcome, cycles
             if outcome is not FaultOutcome.SDC:

@@ -476,6 +476,11 @@ class MicroarchInjector:
     def __init__(self, plan: MicroarchFaultPlan):
         self.plan = plan
 
+    @property
+    def spent(self) -> bool:
+        """Fired, and acts no more (see :mod:`repro.sim.gpu`)."""
+        return self.plan.fired and not self.plan.persistent
+
     def arm(self, launch_index: int, kernel_name: str, gpu):
         """Called by the GPU at launch start; returns the active plan or None.
 

@@ -56,6 +56,9 @@ class SoftwareInjector:
     def fired(self) -> bool:
         return self.plan.fired
 
+    #: Fired, and acts no more (see :mod:`repro.sim.gpu`): one flip.
+    spent = fired
+
     def _candidates_at(self, checkpoint) -> int:
         return checkpoint.stat("sw_injectable_loads" if self.plan.loads_only
                                else "sw_injectable_instructions")

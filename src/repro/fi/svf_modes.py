@@ -65,6 +65,9 @@ class SourceInjector:
     def fired(self) -> bool:
         return self.plan.fired
 
+    #: Fired, and acts no more (see :mod:`repro.sim.gpu`): one flip.
+    spent = fired
+
     def can_resume(self, checkpoint) -> bool:
         """Source candidates are not among the launch's counters, so a
         golden checkpoint cannot say how many have passed: an armed

@@ -22,6 +22,15 @@ the kernel has drained). Fault-injection hooks:
   of simulated, or, when an injector is armed for it, simulated from the
   golden launch's checkpoints. ``recorder`` is the track a fault-free run
   records into.
+
+*Trial-level convergence*: once every launch of a run has ended from the
+golden run and every attached injector is spent (fired, not persistent),
+the host has seen only golden data, so it would issue the rest of the
+golden launches on golden state and end with the golden outputs. The GPU
+then raises :class:`TrialConverged` instead of returning from the launch,
+unless a remaining golden launch would overrun its per-launch budget or
+the golden total would overrun ``trial_cycle_budget`` (then the run goes
+on and times out as a simulated one would).
 """
 
 from __future__ import annotations
@@ -58,6 +67,17 @@ DEFAULT_CYCLE_CAP = 10_000_000
 #: code can derive constant banks from device data (sradv1's ``q0sqr``,
 #: lud's ``k``), so faulty trials can add keys the golden run never made.
 KERNEL_MEMO_SIZE = 32
+
+
+class TrialConverged(Exception):
+    """Control flow, not an error: the run has converged to the golden
+    run for good (see the module docstring). ``rest`` holds the golden
+    launches it did not run; the campaign classifies the trial Masked
+    with the golden run's cycles and outputs."""
+
+    def __init__(self, rest: list[GoldenLaunch]):
+        super().__init__(f"converged with {len(rest)} golden launch(es) left")
+        self.rest = rest
 
 
 @dataclass(frozen=True)
@@ -158,6 +178,8 @@ class GPU:
         # launches are replayed from, and the track a fault-free run records.
         self.replay: ReplayTrack | None = None
         self.recorder: ReplayTrack | None = None
+        # Every launch of this run so far ended from the golden run.
+        self._golden_so_far = True
 
     @property
     def global_cycle(self) -> int:
@@ -230,12 +252,7 @@ class GPU:
         launch_index = len(self.launch_records)
         launch = KernelLaunch(kernel_name, grid, block, encoded, smem_bytes)
 
-        budget = None
-        if self.cycle_budget_fn is not None:
-            budget = self.cycle_budget_fn(launch_index, kernel_name)
-        if budget is None:
-            budget = DEFAULT_CYCLE_CAP
-
+        budget = self._launch_budget(launch_index, kernel_name)
         plan = None
         if self.uarch_injector is not None:
             plan = self.uarch_injector.arm(launch_index, kernel_name, self)
@@ -256,7 +273,7 @@ class GPU:
                     golden.record.cycles, budget):
                 golden = None
         if golden is not None and not actors:
-            return self._finish_from_golden(golden, entry_uids, 0)
+            return self._finish_from_golden(golden, entry_uids)
         cursor = None
         if golden is not None and not any(a.fired for a in actors):
             cursor = CheckpointCursor(golden, actors, entry_uids)
@@ -323,14 +340,11 @@ class GPU:
             self._drain_residency()
             if not converged:
                 self.trial_cycles_done += stats.cycles
+                self._golden_so_far = False
             self.now = 0
 
         if converged:
-            record = self._finish_from_golden(
-                golden, entry_uids, cursor.end - cursor.start)
-            record.dead_at_fire = cursor.dead_at_fire
-            self.stats = record.stats
-            return record
+            return self._finish_from_golden(golden, entry_uids, cursor)
         start = checkpoint.now if checkpoint is not None else 0
         record = LaunchRecord(launch_index, launch, stats, program.name,
                               stats.cycles - start)
@@ -351,17 +365,54 @@ class GPU:
             or self.trial_cycles_done + cycles <= trial_budget)
 
     def _finish_from_golden(self, golden: GoldenLaunch, entry_uids: tuple,
-                            simulated_cycles: int) -> LaunchRecord:
+                            cursor: CheckpointCursor | None = None
+                            ) -> LaunchRecord:
         """Take the effect of a golden launch this run has not simulated
-        (``simulated_cycles`` == 0) or has converged back to: its exit
-        state, its uid counters and a copy of its record."""
+        (no ``cursor``) or has converged back to: its exit state, its uid
+        counters and a copy of its record. Raises :class:`TrialConverged`
+        when the whole rest of the run is golden."""
         golden.exit.restore(self)
         set_uid_counters(self, [a + d for a, d in
                                 zip(entry_uids, golden.uid_deltas)])
-        record = golden_record(golden, simulated_cycles)
+        if cursor is None:
+            record = golden_record(golden, 0)
+        else:
+            record = golden_record(golden, cursor.end - cursor.start)
+            record.dead_at_fire = cursor.dead_at_fire
+            self.stats = record.stats
         self.trial_cycles_done += record.cycles
         self.launch_records.append(record)
+        if self._golden_so_far and self._injectors_spent():
+            self._end_converged_trial()
         return record
+
+    def _injectors_spent(self) -> bool:
+        """Some injector is attached, and every attached one is spent:
+        it has fired and acts no more."""
+        uarch, sw = self.uarch_injector, self.sw_injector
+        return ((uarch is not None or sw is not None)
+                and (uarch is None or uarch.spent)
+                and (sw is None or sw.spent))
+
+    def _end_converged_trial(self) -> None:
+        """Raise :class:`TrialConverged` unless a remaining golden launch
+        would not fit its per-launch budget or the golden total the trial
+        watchdog: a simulated run would time out there."""
+        rest = self.replay.launches[len(self.launch_records):]
+        trial_budget = self.trial_cycle_budget
+        if trial_budget is not None and self.trial_cycles_done + sum(
+                g.record.cycles for g in rest) > trial_budget:
+            return
+        if all(g.record.cycles <= self._launch_budget(g.record.index,
+                                                      g.launch.name)
+               for g in rest):
+            raise TrialConverged(rest)
+
+    def _launch_budget(self, launch_index: int, kernel_name: str) -> int:
+        budget = None
+        if self.cycle_budget_fn is not None:
+            budget = self.cycle_budget_fn(launch_index, kernel_name)
+        return DEFAULT_CYCLE_CAP if budget is None else budget
 
     def _compiled(self, program: Program, const_bank: np.ndarray) -> CompiledKernel:
         """The kernel of ``program`` specialised to ``const_bank``, memoised.
@@ -532,9 +583,11 @@ class GPU:
             sm.l1t.invalidate_all()
             sm.l1d.reset_stats()
             sm.l1t.reset_stats()
+            sm.scheduler_cursor = 0
         self.launch_records.clear()
         self.now = 0
         self.trial_cycles_done = 0
+        self._golden_so_far = True
         self.kernel = None
         self.stats = None
         self._pending = []

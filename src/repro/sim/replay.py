@@ -1,5 +1,24 @@
 """Golden replay: skip work that would repeat the fault-free run.
 
+The shortcuts, and the fact that makes each one exact:
+
+* **whole-launch replay**: a launch is a deterministic function of its
+  inputs and its entry state, and a launch no injector is armed for with
+  the golden inputs and entry state repeats the golden launch;
+* **fast-forward** to a golden checkpoint: every armed injector says it
+  has not acted before that checkpoint (``can_resume``), so the trial
+  equals golden there;
+* **checkpoint convergence**: every injector has fired and none is
+  persistent, and the trial equals golden at a checkpoint on every cell a
+  later instruction can read;
+* **fire-time convergence**: the launch's only actor is a transient fault
+  that wrote only dead state, and the trial equalled golden until then;
+* **trial-level convergence** (``GPU._finish_from_golden``): every launch
+  so far ended from the golden run and every injector is spent, so the
+  host has seen only golden data and issues the golden launches on golden
+  state; the trial ends Masked with the golden cycles and outputs, unless
+  a golden launch left would overrun a cycle budget.
+
 A launch is a deterministic function of its inputs (the program, the
 kernel name, grid and block, the encoded parameters and the shared-memory
 size), the GPU configuration, any injector or tracer acting on it, and
@@ -66,7 +85,11 @@ values plus the golden deltas, and append a copy of the golden record
 whose ``simulated_cycles`` says how many cycles this run clocked (0 for a
 replayed launch) and whose ``dead_at_fire`` says whether the fire ended
 it. The result is exact by construction: the simulated
-launch would have reached the same state with the same counters.
+launch would have reached the same state with the same counters. When
+every launch of the run so far ended there and no injector can act
+again, the run ends there too (``repro.sim.gpu.TrialConverged``): a
+launch that ran to its end instead may have handed the host corrupted
+data, so it keeps the run going even if a later launch matches golden.
 
 Checkpoints are captured lazily, by injected trials themselves while their
 injector is still pristine (the state then equals golden by construction),
@@ -79,7 +102,7 @@ The boundary state (:class:`Boundary`) is:
 * the L2: valid/dirty bits, and the tag, data and LRU stamp (relative to
   the LRU clock) of each valid line;
 * each SM's round-robin scheduler cursor, which a control-state fault on
-  an idle SM can leave set (retiring a CTA clears it).
+  an idle SM can leave set (retiring a CTA or ``GPU.reset`` clears it).
 
 Nothing else survives: L1s, register banks, shared-memory windows, warps
 and cache fill timing are all rebuilt or reset at every launch. The warp,

@@ -181,6 +181,8 @@ class CampaignSummary:
     cache_hits: int = 0
     cache_misses: int = 0
     kernels: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: Trials that ended at convergence (the rest of the run golden).
+    trials_converged: int = 0
     #: Adaptive campaigns only: chunked scheduling rounds submitted, the
     #: planned trial budget, and how many of those trials the stop rule
     #: made unnecessary.
@@ -251,6 +253,7 @@ def summarize_events(events: list[dict]) -> CampaignSummary:
             else:
                 s.cache_misses += 1
         elif kind == "kernels":
+            s.trials_converged += bool(e.get("converged"))
             for kernel, counters in (e.get("kernels") or {}).items():
                 roll = s.kernels.setdefault(kernel, {})
                 for counter, value in counters.items():
@@ -360,6 +363,8 @@ def render_summary(s: CampaignSummary) -> str:
         if any("dead_at_fire" in r for r in s.kernels.values()):
             dead = sum(r.get("dead_at_fire", 0) for r in s.kernels.values())
             lines.append(f"  faults dead at fire {dead} of {s.trials} trials")
+        lines.append(f"  trials ended at convergence {s.trials_converged} "
+                     f"of {s.trials} trials")
         lines.append("  per-kernel rollup (summed over injected trials):")
         for kernel in sorted(s.kernels):
             roll = s.kernels[kernel]

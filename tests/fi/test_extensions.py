@@ -49,6 +49,33 @@ def test_ecc_campaign_all_masked(tmp_cache, gv100):
     assert result.counts.masked == 10
 
 
+@pytest.mark.parametrize("ecc", [True, False])
+def test_trials_ended_at_convergence_roll_up_every_launch(ecc, tmp_path,
+                                                          gv100):
+    """A trial that ends at convergence, ECC-corrected before the first
+    launch or once its L2 fault has died, rolls up the golden launches it
+    did not run as replayed, and the report counts it."""
+    from repro.telemetry.events import TelemetrySession, read_events
+    from repro.telemetry.metrics import render_summary, summarize_events
+
+    session = TelemetrySession(tmp_path / "events.jsonl")
+    run_campaign(CampaignSpec(
+        level="uarch", app="sradv1", structure=Structure.L2, config=gv100,
+        trials=8, seed=1, use_cache=False, ecc_protected=ecc),
+        telemetry_session=session)
+    session.close()
+    summary = summarize_events(read_events(tmp_path / "events.jsonl"))
+    rolls = summary.kernels.values()
+    assert sum(r["launches"] for r in rolls) == 8 * 10
+    if ecc:
+        assert summary.trials_converged == 8
+        assert sum(r["replayed"] for r in rolls) == 8 * 10
+        assert sum(r["simulated_cycles"] for r in rolls) == 0
+    assert 0 < summary.trials_converged <= 8
+    assert (f"trials ended at convergence {summary.trials_converged} of 8 "
+            "trials") in render_summary(summary)
+
+
 def test_multibit_campaign_runs(tmp_cache, gv100):
     app = get_application("va")
     base = CampaignSpec(level="uarch", app=app, kernel="va_k1",

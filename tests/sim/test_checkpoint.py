@@ -3,24 +3,17 @@ convergence, their fallbacks, and exactness against full simulation."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import repro.sim.gpu as gpu_module
 import repro.sim.replay as replay_module
-from repro.arch.config import quadro_gv100_like, tesla_v100_like
 from repro.arch.structures import Structure
-from repro.errors import ExecutionError
 from repro.fi import CampaignSpec, run_campaign
-from repro.fi.campaign import _gpu_factory, profile_app
-from repro.fi.gpufi import MicroarchFaultPlan, MicroarchInjector, plan_microarch_fault
-from repro.fi.nvbitfi import SoftwareFaultPlan, SoftwareInjector, plan_software_fault
-from repro.fi.svf_modes import SourceInjector, plan_source_fault
+from repro.fi.campaign import _gpu_factory
+from repro.fi.gpufi import MicroarchFaultPlan, plan_microarch_fault
+from repro.fi.nvbitfi import SoftwareFaultPlan, plan_software_fault
 from repro.kernels import get_application
-from repro.kernels.base import DeviceHarness, GPUApplication
-from repro.kernels.vectoradd import _VA_K1 as VA_K1
 from repro.sim.replay import (
     CHECKPOINTS_PER_LAUNCH,
     Checkpoint,
@@ -28,7 +21,8 @@ from repro.sim.replay import (
     ReplayTrack,
 )
 from repro.staticanalysis.dataflow import is_pred_var, liveness
-from tests.sim.test_replay import golden_profile
+from tests.sim.trials import (VectorAdds, agree, assert_same, draw, fresh_profile, full,
+                              golden_profile, run)
 
 
 @pytest.fixture()
@@ -71,65 +65,6 @@ def kinds(events) -> set[str]:
     return {kind for _, kind, _ in events}
 
 
-def run(app, profile, plan, gpu=None, tracer=None) -> dict:
-    """One app run the way a campaign trial runs it, with ``plan``
-    injected by its injector; returns everything that must not depend
-    on checkpoints."""
-    if gpu is None:
-        config = next(c for c in (quadro_gv100_like(), tesla_v100_like())
-                      if c.name == profile.config_name)
-        gpu = _gpu_factory(profile, config)()
-    gpu.reset()
-    gpu.replay = profile.replay
-    gpu.tracer = tracer
-    if isinstance(plan, MicroarchFaultPlan):
-        gpu.uarch_injector = MicroarchInjector(plan)
-    elif isinstance(plan, SoftwareFaultPlan):
-        gpu.sw_injector = SoftwareInjector(plan)
-    else:
-        gpu.sw_injector = SourceInjector(plan)
-    outputs = None
-    try:
-        outputs = app.run(gpu, DeviceHarness())
-        outcome = "ok"
-    except ExecutionError as exc:
-        outcome = (type(exc).__name__, getattr(exc, "cycles", None))
-    finally:
-        gpu.uarch_injector = gpu.sw_injector = gpu.tracer = None
-    records = gpu.launch_records
-    return {"outcome": outcome, "cycles": sum(r.cycles for r in records),
-            "outputs": outputs, "description": plan.description,
-            "stats": [r.stats.snapshot() for r in records],
-            "simulated": [r.simulated_cycles for r in records],
-            "dead_at_fire": [r.dead_at_fire for r in records]}
-
-
-def assert_same(on: dict, off: dict) -> None:
-    assert on["outcome"] == off["outcome"]
-    assert on["cycles"] == off["cycles"]
-    assert on["description"] == off["description"]
-    assert on["stats"] == off["stats"]
-    assert (on["outputs"] is None) == (off["outputs"] is None)
-    if on["outputs"] is not None:
-        for name, value in off["outputs"].items():
-            # Bytes, not values: a fault can leave NaNs in an output.
-            got = on["outputs"][name]
-            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
-            assert got.tobytes() == value.tobytes(), name
-
-
-def full(profile):
-    """The same profile with checkpoints and replay off."""
-    return dataclasses.replace(profile, replay=None)
-
-
-def fresh_profile(app, config):
-    """A profile of its own, so no other test has captured checkpoints."""
-    if isinstance(app, str):
-        app = get_application(app)
-    return profile_app(app, config)
-
-
 def populate(app, profile, kernel_index=0):
     """Capture every checkpoint of launch ``kernel_index``: a plan that
     fires in the launch's last cycle keeps the injector pristine."""
@@ -170,14 +105,6 @@ CELLS = {
 #: dead at fire; a valid line stays flipped until the launch ends.)
 EXTRA_SEEDS = {"gemm-rf": (36, 49), "gemm-rf-2bit": (36, 49),
                "sradv1-l2": (294,)}
-
-
-def draw(level, launches, seed, **kw):
-    if level == "sw" or level == "sw-ld":
-        return plan_software_fault(launches, seed, level == "sw-ld")
-    if level == "src":
-        return plan_source_fault(launches, seed, sticky=False)
-    return plan_microarch_fault(launches, level, seed, **kw)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -235,9 +162,8 @@ def test_uarch_fault_drawn_at_a_checkpoint_cycle(spy, gv100):
         for cycle in (checkpoint.now - 1, checkpoint.now):
             for seed in range(4):
                 spy.clear()
-                make = lambda: MicroarchFaultPlan(0, cycle, Structure.RF, seed)
-                on = run(app, profile, make())
-                assert_same(on, run(app, full(profile), make()))
+                agree(app, profile,
+                      lambda: MicroarchFaultPlan(0, cycle, Structure.RF, seed))
                 ff = [now for _, kind, now in spy if kind == "ff"]
                 # Resumes from the checkpoint at the fault's own cycle,
                 # never from one past it.
@@ -259,13 +185,12 @@ def test_sw_candidate_equal_to_a_checkpoint_counter(loads_only, spy, v100):
     for candidate in (count - 1, count, count + 1):
         for bit in (0, 13, 31):
             spy.clear()
-            make = lambda: SoftwareFaultPlan(0, candidate, bit, loads_only)
-            on = run(app, profile, make())
-            assert_same(on, run(app, full(profile), make()))
+            on = agree(app, profile, lambda: SoftwareFaultPlan(
+                0, candidate, bit, loads_only))
             ff = [now for _, kind, now in spy if kind == "ff"]
             expected = checkpoint if candidate >= count else slots[k - 1]
             assert ff == [expected.now]
-            assert on["description"]
+            assert on["descriptions"][0]
 
 
 # ---------------------------------------------------------------------- #
@@ -290,10 +215,8 @@ def test_persistent_plan_fired_earlier_never_fast_forwards(spy, gv100,
     monkeypatch.setattr(ReplayTrack, "find", find)
     for seed in range(8):
         spy.clear()
-        make = lambda: MicroarchFaultPlan(0, 5, Structure.RF, seed,
-                                          fault_model="stuck1")
-        on = run(app, profile, make())
-        assert_same(on, run(app, full(profile), make()))
+        agree(app, profile, lambda: MicroarchFaultPlan(
+            0, 5, Structure.RF, seed, fault_model="stuck1"))
         assert all(index == 0 for index, _, _ in spy)
     assert {1, 2, 3} & set(matched)
 
@@ -307,10 +230,8 @@ def test_active_persistent_plan_never_converges(spy, gv100):
     seen = set()
     for seed in range(16):
         spy.clear()
-        make = lambda: plan_microarch_fault(profile.launches, Structure.RF,
-                                            seed, fault_model="stuck0")
-        on = run(app, profile, make())
-        assert_same(on, run(app, full(profile), make()))
+        on = agree(app, profile, lambda: plan_microarch_fault(
+            profile.launches, Structure.RF, seed, fault_model="stuck0"))
         assert on["simulated"] == [on["cycles"] - max(
             [now for _, kind, now in spy if kind == "ff"], default=0)]
         seen |= kinds(spy)
@@ -479,30 +400,6 @@ def test_stored_checkpoints_equal_a_fault_free_capture(gv100, tmp_cache):
 # ---------------------------------------------------------------------- #
 # Completeness: every component is compared and restored
 # ---------------------------------------------------------------------- #
-class WideVectorAdd(GPUApplication):
-    """``va`` over more CTAs than the device holds at once, so CTAs wait
-    in the pending queue in the middle of the launch."""
-
-    name = "va-wide"
-    kernel_names = ("va_k1",)
-    N = 3072
-
-    def make_inputs(self, rng):
-        return {"a": rng.random(self.N, dtype=np.float32),
-                "b": rng.random(self.N, dtype=np.float32)}
-
-    def run(self, gpu, harness=None):
-        h = harness or DeviceHarness()
-        a, b = h.upload(gpu, self.inputs["a"]), h.upload(gpu, self.inputs["b"])
-        c = h.alloc(gpu, 4 * self.N)
-        h.launch(gpu, VA_K1, (self.N // 64, 1), (64, 1), [a, b, c, self.N],
-                 name="va_k1", outputs=(c,))
-        return {"c": h.download(gpu, c, np.float32, self.N)}
-
-    def reference(self):
-        return {"c": self.inputs["a"] + self.inputs["b"]}
-
-
 class Perturbation(MicroarchFaultPlan):
     """A transient "fault" that changes exactly one piece of device state
     (``change(gpu)``) after the issue phase of loop top ``cycle`` of
@@ -581,7 +478,7 @@ PERTURBATIONS = {
 
 
 def _app(name):
-    return WideVectorAdd() if name == "va-wide" else get_application(name)
+    return VectorAdds(3072) if name == "va-wide" else get_application(name)
 
 
 def _checkpoint_tops(app, profile, launch):
@@ -610,9 +507,8 @@ def test_a_single_differing_component_blocks_convergence(component, spy,
     for before, checkpoint in (tops[:2] if component == "pending CTAs"
                                else tops[-2:]):
         spy.clear()
-        on = run(app, profile, Perturbation(before, change))
+        agree(app, profile, lambda: Perturbation(before, change))
         assert (0, "converged", checkpoint.now) not in spy
-        assert_same(on, run(app, full(profile), Perturbation(before, change)))
 
 
 # ---------------------------------------------------------------------- #
@@ -776,8 +672,6 @@ def test_restored_checkpoint_equals_its_capture(app_name, gv100,
     monkeypatch.setattr(Checkpoint, "restore", restore)
     distinct = list(dict.fromkeys(slots))
     for checkpoint in distinct:
-        plan = MicroarchFaultPlan(0, checkpoint.now, Structure.L1T, seed=2)
-        on = run(app, profile, plan)
-        assert_same(on, run(app, full(profile), MicroarchFaultPlan(
-            0, checkpoint.now, Structure.L1T, seed=2)))
+        agree(app, profile, lambda: MicroarchFaultPlan(
+            0, checkpoint.now, Structure.L1T, seed=2))
     assert differs == [None] * len(distinct)

@@ -12,22 +12,15 @@ import numpy as np
 import pytest
 
 from repro.arch.structures import Structure
-from repro.errors import ExecutionError
 from repro.fi.campaign import _gpu_factory, _kernel_rollup
-from repro.fi.gpufi import (
-    MicroarchFaultPlan,
-    MicroarchInjector,
-    _BufferBit,
-    plan_microarch_fault,
-)
-from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
+from repro.fi.gpufi import MicroarchFaultPlan, _BufferBit, plan_microarch_fault
+from repro.fi.nvbitfi import plan_software_fault
 from repro.kernels import get_application
-from repro.kernels.base import DeviceHarness
 from repro.sim.cache import Cache
 from repro.sim.register_file import WarpRegisters
 from repro.staticanalysis.dataflow import is_pred_var, liveness
-from tests.sim.test_checkpoint import assert_same, draw, fresh_profile, full, populate, run
-from tests.sim.test_replay import golden_profile
+from tests.sim.test_checkpoint import populate
+from tests.sim.trials import agree, assert_same, draw, fresh_profile, full, golden_profile, run
 
 #: app -> its target kernel.
 APPS = {"gemm": "gemm_tile", "hotspot": "hotspot_k1", "sradv1": "sradv1_k1",
@@ -95,10 +88,6 @@ class Inverted(MicroarchFaultPlan):
             array[at] = ~array[at]
 
 
-def assert_golden(got: dict, golden: dict) -> None:
-    assert_same({**got, "description": ""}, golden)
-
-
 @pytest.mark.parametrize("label", sorted(STRUCTURES))
 def test_dead_at_fire_equals_full_simulation(label, gv100):
     """Every trial, dead at fire or not, equals the checkpoints-off run in
@@ -131,8 +120,8 @@ def test_dead_at_fire_equals_full_simulation(label, gv100):
                 at = plan.launch_index
                 assert hits[at] and plan.fired
                 assert on["simulated"][at] < on["stats"][at]["cycles"]
-                assert_golden(run(app, full(profile),
-                                  _as(Inverted, make())), golden)
+                inverted = run(app, full(profile), _as(Inverted, make()))
+                assert_same({**inverted, "descriptions": [""]}, golden)
                 reasons |= plan.reasons
             elif plan.fired:
                 live += 1
@@ -184,9 +173,8 @@ def test_register_written_at_the_fire_cycle_is_live(app_name, gv100):
     cycles = profile.launches[0]["cycles"]
     hits = 0
     for cycle in range(cycles // 8, cycles, cycles // 8):
-        on = run(app, profile, JustWritten(cycle))
-        assert_same(on, run(app, full(profile), JustWritten(cycle)))
-        if on["description"]:
+        on = agree(app, profile, lambda: JustWritten(cycle))
+        if on["descriptions"][0]:
             hits += 1
             assert not any(on["dead_at_fire"])
     assert hits >= 4
@@ -201,13 +189,12 @@ def test_dead_at_the_resume_cycle_is_not_a_replay(gv100):
     checkpoint = populate(app, profile)[5]
     gpu = _gpu_factory(profile, gv100)()
     # gemm reads no texture, so every L1T line is invalid.
-    make = lambda: MicroarchFaultPlan(0, checkpoint.now, Structure.L1T, 3)
-    on = run(app, profile, make(), gpu=gpu)
-    assert_same(on, run(app, full(profile), make()))
+    on = agree(app, profile, lambda: MicroarchFaultPlan(
+        0, checkpoint.now, Structure.L1T, 3), gpu=gpu)
     assert on["simulated"] == [0] and on["dead_at_fire"] == [True]
     (record,) = gpu.launch_records
     assert not record.replayed
-    rollup = _kernel_rollup(gpu)["gemm_tile"]
+    rollup = _kernel_rollup(gpu.launch_records)["gemm_tile"]
     assert rollup["dead_at_fire"] == 1 and rollup["replayed"] == 0
 
 
@@ -234,39 +221,28 @@ def test_other_faults_never_end_at_fire(label, gv100, v100):
     profile = golden_profile(app_name, config)
     launches = profile.kernel_launches(kernel)
     for seed in range(6):
-        on = run(app, profile, draw(level, launches, seed, **kw))
+        on = agree(app, profile, lambda: draw(level, launches, seed, **kw))
         assert not any(on["dead_at_fire"]), seed
-        assert_same(on, run(app, full(profile),
-                            draw(level, launches, seed, **kw)))
 
 
 def test_a_second_actor_keeps_the_launch_simulated(gv100):
-    """A dead microarchitecture fault sharing its launch with a software
-    injector does not end the launch: the other actor may act later."""
-    app = get_application("gemm")
-    profile = golden_profile("gemm", gv100)
-    launches = profile.kernel_launches("gemm_tile")
-
-    def both(prof, seed):
-        gpu = _gpu_factory(profile, gv100)()
-        gpu.replay = prof.replay
-        # Early in the launch: gemm reads no texture, so the L1T bit is
-        # dead, and the software fault has not fired yet.
-        gpu.uarch_injector = MicroarchInjector(
-            MicroarchFaultPlan(0, 50, Structure.L1T, seed))
-        gpu.sw_injector = SoftwareInjector(plan_software_fault(launches, seed))
-        try:
-            outputs = app.run(gpu, DeviceHarness())
-            result = {k: v.tobytes() for k, v in outputs.items()}
-        except ExecutionError as exc:
-            result = type(exc).__name__
-        assert not any(r.dead_at_fire for r in gpu.launch_records)
-        return result
-
-    golden = {k: v.tobytes() for k, v in profile.golden.items()}
-    acted = 0
-    for seed in range(8):
-        on = both(profile, seed)
-        assert on == both(full(profile), seed)
-        acted += on != golden
-    assert acted  # some software fault did act after the dead one
+    """A dead microarchitecture fault early in launch 0 does not end the
+    launch while a software fault may still fire in it (gemm), nor the
+    trial while one is planned for a later launch (pathfinder)."""
+    for app_name, later in (("gemm", 0), ("pathfinder", 2)):
+        app = get_application(app_name)
+        profile = golden_profile(app_name, gv100)
+        launches = profile.kernel_launches(app.kernel_names[0])[later:]
+        golden = {k: v.tobytes() for k, v in profile.golden.items()}
+        acted = 0
+        for seed in range(8):
+            # Neither app reads a texture, so the L1T bit is dead.
+            make = lambda: (MicroarchFaultPlan(0, 50, Structure.L1T, seed),
+                            plan_software_fault(launches, seed))
+            on = run(app, profile, *make())
+            assert any(on["dead_at_fire"]) == bool(later)
+            assert not on["converged"] or on["converged"] > later
+            assert_same(on, run(app, full(profile), *make()))
+            acted += on["outputs"] is None or {
+                k: v.tobytes() for k, v in on["outputs"].items()} != golden
+        assert acted, app_name  # a software fault acted after the dead one

@@ -1,61 +1,21 @@
-"""Golden launch replay (:mod:`repro.sim.replay`): exactness and fallbacks."""
+"""Golden launch replay (:mod:`repro.sim.replay`) and trial-level
+convergence (:mod:`repro.sim.gpu`): exactness and fallbacks."""
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.arch.structures import Structure
-from repro.errors import ExecutionError
-from repro.fi.campaign import _gpu_factory, _kernel_rollup, profile_app
+from repro.fi.campaign import CampaignSpec, _gpu_factory, _kernel_rollup, _level_driver
 from repro.fi.gpufi import MicroarchFaultPlan, MicroarchInjector, plan_microarch_fault
-from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
+from repro.identity import campaign_identity, identity_tag
 from repro.kernels import get_application
-from repro.kernels.base import DeviceHarness
-
-_PROFILES: dict = {}
-
-
-def golden_profile(app_name, config):
-    key = (app_name, config.name)
-    if key not in _PROFILES:
-        _PROFILES[key] = profile_app(get_application(app_name), config)
-    return _PROFILES[key]
-
-
-def run_trial(app, profile, gpu=None, uarch=None, sw=None, replay=True,
-              tracer=None):
-    """One app run the way a campaign trial runs it; returns the outcome
-    (``"ok"`` or the exception type), cycles, outputs, per-launch stats
-    and replayed flags."""
-    gpu = gpu or _gpu_factory(profile, profile.replay.config)()
-    gpu.reset()
-    gpu.replay = profile.replay if replay else None
-    gpu.uarch_injector = uarch and MicroarchInjector(uarch)
-    gpu.sw_injector = sw and SoftwareInjector(sw)
-    gpu.tracer = tracer
-    outputs = None
-    try:
-        outputs = app.run(gpu, DeviceHarness())
-        outcome = "ok"
-    except ExecutionError as exc:
-        outcome = (type(exc).__name__, getattr(exc, "cycles", None))
-    records = gpu.launch_records
-    return {"outcome": outcome, "cycles": sum(r.cycles for r in records),
-            "outputs": outputs,
-            "stats": [r.stats.snapshot() for r in records],
-            "replayed": [r.replayed for r in records]}
-
-
-def same_run(a: dict, b: dict) -> bool:
-    outputs_equal = (a["outputs"] is None) == (b["outputs"] is None) and (
-        a["outputs"] is None or all(
-            np.array_equal(a["outputs"][k], b["outputs"][k])
-            for k in a["outputs"]))
-    return (outputs_equal and a["outcome"] == b["outcome"]
-            and a["cycles"] == b["cycles"] and a["stats"] == b["stats"])
+from repro.sim.gpu import GPU
+from repro.utils.rng import spawn_seeds
+from tests.sim.trials import (VectorAdds, agree, assert_same, draw, fresh_profile, full,
+                              golden_profile, run)
 
 
 @pytest.mark.parametrize("app_name,kernel,level", [
@@ -70,17 +30,11 @@ def test_replay_on_and_off_agree(app_name, kernel, level, gv100, v100):
     app = get_application(app_name)
     profile = golden_profile(app_name, config)
     launches = profile.kernel_launches(kernel)
-
-    def plan(seed):  # a fresh plan per run: plans record that they fired
-        if isinstance(level, str):
-            return {"sw": plan_software_fault(launches, seed, level == "sw-ld")}
-        return {"uarch": plan_microarch_fault(launches, level, seed)}
-
     replayed = 0
-    for seed in range(12):
-        on = run_trial(app, profile, **plan(seed))
-        off = run_trial(app, profile, replay=False, **plan(seed))
-        assert same_run(on, off), seed
+    for seed in range(12):  # a fresh plan per run: plans record that they fired
+        on = run(app, profile, draw(level, launches, seed))
+        off = run(app, full(profile), draw(level, launches, seed))
+        assert_same(on, off)
         assert not any(off["replayed"])
         replayed += sum(on["replayed"])
     assert replayed > 0
@@ -89,9 +43,10 @@ def test_replay_on_and_off_agree(app_name, kernel, level, gv100, v100):
 def test_fault_free_run_replays_every_launch(gv100):
     app = get_application("bfs")
     profile = golden_profile("bfs", gv100)
-    got = run_trial(app, profile)
+    got = run(app, profile)
     assert all(got["replayed"]) and len(got["replayed"]) == len(profile.launches)
-    assert same_run(got, run_trial(app, profile, replay=False))
+    assert got["converged"] is None  # no injector: never ends early
+    assert_same(got, run(app, full(profile)))
     assert got["stats"] == [g.record.stats.snapshot()
                             for g in profile.replay.launches]
 
@@ -99,21 +54,25 @@ def test_fault_free_run_replays_every_launch(gv100):
 def test_replayed_launches_leave_gpu_stats_alone(gv100):
     profile = golden_profile("pathfinder", gv100)
     gpu = _gpu_factory(profile, gv100)()
-    run_trial(get_application("pathfinder"), profile, gpu=gpu)
+    run(get_application("pathfinder"), profile, gpu=gpu)
     assert all(r.replayed for r in gpu.launch_records)
     assert gpu.stats is None
     assert gpu.launch_records[0].stats is not profile.replay.launches[0].record.stats
-    assert _kernel_rollup(gpu)["pathfinder_k1"]["replayed"] == 4
+    assert _kernel_rollup(gpu.launch_records)["pathfinder_k1"]["replayed"] == 4
 
 
 @pytest.mark.parametrize("limit", ["launch", "trial"])
 def test_budget_crossing_launch_is_simulated_and_times_out(limit, gv100):
+    """Also when the trial could end at convergence before it: a trial
+    watchdog below the golden total (``REPRO_HANG_FACTOR`` below 1) or a
+    launch budget a golden launch left overruns keeps it running."""
     app = get_application("sradv1")
     profile = golden_profile("sradv1", gv100)
     cycles = [l["cycles"] for l in profile.launches]
+    launches = profile.kernel_launches("sradv1_k1")
     k = 5  # the launch that crosses the budget
 
-    def trial(replay):
+    def trial(prof, *plans):
         gpu = _gpu_factory(profile, gv100)()
         if limit == "trial":
             gpu.trial_cycle_budget = sum(cycles[:k]) + cycles[k] // 2
@@ -121,12 +80,17 @@ def test_budget_crossing_launch_is_simulated_and_times_out(limit, gv100):
             budget_fn = gpu.cycle_budget_fn
             gpu.cycle_budget_fn = (lambda i, name: cycles[k] // 2 if i == k
                                    else budget_fn(i, name))
-        return run_trial(app, profile, gpu=gpu, replay=replay)
+        return run(app, prof, *plans, gpu=gpu)
 
-    on, off = trial(True), trial(False)
+    on, off = trial(profile), trial(full(profile))
     assert on["outcome"][0] == "SimTimeout"
-    assert same_run(on, off)
+    assert_same(on, off)
     assert on["replayed"] == [True] * k
+    for seed in range(8):
+        make = lambda: plan_microarch_fault(launches, Structure.L2, seed)
+        on = trial(profile, make())
+        assert on["outcome"][0] == "SimTimeout" and on["converged"] is None
+        assert_same(on, trial(full(profile), make()))
 
 
 def test_reused_gpu_keeps_replaying_despite_lru_clock_offset(gv100):
@@ -136,50 +100,77 @@ def test_reused_gpu_keeps_replaying_despite_lru_clock_offset(gv100):
                                         Structure.L2, 30)
     gpu = _gpu_factory(profile, gv100)()
     fault = plan()
-    first = run_trial(app, profile, gpu=gpu, uarch=fault)
+    first = run(app, profile, fault, gpu=gpu)
     # The premise: the fault flips a valid L2 line, so the launch is not
     # dead at fire and keeps accessing the L2 after it.
     assert fault.fired and not gpu.launch_records[0].dead_at_fire
     clock = gpu.l2._lru_clock
-    second = run_trial(app, profile, gpu=gpu, uarch=plan())
+    second = run(app, profile, plan(), gpu=gpu)
     assert gpu.l2._lru_clock != clock
     assert first["replayed"][0] is False and any(second["replayed"])
-    assert same_run(first, second) and first["replayed"] == second["replayed"]
+    assert_same(first, second)
+    assert first["replayed"] == second["replayed"]
 
 
 def test_profile_of_another_config_or_app_seed_never_replays(gv100, v100):
     profile = golden_profile("bfs", gv100)
     other_config = _gpu_factory(profile, v100)()
-    got = run_trial(get_application("bfs"), profile, gpu=other_config)
+    got = run(get_application("bfs"), profile, gpu=other_config)
     assert got["outcome"] == "ok" and not any(got["replayed"])
-    got = run_trial(get_application("bfs", seed=7), profile)
+    got = run(get_application("bfs", seed=7), profile)
     assert got["outcome"] == "ok" and not any(got["replayed"])
-    assert same_run(got, run_trial(get_application("bfs", seed=7), profile,
-                                   replay=False))
+    assert_same(got, run(get_application("bfs", seed=7), full(profile)))
 
 
-def test_scheduler_cursor_left_set_blocks_replay(gv100):
+def test_scheduler_cursor_left_set_blocks_replay(gv100, monkeypatch):
     """A control fault on an idle SM can leave its round-robin cursor set
-    across a launch boundary (``reset`` keeps it too); that launch is
-    simulated, and it differs from golden."""
+    across a launch boundary; that launch is simulated, and it differs
+    from golden. (``reset`` clears the cursors, so set it after.)"""
     app = get_application("pathfinder")
     profile = golden_profile("pathfinder", gv100)
-    runs = []
-    for replay in (True, False):
-        gpu = _gpu_factory(profile, gv100)()
+    reset = GPU.reset
+
+    def reset_leaving_a_cursor(gpu):
+        reset(gpu)
         gpu.sms[0].scheduler_cursor = 1
-        runs.append(run_trial(app, profile, gpu=gpu, replay=replay))
-    assert runs[0]["replayed"][0] is False
-    assert runs[0]["stats"][0] != profile.replay.launches[0].record.stats.snapshot()
-    assert same_run(*runs)
+
+    monkeypatch.setattr(GPU, "reset", reset_leaving_a_cursor)
+    on, off = run(app, profile), run(app, full(profile))
+    assert on["replayed"][0] is False
+    assert on["stats"][0] != profile.replay.launches[0].record.stats.snapshot()
+    assert_same(on, off)
+
+
+def test_trials_on_a_reused_gpu_equal_trials_on_fresh_ones(gv100):
+    """Each trial of a control campaign, many of which leave a scheduler
+    cursor set or stop at a DUE mid-run, runs on a GPU reused from the
+    trial before exactly as on a fresh GPU: reset returns it to boot state.
+    Only the descriptions differ, as they name warps by uid."""
+    app = get_application("pathfinder")
+    profile = golden_profile("pathfinder", gv100)
+    kernel = app.kernel_names[0]
+    spec = CampaignSpec(level="uarch", app=app, target="control", seed=5)
+    plan = _level_driver(spec, "pathfinder").plan
+    launches = profile.kernel_launches(kernel)
+    tag = identity_tag(campaign_identity("uarch", "pathfinder", kernel,
+                                         gv100.name, target="control"))
+    reused = _gpu_factory(profile, gv100)()
+    stopped = 0
+    for seed in spawn_seeds(5, tag, 16):  # the campaign's first 16 trials
+        run(app, profile, plan(launches, seed))  # captures checkpoints
+        got = run(app, profile, plan(launches, seed), gpu=reused)
+        fresh = run(app, profile, plan(launches, seed))
+        assert_same({**got, "descriptions": fresh["descriptions"]}, fresh,
+                    simulated=True)
+        stopped += got["outcome"] != "ok"
+    assert stopped
 
 
 def test_tracer_disables_replay(gv100):
     from repro.analysis.reuse import TraceRecorder
 
-    got = run_trial(get_application("pathfinder"),
-                    golden_profile("pathfinder", gv100),
-                    tracer=TraceRecorder())
+    got = run(get_application("pathfinder"),
+              golden_profile("pathfinder", gv100), tracer=TraceRecorder())
     assert got["outcome"] == "ok" and not any(got["replayed"])
 
 
@@ -192,12 +183,10 @@ def test_armed_launches_are_simulated(fault_model, expected, gv100):
     transient plan only its own (a masked one leaves golden state)."""
     app = get_application("pathfinder")
     profile = golden_profile("pathfinder", gv100)
-    plan = lambda: MicroarchFaultPlan(launch_index=2, cycle=5,
-                                      structure=Structure.RF, seed=11,
-                                      fault_model=fault_model)
-    got = run_trial(app, profile, uarch=plan())
+    got = agree(app, profile, lambda: MicroarchFaultPlan(
+        launch_index=2, cycle=5, structure=Structure.RF, seed=11,
+        fault_model=fault_model))
     assert got["replayed"] == expected
-    assert same_run(got, run_trial(app, profile, uarch=plan(), replay=False))
 
 
 def test_replay_is_not_part_of_profile_identity(gv100):
@@ -205,3 +194,78 @@ def test_replay_is_not_part_of_profile_identity(gv100):
     off = dataclasses.replace(profile, replay=None)
     assert off.launches == profile.launches and off.replay is None
     assert "replay" not in repr(profile)
+
+
+# ---------------------------------------------------------------------- #
+# Trial-level convergence: a run whose fault has died ends at that launch
+# ---------------------------------------------------------------------- #
+#: label -> (app, kernel, level, plan keywords, whether trials end early).
+TRIAL_CELLS = {
+    "sradv1-l2": ("sradv1", "sradv1_k1", Structure.L2, {}, True),
+    "bfs-rf": ("bfs", "bfs_k1", Structure.RF, {}, True),
+    "bfs-sw": ("bfs", "bfs_k2", "sw", {}, True),
+    "pathfinder-src": ("pathfinder", "pathfinder_k1", "src", {}, True),
+    "lud-rf-intermittent": ("lud", "lud_k2", Structure.RF,
+                            {"fault_model": "intermittent"}, False),
+}
+
+
+def run_on(app, profile, plans, monkeypatch, gpu=None):
+    """The run ending at convergence, and the same run going on to the
+    end; the first run captures the checkpoints both use."""
+    run(app, profile, *plans(), gpu=gpu)
+    got = run(app, profile, *plans(), gpu=gpu)
+    with monkeypatch.context() as m:
+        m.setattr(GPU, "_end_converged_trial", lambda gpu: None)
+        return got, run(app, profile, *plans(), gpu=gpu)
+
+
+@pytest.mark.parametrize("cell", sorted(TRIAL_CELLS))
+def test_trial_level_convergence_equals_running_on(cell, gv100, v100,
+                                                   monkeypatch):
+    """A run ends at convergence only when every launch so far was a
+    golden copy and its one-flip fault has fired; it then equals running
+    on to the end in outcome, cycles, outputs, per-launch stats and
+    simulated cycles. Persistent faults never end it."""
+    app_name, kernel, level, kw, ends = TRIAL_CELLS[cell]
+    config = v100 if isinstance(level, str) else gv100
+    app = get_application(app_name)
+    profile = golden_profile(app_name, config)
+    launches = profile.kernel_launches(kernel)
+    ended = 0
+    for seed in range(24):
+        got, on = run_on(app, profile, lambda: (
+            draw(level, launches, seed, **kw),), monkeypatch)
+        assert_same(got, on, simulated=True)
+        assert got["replayed"] == on["replayed"]
+        if got["converged"] is not None:
+            ended += 1
+            assert all(on["replayed"][got["converged"]:])
+    assert bool(ended) == ends, ended
+
+
+@pytest.mark.parametrize("fault_model", ["transient", "stuck1",
+                                         "intermittent"])
+def test_only_a_fired_one_flip_fault_is_spent(fault_model):
+    injector = MicroarchInjector(MicroarchFaultPlan(
+        0, 0, Structure.RF, 0, fault_model=fault_model))
+    assert not injector.spent
+    injector.plan.fired = True
+    assert injector.spent == (fault_model == "transient")
+
+
+def test_a_diverged_launch_keeps_the_trial_running(gv100, monkeypatch):
+    """A launch that did not end from the golden run may have handed the
+    host corrupted data: a later launch that is a golden copy does not
+    end the trial."""
+    app = VectorAdds(256, launches=2)
+    profile = fresh_profile(app, gv100)
+    sdc = 0
+    for seed in range(24):
+        got, on = run_on(app, profile, lambda: (plan_microarch_fault(
+            profile.launches[:1], Structure.RF, seed),), monkeypatch)
+        assert_same(got, on, simulated=True)
+        assert got["converged"] in (None, 1)
+        sdc += got["replayed"] == [False, True] and got["outcome"] == "ok" and (
+            got["outputs"]["c0"].tobytes() != profile.golden["c0"].tobytes())
+    assert sdc

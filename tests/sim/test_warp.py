@@ -4,10 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import quadro_gv100_like
-from repro.errors import ExecutionError
 from repro.fi import gpufi
 from repro.fi.campaign import _gpu_factory
-from repro.fi.gpufi import MicroarchFaultPlan, MicroarchInjector
+from repro.fi.gpufi import MicroarchFaultPlan
 from repro.isa import assemble
 from repro.kernels import get_application
 from repro.kernels.base import DeviceHarness
@@ -17,7 +16,7 @@ from repro.sim.executor import K_BAR, K_BRA, K_EXIT
 from repro.sim.register_file import WarpRegisters
 from repro.sim.sm import SM
 from repro.sim.warp import CTA, Warp
-from tests.sim.test_replay import golden_profile
+from tests.sim.trials import full, golden_profile, run
 
 
 def make_warp(block=(32, 1, 1), threads=None, index_in_cta=0, grid=(2, 2, 1),
@@ -289,14 +288,7 @@ def test_lane_groups_match_per_lane_pcs_over_the_suite(monkeypatch):
         cycle = 2500 + seed * 337 % 4000
         plan = DivergedWarpFault(index, cycle, None, seed, target="control",
                                  site=("pc", "active")[seed % 2])
-        gpu.reset()
-        gpu.uarch_injector = MicroarchInjector(plan)
-        try:
-            app.run(gpu, DeviceHarness())
-        except ExecutionError:
-            pass
-        finally:
-            gpu.uarch_injector = None
+        run(app, full(profile), plan, gpu=gpu)
         if plan.description:
             hits[plan.site] += 1
     assert hits["pc"] and hits["active"], hits

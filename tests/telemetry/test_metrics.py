@@ -152,6 +152,7 @@ def test_render_summary_prints_every_section():
     assert "1 miss(es)" in text
     assert "per-kernel rollup" in text and "va_k1" in text
     assert "launches replayed  0 of 4" in text  # a stream without replay
+    assert "trials ended at convergence 0 of 4 trials" in text
     assert "cycles simulated" not in text  # ...nor simulated-cycle counts
 
 
@@ -170,8 +171,10 @@ def test_render_summary_reports_faults_dead_at_fire():
     kernels = [e for e in events if e["kind"] == "kernels"]
     for e, dead in zip(kernels, (1, 0, 1, 0)):
         e["kernels"]["va_k1"]["dead_at_fire"] = dead
+        e["converged"] = bool(dead)
     text = render_summary(summarize_events(events))
     assert "faults dead at fire 2 of 4 trials" in text
+    assert "trials ended at convergence 2 of 4 trials" in text
 
 
 def test_severity_counters_from_commit_events():

@@ -2,9 +2,11 @@
 
 ``CompiledKernel`` turns each static instruction into a tuple of
 ``(instr, kind, fn, latency, flags, dst)`` so the per-issue hot path does no
-dict lookups or opcode branching. Semantics are lane-vectorised: a closure
-computes a full-width (32-lane) result with NumPy and writes an array result
-in place under the guard mask with one masked ``np.copyto``.
+dict lookups or opcode branching. Semantics are lane-vectorised: an ALU
+closure is specialised to its operands' forms (a register row of the bank's
+uint32, int32 or float32 view, or a constant), computes a full-width
+(32-lane) result with one NumPy expression and writes it in place under the
+guard mask with one masked ``np.copyto``.
 
 All arithmetic follows hardware conventions: 32-bit wraparound integers,
 IEEE-754 binary32 floats (via views, so bit flips are exact), shift counts
@@ -53,65 +55,110 @@ def _fetch_u(op: Operand, const_bank: np.ndarray):
     raise IllegalInstruction(f"cannot fetch operand kind {kind}")
 
 
-def _fetch_s(op: Operand, const_bank: np.ndarray):
-    """Signed view of an operand (int32 array or signed scalar int)."""
-    kind = op.kind
-    if kind == OperandKind.REG:
-        if op.value == RZ:
-            return lambda w: 0
-        idx = op.value
-        return lambda w: w.bank.regs[idx].view(np.int32)
-    if kind in (OperandKind.IMM, OperandKind.CONST):
-        raw = op.value if kind == OperandKind.IMM else int(const_bank[op.value >> 2])
-        val = raw - 0x100000000 if raw >= 0x80000000 else raw
-        return lambda w: val
-    if kind == OperandKind.SPECIAL:
-        sid = op.value
-        return lambda w: w.specials[sid].view(np.int32)
-    raise IllegalInstruction(f"cannot fetch operand kind {kind}")
+#: Register-bank views (``WarpRegisters.views``) an ALU closure reads and
+#: writes: the raw bits, their signed and their float reading.
+U, S, F = 0, 1, 2
+_VIEW_DTYPES = (np.uint32, np.int32, np.float32)
 
 
-def _fetch_f(op: Operand, const_bank: np.ndarray):
-    """Float32 view of an operand (float32 array or scalar float)."""
-    kind = op.kind
-    if kind == OperandKind.REG:
-        if op.value == RZ:
-            return lambda w: 0.0
-        idx = op.value
-        return lambda w: w.bank.regs[idx].view(np.float32)
-    if kind in (OperandKind.IMM, OperandKind.CONST):
-        raw = op.value if kind == OperandKind.IMM else int(const_bank[op.value >> 2])
-        val = bitcast_u2f(raw)
-        return lambda w: val
-    raise IllegalInstruction(f"cannot fetch float operand kind {kind}")
+def _nop(sm, w, gm) -> None:
+    """An ALU op writing RZ: the write is dropped and nothing else can
+    happen (NumPy errors are ignored)."""
 
 
-def _write_u(warp, dst: int, gm: np.ndarray, result) -> None:
-    """Write a uint32 result under the guard mask (RZ writes are dropped)."""
-    if dst == RZ:
-        return
-    row = warp.bank.regs[dst]
-    if isinstance(result, np.ndarray) and result.ndim:
-        np.copyto(row, result, casting="unsafe", where=gm)
-    else:
-        row[gm] = np.uint32(int(result) & 0xFFFFFFFF)
+def _unary(f, dst, a, vin, vout):
+    """``dst = f(a)`` under the guard mask, reading view ``vin`` and
+    writing view ``vout``; ``a`` is a ``CompiledKernel._source`` pair."""
+    ra, ka = a
+
+    def fn(sm, w, gm):
+        views = w.bank.views
+        np.copyto(views[vout][dst], f(views[vin][ra] if ka is None else ka),
+                  where=gm)
+
+    return fn
 
 
-def _write_f(warp, dst: int, gm: np.ndarray, result) -> None:
-    """Write a float result as its IEEE-754 bits under the guard mask."""
-    if dst == RZ:
-        return
-    bits = np.asarray(result, dtype=np.float32).view(np.uint32)
-    np.copyto(warp.bank.regs[dst], bits, where=gm)
+def _binary(f, dst, a, b, vin, vout):
+    """``dst = f(a, b)`` under the guard mask."""
+    (ra, ka), (rb, kb) = a, b
+
+    def fn(sm, w, gm):
+        views = w.bank.views
+        x = views[vin]
+        np.copyto(views[vout][dst],
+                  f(x[ra] if ka is None else ka, x[rb] if kb is None else kb),
+                  where=gm)
+
+    return fn
+
+
+def _ternary(f, dst, a, b, c, vin, vout):
+    """``dst = f(a, b, c)`` under the guard mask."""
+    (ra, ka), (rb, kb), (rc, kc) = a, b, c
+
+    def fn(sm, w, gm):
+        views = w.bank.views
+        x = views[vin]
+        np.copyto(views[vout][dst],
+                  f(x[ra] if ka is None else ka, x[rb] if kb is None else kb,
+                    x[rc] if kc is None else kc),
+                  where=gm)
+
+    return fn
+
+
+def _compare(cmp, dp, a, b, vin):
+    """Predicate ``dp = cmp(a, b)`` under the guard mask."""
+    (ra, ka), (rb, kb) = a, b
+
+    def fn(sm, w, gm):
+        x = w.bank.views[vin]
+        np.copyto(w.preds[dp],
+                  cmp(x[ra] if ka is None else ka, x[rb] if kb is None else kb),
+                  where=gm)
+
+    return fn
+
+
+def _f2i(x):
+    # Convert through float64 so the INT32_MAX clamp is exact (float32
+    # cannot represent 2**31 - 1).
+    x = np.nan_to_num(x.astype(np.float64), nan=0.0, posinf=2**31 - 1,
+                      neginf=-(2**31))
+    return np.clip(x, -(2.0**31), 2.0**31 - 1).astype(np.int32)
 
 
 _CMP_FNS = {
-    "LT": lambda a, b: a < b,
-    "LE": lambda a, b: a <= b,
-    "GT": lambda a, b: a > b,
-    "GE": lambda a, b: a >= b,
-    "EQ": lambda a, b: a == b,
-    "NE": lambda a, b: a != b,
+    "LT": np.less,
+    "LE": np.less_equal,
+    "GT": np.greater,
+    "GE": np.greater_equal,
+    "EQ": np.equal,
+    "NE": np.not_equal,
+}
+
+_INT_FNS = {
+    Opcode.IADD: np.add,
+    Opcode.ISUB: np.subtract,
+    Opcode.IMUL: np.multiply,
+    Opcode.AND: np.bitwise_and,
+    Opcode.OR: np.bitwise_or,
+    Opcode.XOR: np.bitwise_xor,
+}
+
+_FLOAT_FNS = {
+    Opcode.FADD: np.add,
+    Opcode.FSUB: np.subtract,
+    Opcode.FMUL: np.multiply,
+}
+
+_MUFU_FNS = {
+    "RCP": lambda x: np.float32(1.0) / x,
+    "SQRT": np.sqrt,
+    "RSQ": lambda x: np.float32(1.0) / np.sqrt(x),
+    "EX2": np.exp2,
+    "LG2": np.log2,
 }
 
 
@@ -131,6 +178,11 @@ class CompiledKernel:
             LatencyClass.CTRL: lat.ctrl,
         }
         self.entries = [self._compile(i) for i in range(len(program))]
+        #: The pcs whose issue touches only its SM's state: not an EXIT
+        #: and not a global LD/LDT/ST (see ``SM.run_ahead``).
+        self.local_pcs = frozenset(
+            pc for pc, (_, kind, _, _, flags, _) in enumerate(self.entries)
+            if kind != K_EXIT and (kind != K_MEM or flags[3]))
 
     # ------------------------------------------------------------------ #
     def _compile(self, index: int):
@@ -162,199 +214,47 @@ class CompiledKernel:
     # ------------------------------------------------------------------ #
     # ALU semantics
     # ------------------------------------------------------------------ #
+    def _source(self, op: Operand, view: int = U):
+        """A source operand as ``(register, constant)``: the register row
+        it reads and None, or None and its value as ``view`` (RZ reads
+        0): a full-width row for the integer views, a float32 scalar for
+        ``F``."""
+        kind = op.kind
+        if kind == OperandKind.REG:
+            if op.value != RZ:
+                return op.value, None
+            raw = 0
+        elif kind == OperandKind.IMM:
+            raw = op.value
+        elif kind == OperandKind.CONST:
+            raw = int(self.const_bank[op.value >> 2])
+        else:
+            raise IllegalInstruction(f"cannot read operand kind {kind} "
+                                     f"outside MOV/S2R")
+        if view == F:
+            # A scalar, not a row: NumPy's array-scalar loops pick a
+            # different NaN operand than its array-array loops.
+            return None, np.float32(bitcast_u2f(raw))
+        width = self.config.warp_size
+        return None, np.full(width, raw, dtype=np.uint32).view(_VIEW_DTYPES[view])
+
     def _compile_alu(self, instr: Instruction):
+        """The closure of an ALU instruction: one NumPy expression over
+        register rows and constant rows, written with one masked
+        ``np.copyto``; integer results wrap at 32 bits."""
         op = instr.opcode
-        cb = self.const_bank
         dst = instr.dst if instr.dst is not None else RZ
         mod = instr.modifier
+        src = self._source
 
-        if op in (Opcode.MOV, Opcode.S2R):
-            a = _fetch_u(instr.src_a, cb)
-            return lambda sm, w, gm: _write_u(w, dst, gm, a(w))
-
-        if op == Opcode.SEL:
-            a = _fetch_u(instr.src_a, cb)
-            b = _fetch_u(instr.src_b, cb)
-            p, pneg = instr.src_pred, instr.src_pred_neg
-
-            def sel(sm, w, gm):
-                cond = ~w.preds[p] if pneg else w.preds[p]
-                _write_u(w, dst, gm, np.where(cond, a(w), b(w)).astype(np.uint32))
-
-            return sel
-
-        if op in (Opcode.IADD, Opcode.ISUB, Opcode.IMUL, Opcode.AND, Opcode.OR,
-                  Opcode.XOR, Opcode.SHL):
-            a = _fetch_u(instr.src_a, cb)
-            b = _fetch_u(instr.src_b, cb)
-            fn = {
-                Opcode.IADD: lambda x, y: x + y,
-                Opcode.ISUB: lambda x, y: x - y,
-                Opcode.IMUL: lambda x, y: x * y,
-                Opcode.AND: lambda x, y: x & y,
-                Opcode.OR: lambda x, y: x | y,
-                Opcode.XOR: lambda x, y: x ^ y,
-                Opcode.SHL: lambda x, y: x << (y & 31),
-            }[op]
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm, np.asarray(fn(np.asarray(a(w), dtype=np.uint32), b(w)))
-            )
-
-        if op == Opcode.SHR:
-            if mod == "S32":
-                a = _fetch_s(instr.src_a, cb)
-                b = _fetch_u(instr.src_b, cb)
-                return lambda sm, w, gm: _write_u(
-                    w, dst, gm,
-                    (np.asarray(a(w), dtype=np.int32) >> (b(w) & 31)).view(np.uint32),
-                )
-            a = _fetch_u(instr.src_a, cb)
-            b = _fetch_u(instr.src_b, cb)
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm, np.asarray(a(w), dtype=np.uint32) >> (b(w) & 31)
-            )
-
-        if op == Opcode.NOT:
-            a = _fetch_u(instr.src_a, cb)
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm, ~np.asarray(a(w), dtype=np.uint32)
-            )
-
-        if op == Opcode.IABS:
-            a = _fetch_s(instr.src_a, cb)
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm,
-                np.abs(np.asarray(a(w), dtype=np.int32)).view(np.uint32),
-            )
-
-        if op == Opcode.IMAD:
-            a = _fetch_u(instr.src_a, cb)
-            b = _fetch_u(instr.src_b, cb)
-            c = _fetch_u(instr.src_c, cb)
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm, np.asarray(a(w), dtype=np.uint32) * b(w) + c(w)
-            )
-
-        if op == Opcode.ISCADD:
-            a = _fetch_u(instr.src_a, cb)
-            b = _fetch_u(instr.src_b, cb)
-            c = _fetch_u(instr.src_c, cb)  # shift amount
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm,
-                (np.asarray(a(w), dtype=np.uint32) << (c(w) & 31)) + b(w),
-            )
-
-        if op == Opcode.IMNMX:
-            a = _fetch_s(instr.src_a, cb)
-            b = _fetch_s(instr.src_b, cb)
-            red = np.minimum if mod == "MIN" else np.maximum
-            return lambda sm, w, gm: _write_u(
-                w, dst, gm,
-                np.asarray(
-                    red(np.asarray(a(w), dtype=np.int32), b(w)), dtype=np.int32
-                ).view(np.uint32),
-            )
-
-        if op == Opcode.ISETP:
-            unsigned = mod.endswith(".U32")
-            cmp = _CMP_FNS[mod.split(".")[0]]
-            fetch = _fetch_u if unsigned else _fetch_s
-            a = fetch(instr.src_a, cb)
-            b = fetch(instr.src_b, cb)
-            dt = np.uint32 if unsigned else np.int32
-            dp = instr.dst_pred
-
-            def isetp(sm, w, gm):
-                res = cmp(np.asarray(a(w), dtype=dt), b(w))
-                np.copyto(w.preds[dp], res, where=gm)
-
-            return isetp
-
-        if op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL):
-            a = _fetch_f(instr.src_a, cb)
-            b = _fetch_f(instr.src_b, cb)
-            fn = {
-                Opcode.FADD: lambda x, y: x + y,
-                Opcode.FSUB: lambda x, y: x - y,
-                Opcode.FMUL: lambda x, y: x * y,
-            }[op]
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, fn(np.asarray(a(w), dtype=np.float32), b(w))
-            )
-
-        if op == Opcode.FFMA:
-            a = _fetch_f(instr.src_a, cb)
-            b = _fetch_f(instr.src_b, cb)
-            c = _fetch_f(instr.src_c, cb)
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, np.asarray(a(w), dtype=np.float32) * b(w) + c(w)
-            )
-
-        if op == Opcode.FMNMX:
-            a = _fetch_f(instr.src_a, cb)
-            b = _fetch_f(instr.src_b, cb)
-            red = np.fmin if mod == "MIN" else np.fmax
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, red(np.asarray(a(w), dtype=np.float32), b(w))
-            )
-
-        if op == Opcode.FSETP:
-            cmp = _CMP_FNS[mod]
-            a = _fetch_f(instr.src_a, cb)
-            b = _fetch_f(instr.src_b, cb)
-            dp = instr.dst_pred
-
-            def fsetp(sm, w, gm):
-                res = cmp(np.asarray(a(w), dtype=np.float32), b(w))
-                np.copyto(w.preds[dp], res, where=gm)
-
-            return fsetp
-
-        if op == Opcode.FABS:
-            a = _fetch_f(instr.src_a, cb)
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, np.abs(np.asarray(a(w), dtype=np.float32))
-            )
-
-        if op == Opcode.FNEG:
-            a = _fetch_f(instr.src_a, cb)
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, -np.asarray(a(w), dtype=np.float32)
-            )
-
-        if op == Opcode.MUFU:
-            a = _fetch_f(instr.src_a, cb)
-            fn = {
-                "RCP": lambda x: np.float32(1.0) / x,
-                "SQRT": np.sqrt,
-                "RSQ": lambda x: np.float32(1.0) / np.sqrt(x),
-                "EX2": np.exp2,
-                "LG2": np.log2,
-            }[mod]
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, fn(np.asarray(a(w), dtype=np.float32))
-            )
-
-        if op == Opcode.F2I:
-            a = _fetch_f(instr.src_a, cb)
-
-            def f2i(sm, w, gm):
-                # Convert through float64 so the INT32_MAX clamp is exact
-                # (float32 cannot represent 2**31 - 1).
-                x = np.nan_to_num(
-                    np.asarray(a(w), dtype=np.float32).astype(np.float64),
-                    nan=0.0, posinf=2**31 - 1, neginf=-(2**31),
-                )
-                clipped = np.clip(x, -(2.0**31), 2.0**31 - 1)
-                _write_u(w, dst, gm, clipped.astype(np.int32).view(np.uint32))
-
-            return f2i
-
-        if op == Opcode.I2F:
-            a = _fetch_s(instr.src_a, cb)
-            return lambda sm, w, gm: _write_f(
-                w, dst, gm, np.asarray(a(w), dtype=np.int32).astype(np.float32)
-            )
+        if op in (Opcode.ISETP, Opcode.FSETP):
+            if op == Opcode.FSETP:
+                cmp, view = _CMP_FNS[mod], F
+            else:
+                cmp = _CMP_FNS[mod.split(".")[0]]
+                view = U if mod.endswith(".U32") else S
+            return _compare(cmp, instr.dst_pred, src(instr.src_a, view),
+                            src(instr.src_b, view), view)
 
         if op == Opcode.VOTE:
             p, pneg = instr.src_pred, instr.src_pred_neg
@@ -391,6 +291,107 @@ class CompiledKernel:
                 np.copyto(w.preds[dp], res, where=gm)
 
             return psetp
+
+        fn = self._compile_write(instr, dst, src)
+        return _nop if dst == RZ else fn
+
+    def _compile_write(self, instr: Instruction, dst: int, src):
+        """The closure of an ALU instruction that writes register ``dst``."""
+        op = instr.opcode
+        mod = instr.modifier
+
+        if op in (Opcode.MOV, Opcode.S2R):
+            a = instr.src_a
+            if a.kind == OperandKind.SPECIAL:
+                sid = a.value
+                return lambda sm, w, gm: np.copyto(
+                    w.bank.regs[dst], w.specials[sid], where=gm)
+            ra, ka = src(a)
+
+            def mov(sm, w, gm):
+                regs = w.bank.regs
+                np.copyto(regs[dst], regs[ra] if ka is None else ka, where=gm)
+
+            return mov
+
+        if op == Opcode.SEL:
+            (ra, ka), (rb, kb) = src(instr.src_a), src(instr.src_b)
+            p, pneg = instr.src_pred, instr.src_pred_neg
+
+            def sel(sm, w, gm):
+                regs = w.bank.regs
+                cond = ~w.preds[p] if pneg else w.preds[p]
+                np.copyto(regs[dst], np.where(cond,
+                                              regs[ra] if ka is None else ka,
+                                              regs[rb] if kb is None else kb),
+                          where=gm)
+
+            return sel
+
+        if op in _INT_FNS:
+            return _binary(_INT_FNS[op], dst, src(instr.src_a),
+                           src(instr.src_b), U, U)
+
+        if op in (Opcode.SHL, Opcode.SHR):
+            view = S if op == Opcode.SHR and mod == "S32" else U
+            b = src(instr.src_b, view)
+            if b[1] is not None:  # a constant shift count
+                f = np.left_shift if op == Opcode.SHL else np.right_shift
+                b = (None, b[1] & 31)
+            elif op == Opcode.SHL:
+                f = lambda x, y: x << (y & 31)
+            else:
+                f = lambda x, y: x >> (y & 31)
+            return _binary(f, dst, src(instr.src_a, view), b, view, view)
+
+        if op == Opcode.NOT:
+            return _unary(np.invert, dst, src(instr.src_a), U, U)
+
+        if op == Opcode.IABS:
+            return _unary(np.abs, dst, src(instr.src_a, S), S, S)
+
+        if op == Opcode.IMAD:
+            return _ternary(lambda x, y, z: x * y + z, dst, src(instr.src_a),
+                            src(instr.src_b), src(instr.src_c), U, U)
+
+        if op == Opcode.ISCADD:  # (a << (c & 31)) + b; c is the shift count
+            return _ternary(lambda x, y, z: (x << (z & 31)) + y, dst,
+                            src(instr.src_a), src(instr.src_b),
+                            src(instr.src_c), U, U)
+
+        if op == Opcode.IMNMX:
+            red = np.minimum if mod == "MIN" else np.maximum
+            return _binary(red, dst, src(instr.src_a, S), src(instr.src_b, S),
+                           S, S)
+
+        if op in _FLOAT_FNS:
+            return _binary(_FLOAT_FNS[op], dst, src(instr.src_a, F),
+                           src(instr.src_b, F), F, F)
+
+        if op == Opcode.FFMA:
+            return _ternary(lambda x, y, z: x * y + z, dst, src(instr.src_a, F),
+                            src(instr.src_b, F), src(instr.src_c, F), F, F)
+
+        if op == Opcode.FMNMX:
+            red = np.fmin if mod == "MIN" else np.fmax
+            return _binary(red, dst, src(instr.src_a, F), src(instr.src_b, F),
+                           F, F)
+
+        if op == Opcode.FABS:
+            return _unary(np.abs, dst, src(instr.src_a, F), F, F)
+
+        if op == Opcode.FNEG:
+            return _unary(np.negative, dst, src(instr.src_a, F), F, F)
+
+        if op == Opcode.MUFU:
+            return _unary(_MUFU_FNS[mod], dst, src(instr.src_a, F), F, F)
+
+        if op == Opcode.F2I:
+            return _unary(_f2i, dst, src(instr.src_a, F), F, S)
+
+        if op == Opcode.I2F:
+            return _unary(lambda x: x.astype(np.float32), dst,
+                          src(instr.src_a, S), S, F)
 
         raise IllegalInstruction(f"no ALU semantics for {instr.render()}")
 

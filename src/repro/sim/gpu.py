@@ -55,7 +55,7 @@ from repro.sim.replay import (
     set_uid_counters,
     uid_counters,
 )
-from repro.sim.sm import SM
+from repro.sim.sm import ISSUE_COUNTERS, SM
 from repro.sim.stats import LaunchStats
 from repro.sim.warp import CTA
 from repro.utils.bitops import bitcast_f2u
@@ -475,6 +475,22 @@ class GPU:
         refreshed exactly then: after each issue for the issuing SM, and
         for every SM after the plan fires or a persistent plan re-pins.
 
+        Run-ahead: after an issue, the SM goes on issuing its SM-local
+        instructions at the cycles this loop would have given it
+        (:meth:`SM.run_ahead`), up to the horizon: the next checkpoint
+        visit and the first cycle past either cycle budget. Issues of
+        different SMs between shared events commute, and no loop top
+        inside the horizon does anything but count the resident warps,
+        which only an EXIT (never run ahead) changes, so the schedule is
+        the lock-step one. It needs an issue order across SMs nothing
+        can see: no tracer, no plan still to fire or re-pinning every
+        cycle, and no armed software injector counting instructions.
+        Errors stay lock-step's: one raised ahead waits for its cycle
+        (``SM.fault``), one raised here takes back the counters of the
+        issues other SMs ran ahead past it (:meth:`_take_back_ahead`),
+        and a barrier deadlock is dated at the last issue
+        (``SM.stalled_at``).
+
         ``cursor`` is visited at the loop tops its golden checkpoints are
         due at, and asked right after the plan fires whether the fault
         landed only in dead state; returns True when the trial equals
@@ -485,21 +501,42 @@ class GPU:
         sms = self.sms
         trial_budget = self.trial_cycle_budget
         burnt = self.trial_cycles_done
+        for sm in sms:
+            sm.fault, sm.stalled_at, sm.ahead = None, now, []
         ready = [sm.next_event() for sm in sms]
         checkpoint_due = cursor.next_cycle if cursor is not None else NEVER
+        # The first cycle a timeout or the trial watchdog raises at.
+        limit = budget + 1
+        if trial_budget is not None:
+            limit = min(limit, trial_budget - burnt + 1)
+        horizon = min(checkpoint_due, limit)
+        si = self.sw_injector
+        counting = si is not None and si.armed
+        ahead = self._may_run_ahead(plan)
         while True:
             if now >= checkpoint_due:
                 if cursor.visit(self, now):
                     return True
                 checkpoint_due = cursor.next_cycle
+                horizon = min(checkpoint_due, limit)
 
-            for i, ev in enumerate(ready):
-                if ev is not None and ev <= now:
-                    sm = sms[i]
-                    warp = sm.pick_ready(now)
-                    warp.next_ready = now + sm.execute(warp, now)
-                    ready[i] = sm.next_event()
+            try:
+                for i, ev in enumerate(ready):
+                    if ev is not None and ev <= now:
+                        sm = sms[i]
+                        if sm.fault is not None:
+                            raise sm.fault
+                        warp = sm.pick_ready(now)
+                        warp.next_ready = now + sm.execute(warp, now)
+                        ready[i] = (sm.run_ahead(now, horizon) if ahead
+                                    else sm.next_event())
+            except Exception:
+                self._take_back_ahead(now, i)
+                raise
 
+            if counting and not si.armed:  # the software fault fired
+                counting = False
+                ahead = self._may_run_ahead(plan)
             if plan is not None:
                 if not plan.fired:
                     if now >= plan.cycle:
@@ -508,6 +545,7 @@ class GPU:
                                 self, plan, now):
                             return True
                         ready = [sm.next_event() for sm in sms]
+                        ahead = self._may_run_ahead(plan)
                 elif plan.persistent:
                     # Stuck-at / intermittent models: the defect re-asserts
                     # itself every clock iteration, overriding any write.
@@ -525,6 +563,12 @@ class GPU:
             if resident == 0 and not self._pending:
                 break
             if nxt is None:
+                # Lock-step issue finds the deadlock at the last issue,
+                # which an SM that stalled running ahead made later.
+                last = max(sm.stalled_at for sm in sms)
+                if last > now:
+                    stats.warp_cycles_resident += resident * (last - now)
+                    now = self.now = stats.cycles = last
                 raise DeadlockError("all resident warps blocked (barrier deadlock)")
             new_now = max(now + 1, nxt)
             stats.warp_cycles_resident += resident * (new_now - now)
@@ -540,6 +584,27 @@ class GPU:
                 raise SimTimeout(burnt + now, trial_budget)
         stats.cycles = now
         return False
+
+    def _take_back_ahead(self, now: int, first: int) -> None:
+        """Subtract from the launch's counters the issues SMs ran ahead
+        past the issue of SM ``first`` at cycle ``now`` that raised:
+        lock-step issue never reached them."""
+        stats = self.stats
+        for j, sm in enumerate(self.sms):
+            for t, before in sm.ahead:
+                if t > now or (t == now and j > first):
+                    for name, start, end in zip(ISSUE_COUNTERS, before,
+                                                sm.ahead_end):
+                        setattr(stats, name, getattr(stats, name) - end + start)
+                    break
+
+    def _may_run_ahead(self, plan) -> bool:
+        """Whether the issue order across SMs is invisible: no tracer, no
+        microarchitecture plan still to fire or persistent, and no armed
+        software injector (see :meth:`_run`)."""
+        si = self.sw_injector
+        return (self.tracer is None and (si is None or not si.armed)
+                and (plan is None or (plan.fired and not plan.persistent)))
 
     # ------------------------------------------------------------------ #
     # Fault-target enumeration (used by the microarchitecture injector)

@@ -17,11 +17,15 @@ from repro.errors import LaunchError
 class WarpRegisters:
     """Register bank of one resident warp: ``regs[r, lane]`` (uint32)."""
 
-    __slots__ = ("regs", "num_regs")
+    __slots__ = ("regs", "num_regs", "views")
 
     def __init__(self, num_regs: int, warp_size: int):
         self.num_regs = num_regs
         self.regs = np.zeros((max(num_regs, 1), warp_size), dtype=np.uint32)
+        #: ``regs`` read as uint32, int32 and float32 (the executor's
+        #: ``U``, ``S`` and ``F``); writers of ``regs`` write in place.
+        self.views = (self.regs, self.regs.view(np.int32),
+                      self.regs.view(np.float32))
 
     @property
     def live_bits(self) -> int:

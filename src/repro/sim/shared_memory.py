@@ -16,16 +16,23 @@ from repro.errors import IllegalSharedAccess, LaunchError
 class SharedWindow:
     """One CTA's shared-memory allocation."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "size")
 
     def __init__(self, nbytes: int):
         self.data = np.zeros(nbytes, dtype=np.uint8)
-
-    @property
-    def size(self) -> int:
-        return self.data.size
+        self.size = nbytes
 
     def check_word_offsets(self, offsets: np.ndarray) -> None:
+        """Validate lane offsets for 4-byte accesses; raise on the first
+        bad one.
+
+        A vector whose bounds and OR-ed low bits pass is accepted without
+        the per-lane mask, which only a failing vector builds."""
+        lane_offsets = offsets.tolist()
+        if (lane_offsets and min(lane_offsets) >= 0
+                and max(lane_offsets) + 4 <= self.size
+                and not np.bitwise_or.reduce(offsets) & 3):
+            return
         bad = (offsets < 0) | (offsets + 4 > self.size) | (offsets & 3 != 0)
         if bad.any():
             idx = int(np.argmax(bad))

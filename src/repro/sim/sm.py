@@ -3,9 +3,13 @@
 Each SM owns a register file, a shared-memory pool, an L1 data cache and an
 L1 texture cache; it issues at most one warp-instruction per cycle, picking
 ready warps round-robin (GTO-less, like GPGPU-Sim's simplest scheduler).
+Between instructions that reach shared state it can run ahead of the GPU
+clock (:meth:`SM.run_ahead`).
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 
@@ -15,6 +19,12 @@ from repro.sim.executor import K_ALU, K_BAR, K_BRA, K_EXIT, K_MEM
 from repro.sim.register_file import RegisterFile
 from repro.sim.shared_memory import SharedMemory
 from repro.sim.warp import CTA, Warp
+
+#: The ``LaunchStats`` counters an SM-local issue changes.
+ISSUE_COUNTERS = ("warp_instructions", "thread_instructions",
+                  "shared_instructions", "sw_injectable_instructions",
+                  "sw_injectable_loads")
+issue_counters = attrgetter(*ISSUE_COUNTERS)
 
 
 class SM:
@@ -37,6 +47,11 @@ class SM:
         self.ctas: list[CTA] = []
         self.warps: list[Warp] = []
         self._rr = 0
+        # Run-ahead results the clock loop reads (see run_ahead).
+        self.fault: Exception | None = None
+        self.stalled_at = 0
+        self.ahead: list[tuple[int, tuple]] = []
+        self.ahead_end: tuple = ()
 
     # ------------------------------------------------------------------ #
     # Residency
@@ -120,6 +135,57 @@ class SM:
                     best = nr
         return best
 
+    def run_ahead(self, t: int, horizon: int) -> int | None:
+        """Go on issuing after this SM's issue at cycle ``t``, one
+        instruction per cycle at the cycles the clock loop would pick,
+        while the issue stays on SM-local state and its cycle is below
+        ``horizon``; returns the SM's next issue cycle, or None when
+        every warp is blocked.
+
+        Only the L2/DRAM path, the pending-CTA queue and the GPU-wide
+        hooks are shared between SMs, so the loop stops before a global
+        ``LD``/``LDT``/``ST``, an ``EXIT`` (CTA retire and refill use the
+        pending queue; the resident count changes only there) and a pc
+        outside the program, and leaves those issues to the clock loop.
+        The round-robin cursor is restored on a stop, so the loop picks
+        the same warp. An issue that raises is not raised here: an
+        earlier issue on another SM may raise first, so the error waits
+        in ``fault`` until the clock loop reaches cycle ``t``. A stall
+        leaves its cycle in ``stalled_at`` for the deadlock check, and
+        ``ahead``/``ahead_end`` keep the launch's counters before each
+        issue and at the end, so an error elsewhere can take back the
+        issues past it.
+        """
+        local = self.gpu.kernel.local_pcs
+        stats = self.gpu.stats
+        self.ahead = ahead = []
+        while True:
+            nxt = self.next_event()
+            if nxt is None:
+                self.stalled_at = t
+                break
+            t = nxt if nxt > t else t + 1
+            if t >= horizon:
+                break
+            rr = self._rr
+            warp = self.pick_ready(t)
+            if warp.diverged:
+                groups = warp.groups
+                pc = (groups if groups is not None else warp.regroup())[0][0]
+            else:
+                pc = warp.upc
+            if pc not in local:
+                self._rr = rr
+                break
+            ahead.append((t, issue_counters(stats)))
+            try:
+                warp.next_ready = t + self.execute(warp, t)
+            except Exception as exc:
+                self.fault = exc
+                break
+        self.ahead_end = issue_counters(stats)
+        return None if nxt is None else t
+
     def execute(self, warp: Warp, now: int) -> int:
         """Issue one instruction for ``warp``; returns its latency."""
         gpu = self.gpu
@@ -160,9 +226,11 @@ class SM:
         if kind == K_ALU or kind == K_MEM:
             injectable, is_load, is_store, is_shared = flags
             restore = None
-            si_pre = gpu.sw_injector
-            if si_pre is not None and si_pre.wants_sources and n_exec:
-                restore = si_pre.before_exec(warp, instr, gm, n_exec)
+            si = gpu.sw_injector
+            if si is not None and not si.armed:
+                si = None  # its hooks return at once until it is armed
+            if si is not None and si.wants_sources and n_exec:
+                restore = si.before_exec(warp, instr, gm, n_exec)
             if kind == K_MEM:
                 if n_exec:
                     latency = fn(self, warp, gm)
@@ -181,7 +249,6 @@ class SM:
                 stats.sw_injectable_instructions += n_exec
                 if is_load:
                     stats.sw_injectable_loads += n_exec
-                si = gpu.sw_injector
                 if si is not None:
                     si.after_write(warp, dst, gm, n_exec, is_load)
             if uniform:

@@ -6,7 +6,7 @@ a handful of passes. What matters for correctness on this ISA is
 *predication*: a ``@P0``-guarded write **may** not happen, so it generates a
 definition (for reaching definitions) and a use of its guard, but it never
 *kills* — only an unguarded (``@PT``) write is a must-kill. This mirrors the
-executor, where :func:`repro.sim.executor._write_u` writes under the guard
+executor, where every ALU closure writes with ``np.copyto`` under the guard
 mask and leaves the other lanes' values intact.
 
 Variables are small ints: GPR ``Rn`` is ``n``; predicate ``Pn`` is

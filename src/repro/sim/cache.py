@@ -76,6 +76,9 @@ class Cache:
 
         n, lb = geometry.num_lines, geometry.line_bytes
         self.data = np.zeros((n, lb), dtype=np.uint8)
+        # ``data`` as little-endian words: the word stores write through
+        # it. ``data`` is only ever written in place, so the view stays on.
+        self._words = self.data.view("<u4")
         self.tags = np.full(n, -1, dtype=np.int64)
         self.valid = np.zeros(n, dtype=bool)
         self.dirty = np.zeros(n, dtype=bool)
@@ -89,15 +92,11 @@ class Cache:
         self._line_bytes = geometry.line_bytes
         self._num_sets = geometry.num_sets
         self._assoc = geometry.assoc
+        self._num_lines = n
 
     # ------------------------------------------------------------------ #
     # Lookup helpers
     # ------------------------------------------------------------------ #
-    def _set_range(self, line_addr: int) -> tuple[int, int]:
-        set_idx = (line_addr // self._line_bytes) % self._num_sets
-        start = set_idx * self._assoc
-        return start, start + self._assoc
-
     def _find(self, line_addr: int) -> int | None:
         way_of = self._way_of
         if way_of is None:
@@ -110,31 +109,42 @@ class Cache:
         self._lru_clock += 1
         self.lru[way] = self._lru_clock
 
-    def _prune_fills(self, now: int) -> None:
-        if self._fills_in_flight:
-            self._fills_in_flight = [c for c in self._fills_in_flight if c > now]
-
     def _victim(self, line_addr: int) -> int:
-        """The first invalid way of the set, else its least recent one."""
-        start, end = self._set_range(line_addr)
-        valid = self.valid[start:end].tolist()
-        if not all(valid):
-            return start + valid.index(False)
-        lru = self.lru[start:end].tolist()
-        return start + lru.index(min(lru))
+        """The first invalid way of the set, else its least recent one.
+        Called after a lookup, so the way index is current: while it
+        holds every line, no way is invalid."""
+        start = (line_addr // self._line_bytes) % self._num_sets * self._assoc
+        end = start + self._assoc
+        if len(self._way_of) < self._num_lines:
+            valid = self.valid[start:end]
+            way = valid.argmin()
+            if not valid[way]:
+                return start + int(way)
+        return start + int(self.lru[start:end].argmin())
 
-    def _evict(self, way: int) -> None:
-        """Drop ``way`` (writing it back if dirty). Every caller looked the
-        new line up first, so the way index is current."""
+    def _fill(self, line_addr: int, payload: np.ndarray, done: int) -> int:
+        """Place a missed line in its set's victim way, clean and filling
+        until cycle ``done``; returns the way. A valid victim is evicted
+        first (written back if dirty); an invalid way is never dirty
+        (eviction and ``invalidate_all`` clear the bit with ``valid``),
+        so it is filled as it is."""
+        way = self._victim(line_addr)
         if self.valid[way]:
-            del self._way_of[int(self.tags[way])]
+            tag = int(self.tags[way])
+            del self._way_of[tag]
             self.stats.evictions += 1
-            if self.write_back and self.dirty[way]:
-                self.stats.writebacks += 1
-                self.below.write_line(int(self.tags[way]), self.data[way].copy())
-        self.valid[way] = False
-        self.dirty[way] = False
-        self.tags[way] = -1
+            if self.dirty[way]:
+                self.dirty[way] = False
+                if self.write_back:
+                    self.stats.writebacks += 1
+                    self.below.write_line(tag, self.data[way].copy())
+        else:
+            self.valid[way] = True
+        self.data[way] = payload
+        self.tags[way] = line_addr
+        self._way_of[line_addr] = way
+        self.fill_done[way] = done
+        return way
 
     # ------------------------------------------------------------------ #
     # Read path
@@ -145,40 +155,39 @@ class Cache:
         ``line_bytes`` must equal this cache's line size; the parameter keeps
         the interface uniform with :class:`DRAMInterface`.
         """
-        assert line_bytes == self.geo.line_bytes
+        assert line_bytes == self._line_bytes
         self.stats.accesses += 1
-        way = self._find(line_addr)
+        way_of = self._way_of
+        way = self._find(line_addr) if way_of is None else way_of.get(line_addr)
         if way is not None:
-            self._touch(way)
-            if self.fill_done[way] > now:
+            self._lru_clock = clock = self._lru_clock + 1
+            self.lru[way] = clock
+            done = int(self.fill_done[way])
+            if done > now:
                 # Fill still in flight: pending (secondary) hit.
                 self.stats.pending_hits += 1
-                return self.data[way], int(self.fill_done[way] - now) + 1
+                return self.data[way], done - now + 1
             self.stats.hits += 1
             return self.data[way], self.hit_latency
 
         # Miss.
         self.stats.misses += 1
-        self._prune_fills(now)
+        fills = self._fills_in_flight
         extra = 0
-        if len(self._fills_in_flight) >= self.geo.mshr_entries:
-            # No MSHR available: the request stalls until the oldest
-            # outstanding fill retires, then is replayed.
-            self.stats.reservation_fails += 1
-            oldest = min(self._fills_in_flight)
-            extra = max(0, oldest - now)
+        if fills:
+            fills = self._fills_in_flight = [c for c in fills if c > now]
+            if len(fills) >= self.geo.mshr_entries:
+                # No MSHR available: the request stalls until the oldest
+                # outstanding fill retires, then is replayed.
+                self.stats.reservation_fails += 1
+                extra = max(0, min(fills) - now)
         payload, below_latency = self.below.read_line(line_addr, line_bytes, now)
         latency = self.hit_latency + below_latency + extra
-        way = self._victim(line_addr)
-        self._evict(way)
-        self.data[way] = payload
-        self.tags[way] = line_addr
-        self.valid[way] = True
-        self._way_of[line_addr] = way
-        self.dirty[way] = False
-        self.fill_done[way] = now + latency
-        self._touch(way)
-        self._fills_in_flight.append(now + latency)
+        done = now + latency
+        way = self._fill(line_addr, payload, done)
+        self._lru_clock = clock = self._lru_clock + 1
+        self.lru[way] = clock
+        fills.append(done)
         return self.data[way], latency
 
     # ------------------------------------------------------------------ #
@@ -200,13 +209,7 @@ class Cache:
                 payload, below_latency = self.below.read_line(
                     line_addr, self.geo.line_bytes, now
                 )
-                way = self._victim(line_addr)
-                self._evict(way)
-                self.data[way] = payload
-                self.tags[way] = line_addr
-                self.valid[way] = True
-                self._way_of[line_addr] = way
-                self.fill_done[way] = now + below_latency
+                way = self._fill(line_addr, payload, now + below_latency)
                 latency = self.hit_latency + below_latency
             else:
                 self.stats.hits += 1
@@ -245,22 +248,15 @@ class Cache:
         if way is None:
             self.stats.misses += 1
             payload, below_latency = self.below.read_line(
-                line_addr, self.geo.line_bytes, now
+                line_addr, self._line_bytes, now
             )
-            way = self._victim(line_addr)
-            self._evict(way)
-            self.data[way] = payload
-            self.tags[way] = line_addr
-            self.valid[way] = True
-            self._way_of[line_addr] = way
-            self.fill_done[way] = now + below_latency
+            way = self._fill(line_addr, payload, now + below_latency)
             latency = self.hit_latency + below_latency
         else:
             self.stats.hits += 1
             latency = self.hit_latency
         self._touch(way)
-        words = self.data[way].view("<u4")
-        words[offsets >> 2] = values
+        self._words[way][offsets >> 2] = values
         self.dirty[way] = True
         return latency
 
@@ -280,8 +276,7 @@ class Cache:
             return
         self.stats.hits += 1
         self._touch(way)
-        words = self.data[way].view("<u4")
-        words[offsets >> 2] = values
+        self._words[way][offsets >> 2] = values
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -6,7 +6,12 @@ dict lookups or opcode branching. Semantics are lane-vectorised: an ALU
 closure is specialised to its operands' forms (a register row of the bank's
 uint32, int32 or float32 view, or a constant), computes a full-width
 (32-lane) result with one NumPy expression and writes it in place under the
-guard mask with one masked ``np.copyto``.
+guard mask with one masked ``np.copyto``. A memory closure is specialised
+the same way: its base (and a store's data) is a register row or a Python
+int constant (``RZ``, an immediate or a constant-bank word, with the
+offset folded in); it takes the guarded lanes with one ``nonzero``, gets
+their addresses back from the bounds check as one list of Python ints and
+groups cache lines from that list.
 
 All arithmetic follows hardware conventions: 32-bit wraparound integers,
 IEEE-754 binary32 floats (via views, so bit flips are exact), shift counts
@@ -33,26 +38,6 @@ K_BRA = 2
 K_EXIT = 3
 K_BAR = 4
 K_NOP = 5
-
-
-def _fetch_u(op: Operand, const_bank: np.ndarray):
-    """Build a fetcher returning the operand as uint32 array or scalar int."""
-    kind = op.kind
-    if kind == OperandKind.REG:
-        if op.value == RZ:
-            return lambda w: 0
-        idx = op.value
-        return lambda w: w.bank.regs[idx]
-    if kind == OperandKind.IMM:
-        val = op.value
-        return lambda w: val
-    if kind == OperandKind.CONST:
-        val = int(const_bank[op.value >> 2])
-        return lambda w: val
-    if kind == OperandKind.SPECIAL:
-        sid = op.value
-        return lambda w: w.specials[sid]
-    raise IllegalInstruction(f"cannot fetch operand kind {kind}")
 
 
 #: Register-bank views (``WarpRegisters.views``) an ALU closure reads and
@@ -398,86 +383,104 @@ class CompiledKernel:
     # ------------------------------------------------------------------ #
     # Memory semantics
     # ------------------------------------------------------------------ #
+    def _operand(self, op: Operand):
+        """A memory base or store-data operand as ``(register, constant)``:
+        the register row it reads and None, or None and its value as a
+        Python int (RZ reads 0)."""
+        kind = op.kind
+        if kind == OperandKind.REG:
+            return (op.value, None) if op.value != RZ else (None, 0)
+        if kind == OperandKind.IMM:
+            return None, op.value
+        if kind == OperandKind.CONST:
+            return None, int(self.const_bank[op.value >> 2])
+        raise IllegalInstruction(f"cannot address through operand kind {kind}")
+
     def _compile_memory(self, instr: Instruction):
+        """The closure of a memory instruction. The base is a register row
+        plus the offset, or a constant with the offset folded in; the
+        guarded lanes come from one ``nonzero`` and their addresses are
+        checked, then grouped by line, as one list of Python ints."""
         op = instr.opcode
-        cb = self.const_bank
         offset = instr.mem_offset
-        base_fetch = _fetch_u(instr.src_a, cb)
+        ra, ka = self._operand(instr.src_a)
+        if ka is not None:
+            ka += offset
         lat = self.config.latencies
 
+        def addresses(w, lanes):
+            """The guarded lanes' byte addresses (or SMEM offsets), int64."""
+            if ra is None:
+                return np.full(lanes.size, ka, dtype=np.int64)
+            addrs = w.bank.regs[ra].take(lanes).astype(np.int64)
+            if offset:
+                addrs += offset
+            return addrs
+
         if op in (Opcode.LD, Opcode.LDT):
-            dst = instr.dst
+            dst = instr.dst if instr.dst != RZ else None
             is_tex = op == Opcode.LDT
 
             def load(sm, w, gm):
-                addrs_all = np.asarray(base_fetch(w), dtype=np.int64) + offset
-                lanes = np.nonzero(gm)[0]
-                addrs = (
-                    addrs_all[lanes]
-                    if addrs_all.ndim
-                    else np.full(len(lanes), addrs_all, dtype=np.int64)
-                )
-                sm.gpu.mem.check_word_addresses(addrs)
+                lanes = gm.nonzero()[0]
+                addrs = addresses(w, lanes)
+                lane_addrs = sm.gpu.mem.check_word_addresses(addrs)
                 cache = sm.l1t if is_tex else sm.l1d
-                lb = cache.geo.line_bytes
-                lines = addrs & ~np.int64(lb - 1)
+                lb = cache._line_bytes
+                mask = -lb
+                first = min(lane_addrs) & mask
                 now = sm.gpu.now
-                row = w.bank.regs[dst] if dst != RZ else None
-                distinct = set(lines.tolist())
-                if len(distinct) == 1:
+                if max(lane_addrs) & mask == first:
                     # Coalesced: one line, no split (same order and effects).
-                    first = distinct.pop()
                     data, latency = cache.read_line(first, lb, now)
-                    if row is not None:
-                        row[lanes] = data.view("<u4")[(addrs - first) >> 2]
+                    if dst is not None:
+                        w.bank.regs[dst][lanes] = data.view("<u4")[
+                            (addrs - first) >> 2]
                     return latency
                 # Read each line once, in ascending order, into a buffer of
                 # copies (a later fill may evict an earlier line's way),
                 # then write the row with one gather.
-                order = sorted(distinct)
+                order = sorted({a & mask for a in lane_addrs})
                 buf = np.empty((len(order), lb), dtype=np.uint8)
                 latency = 0
                 for i, la in enumerate(order):
                     buf[i], line_lat = cache.read_line(la, lb, now)
                     latency = max(latency, line_lat)
-                if row is not None:
-                    words = np.searchsorted(order, lines) * (lb >> 2)
-                    words += (addrs - lines) >> 2
-                    row[lanes] = buf.view("<u4").ravel()[words]
+                if dst is not None:
+                    wpl = lb >> 2
+                    slot = {la: i * wpl for i, la in enumerate(order)}
+                    low = lb - 1
+                    w.bank.regs[dst][lanes] = buf.view("<u4").ravel()[
+                        [slot[a & mask] + ((a & low) >> 2) for a in lane_addrs]]
                 return latency
 
             return load
 
         if op == Opcode.ST:
-            data_fetch = _fetch_u(instr.src_b, cb)
+            rd, kd = self._operand(instr.src_b)
+            l1_hit = lat.l1_hit
 
             def store(sm, w, gm):
-                addrs_all = np.asarray(base_fetch(w), dtype=np.int64) + offset
-                lanes = np.nonzero(gm)[0]
-                addrs = (
-                    addrs_all[lanes]
-                    if addrs_all.ndim
-                    else np.full(len(lanes), addrs_all, dtype=np.int64)
-                )
-                sm.gpu.mem.check_word_addresses(addrs)
-                vals_full = np.asarray(data_fetch(w), dtype=np.uint32)
-                vals = vals_full[lanes] if vals_full.ndim else np.full(
-                    len(lanes), vals_full, dtype=np.uint32
-                )
-                lb = sm.gpu.l2.geo.line_bytes
-                lines = addrs & ~np.int64(lb - 1)
-                now = sm.gpu.now
-                distinct = set(lines.tolist())
-                if len(distinct) == 1:
+                lanes = gm.nonzero()[0]
+                addrs = addresses(w, lanes)
+                gpu = sm.gpu
+                lane_addrs = gpu.mem.check_word_addresses(addrs)
+                vals = (np.full(lanes.size, kd, dtype=np.uint32) if rd is None
+                        else w.bank.regs[rd].take(lanes))
+                l2 = gpu.l2
+                mask = -l2._line_bytes
+                first = min(lane_addrs) & mask
+                now = gpu.now
+                if max(lane_addrs) & mask == first:
                     # Coalesced: one line, no split (same order and effects).
-                    first = distinct.pop()
                     offs = addrs - first
                     sm.l1d.update_words_if_present(first, offs, vals)
-                    sm.gpu.l2.write_words_line(first, offs, vals, now)
-                    return lat.l1_hit
+                    l2.write_words_line(first, offs, vals, now)
+                    return l1_hit
                 # Lines in ascending order, lanes in order within a line (the
                 # last lane wins a duplicate address): one stable sort.
-                order = sorted(distinct)
+                order = sorted({a & mask for a in lane_addrs})
+                lines = addrs & mask
                 by_line = np.argsort(lines, kind="stable")
                 lines = lines[by_line]
                 offs = addrs[by_line] - lines
@@ -488,47 +491,36 @@ class CompiledKernel:
                     part = slice(bounds[i], bounds[i + 1])
                     # Write-through L1 coherence update, then L2 allocate.
                     sm.l1d.update_words_if_present(la, offs[part], vals[part])
-                    sm.gpu.l2.write_words_line(la, offs[part], vals[part], now)
+                    l2.write_words_line(la, offs[part], vals[part], now)
                 # Stores retire through the store buffer: fixed issue cost.
-                return lat.l1_hit
+                return l1_hit
 
             return store
 
+        smem = lat.smem
+
         if op == Opcode.LDS:
-            dst = instr.dst
+            dst = instr.dst if instr.dst != RZ else None
 
             def lds(sm, w, gm):
-                offs_all = np.asarray(base_fetch(w), dtype=np.int64) + offset
-                lanes = np.nonzero(gm)[0]
-                offs = (
-                    offs_all[lanes]
-                    if offs_all.ndim
-                    else np.full(len(lanes), offs_all, dtype=np.int64)
-                )
-                vals = w.cta.smem.read_words(offs)
-                if dst != RZ:
+                lanes = gm.nonzero()[0]
+                vals = w.cta.smem.read_words(addresses(w, lanes))
+                if dst is not None:
                     w.bank.regs[dst][lanes] = vals
-                return lat.smem
+                return smem
 
             return lds
 
         if op == Opcode.STS:
-            data_fetch = _fetch_u(instr.src_b, cb)
+            rd, kd = self._operand(instr.src_b)
 
             def sts(sm, w, gm):
-                offs_all = np.asarray(base_fetch(w), dtype=np.int64) + offset
-                lanes = np.nonzero(gm)[0]
-                offs = (
-                    offs_all[lanes]
-                    if offs_all.ndim
-                    else np.full(len(lanes), offs_all, dtype=np.int64)
-                )
-                vals_full = np.asarray(data_fetch(w), dtype=np.uint32)
-                vals = vals_full[lanes] if vals_full.ndim else np.full(
-                    len(lanes), vals_full, dtype=np.uint32
-                )
-                w.cta.smem.write_words(offs, vals)
-                return lat.smem
+                lanes = gm.nonzero()[0]
+                offs = addresses(w, lanes)
+                w.cta.smem.write_words(
+                    offs, np.full(lanes.size, kd, dtype=np.uint32)
+                    if rd is None else w.bank.regs[rd].take(lanes))
+                return smem
 
             return sts
 

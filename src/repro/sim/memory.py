@@ -91,8 +91,10 @@ class GlobalMemory:
     # ------------------------------------------------------------------ #
     # Validity checking (vectorised over a warp's lane addresses)
     # ------------------------------------------------------------------ #
-    def check_word_addresses(self, addrs: np.ndarray) -> None:
-        """Validate lane addresses for 4-byte accesses; raise on the first bad one.
+    def check_word_addresses(self, addrs: np.ndarray) -> list[int]:
+        """Validate lane addresses for 4-byte accesses; raise on the first
+        bad one, else return them as a list of Python ints (the memory
+        closures group lines from it).
 
         A vector whose bounds and OR-ed low bits pass is accepted without
         the per-lane mask, which only a failing vector builds."""
@@ -100,7 +102,7 @@ class GlobalMemory:
         if (lane_addrs and min(lane_addrs) >= HEAP_BASE
                 and max(lane_addrs) + 4 <= self._next
                 and not np.bitwise_or.reduce(addrs) & 3):
-            return
+            return lane_addrs
         bad = (addrs < HEAP_BASE) | (addrs + 4 > self._next) | (addrs & 3 != 0)
         if bad.any():
             idx = int(np.argmax(bad))
@@ -108,6 +110,7 @@ class GlobalMemory:
             if addr & 3:
                 raise IllegalMemoryAccess(addr, 4, "misaligned")
             raise IllegalMemoryAccess(addr, 4)
+        return lane_addrs
 
     # ------------------------------------------------------------------ #
     # Host-side raw access (bypasses caches; callers flush/invalidate)

@@ -94,7 +94,13 @@ data, so it keeps the run going even if a later launch matches golden.
 Checkpoints are captured lazily, by injected trials themselves while their
 injector is still pristine (the state then equals golden by construction),
 and stored on the :class:`GoldenLaunch`; they never enter a key or payload.
-A profiling run records none.
+A profiling run records none. So a trial's ``simulated_cycles`` depends on
+the trials that ran before it on the same profile: run again after others
+(or after itself), it may fast-forward to a checkpoint its first run did
+not have, and clock fewer cycles; its outcome, cycles, outputs and stats do
+not change. Summed over a campaign ("cycles simulated" in ``campaign
+report``), the figure depends on trial order and, since each forked worker
+captures its own checkpoints, on how a worker pool shards the trials.
 
 The boundary state (:class:`Boundary`) is:
 

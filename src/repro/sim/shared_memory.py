@@ -16,11 +16,14 @@ from repro.errors import IllegalSharedAccess, LaunchError
 class SharedWindow:
     """One CTA's shared-memory allocation."""
 
-    __slots__ = ("data", "size")
+    __slots__ = ("data", "size", "_words")
 
     def __init__(self, nbytes: int):
         self.data = np.zeros(nbytes, dtype=np.uint8)
         self.size = nbytes
+        # ``data`` as little-endian words, made once: ``data`` is only
+        # ever written in place (stores, faults, checkpoint restore).
+        self._words = self.data.view("<u4")
 
     def check_word_offsets(self, offsets: np.ndarray) -> None:
         """Validate lane offsets for 4-byte accesses; raise on the first
@@ -40,13 +43,11 @@ class SharedWindow:
 
     def read_words(self, offsets: np.ndarray) -> np.ndarray:
         self.check_word_offsets(offsets)
-        words = self.data.view("<u4")
-        return words[offsets >> 2]
+        return self._words[offsets >> 2]
 
     def write_words(self, offsets: np.ndarray, values: np.ndarray) -> None:
         self.check_word_offsets(offsets)
-        words = self.data.view("<u4")
-        words[offsets >> 2] = values
+        self._words[offsets >> 2] = values
 
     @property
     def live_bits(self) -> int:

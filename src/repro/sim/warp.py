@@ -18,11 +18,41 @@ drop the cache so the next issue rebuilds it with ``regroup``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.isa.instruction import PT, SpecialReg
 
 NUM_PREDS = 8
+
+
+@lru_cache(maxsize=512)
+def special_rows(block_dim: tuple, grid_dim: tuple, num_threads: int,
+                 index_in_cta: int, warp_size: int):
+    """The special-register rows and the ``done`` lanes (lanes beyond the
+    block's thread count never run) of warp ``index_in_cta`` of any CTA
+    of a launch, with the CTAID rows zero. Both are read-only: each warp
+    copies them and sets its CTAID rows."""
+    lanes = np.arange(warp_size, dtype=np.uint32)
+    linear = index_in_cta * warp_size + lanes
+    bx, by, bz = block_dim
+    sp = np.zeros((len(SpecialReg), warp_size), dtype=np.uint32)
+    sp[SpecialReg.TID_X] = linear % bx
+    rem = linear // bx
+    sp[SpecialReg.TID_Y] = rem % by
+    sp[SpecialReg.TID_Z] = rem // by
+    sp[SpecialReg.NTID_X] = bx
+    sp[SpecialReg.NTID_Y] = by
+    sp[SpecialReg.NTID_Z] = bz
+    sp[SpecialReg.NCTAID_X] = grid_dim[0]
+    sp[SpecialReg.NCTAID_Y] = grid_dim[1]
+    sp[SpecialReg.NCTAID_Z] = grid_dim[2]
+    sp[SpecialReg.LANEID] = lanes
+    sp[SpecialReg.WARPID] = index_in_cta
+    done = linear >= num_threads
+    sp.flags.writeable = done.flags.writeable = False
+    return sp, done
 
 
 class Warp:
@@ -78,31 +108,20 @@ class Warp:
         self.update_finished()
 
     def _build_specials(self, warp_size: int) -> np.ndarray:
+        """This warp's special registers (read-only: nothing writes them
+        after creation) from its launch geometry's template; sets
+        ``done``."""
         cta = self.cta
-        lanes = np.arange(warp_size, dtype=np.uint32)
-        linear = self.index_in_cta * warp_size + lanes
-        bx, by, bz = cta.block_dim
-        tid_x = linear % bx
-        rem = linear // bx
-        tid_y = rem % by
-        tid_z = rem // by
-        sp = np.zeros((len(SpecialReg), warp_size), dtype=np.uint32)
-        sp[SpecialReg.TID_X] = tid_x
-        sp[SpecialReg.TID_Y] = tid_y
-        sp[SpecialReg.TID_Z] = tid_z
-        sp[SpecialReg.CTAID_X] = cta.ctaid[0]
-        sp[SpecialReg.CTAID_Y] = cta.ctaid[1]
-        sp[SpecialReg.CTAID_Z] = cta.ctaid[2]
-        sp[SpecialReg.NTID_X] = bx
-        sp[SpecialReg.NTID_Y] = by
-        sp[SpecialReg.NTID_Z] = bz
-        sp[SpecialReg.NCTAID_X] = cta.grid_dim[0]
-        sp[SpecialReg.NCTAID_Y] = cta.grid_dim[1]
-        sp[SpecialReg.NCTAID_Z] = cta.grid_dim[2]
-        sp[SpecialReg.LANEID] = lanes
-        sp[SpecialReg.WARPID] = self.index_in_cta
-        # Lanes beyond the block's thread count never run.
-        self.done = linear >= cta.num_threads
+        template, done = special_rows(cta.block_dim, cta.grid_dim,
+                                      cta.num_threads, self.index_in_cta,
+                                      warp_size)
+        sp = template.copy()
+        x, y, z = cta.ctaid
+        sp[SpecialReg.CTAID_X] = x
+        sp[SpecialReg.CTAID_Y] = y
+        sp[SpecialReg.CTAID_Z] = z
+        sp.flags.writeable = False
+        self.done = done.copy()
         return sp
 
     def update_finished(self) -> bool:

@@ -358,6 +358,9 @@ def render_summary(s: CampaignSummary) -> str:
                             for r in s.kernels.values())
             cycles = sum(r.get("cycles", 0) for r in s.kernels.values())
             share = simulated / cycles if cycles else 0.0
+            # Depends on trial order and worker sharding: checkpoints are
+            # captured lazily, so a later trial may fast-forward further
+            # (see repro.sim.replay). Outcomes and cycles do not.
             lines.append(f"  cycles simulated   {simulated} of {cycles} "
                          f"({share:.1%})")
         if any("dead_at_fire" in r for r in s.kernels.values()):

@@ -280,3 +280,266 @@ def test_way_index_matches_tag_scan(ops):
             for line in [*range(_INDEX_LINES), *_ABSENT_LINES]:
                 addr = base + 32 * line
                 assert cache._find(addr) == _scan(cache, addr), (op, line)
+
+
+class _ReferenceCache(Cache):
+    """The miss walk as it was: a victim from the set's ``valid``/``lru``
+    lists, an ``_evict`` call on every fill (a no-op past the bookkeeping
+    for an invalid way), the MSHR list pruned through a method and word
+    stores through a fresh ``<u4`` view of the line."""
+
+    def _set_range(self, line_addr):
+        set_idx = (line_addr // self._line_bytes) % self._num_sets
+        start = set_idx * self._assoc
+        return start, start + self._assoc
+
+    def _prune_fills(self, now):
+        if self._fills_in_flight:
+            self._fills_in_flight = [c for c in self._fills_in_flight if c > now]
+
+    def _victim(self, line_addr):
+        start, end = self._set_range(line_addr)
+        valid = self.valid[start:end].tolist()
+        if not all(valid):
+            return start + valid.index(False)
+        lru = self.lru[start:end].tolist()
+        return start + lru.index(min(lru))
+
+    def _evict(self, way):
+        if self.valid[way]:
+            del self._way_of[int(self.tags[way])]
+            self.stats.evictions += 1
+            if self.write_back and self.dirty[way]:
+                self.stats.writebacks += 1
+                self.below.write_line(int(self.tags[way]), self.data[way].copy())
+        self.valid[way] = False
+        self.dirty[way] = False
+        self.tags[way] = -1
+
+    def _allocate(self, line_addr, payload, done):
+        way = self._victim(line_addr)
+        self._evict(way)
+        self.data[way] = payload
+        self.tags[way] = line_addr
+        self.valid[way] = True
+        self._way_of[line_addr] = way
+        self.fill_done[way] = done
+        return way
+
+    def read_line(self, line_addr, line_bytes, now):
+        self.stats.accesses += 1
+        way = self._find(line_addr)
+        if way is not None:
+            self._touch(way)
+            if self.fill_done[way] > now:
+                self.stats.pending_hits += 1
+                return self.data[way], int(self.fill_done[way] - now) + 1
+            self.stats.hits += 1
+            return self.data[way], self.hit_latency
+        self.stats.misses += 1
+        self._prune_fills(now)
+        extra = 0
+        if len(self._fills_in_flight) >= self.geo.mshr_entries:
+            self.stats.reservation_fails += 1
+            oldest = min(self._fills_in_flight)
+            extra = max(0, oldest - now)
+        payload, below_latency = self.below.read_line(line_addr, line_bytes, now)
+        latency = self.hit_latency + below_latency + extra
+        way = self._allocate(line_addr, payload, now + latency)
+        self.dirty[way] = False
+        self._touch(way)
+        self._fills_in_flight.append(now + latency)
+        return self.data[way], latency
+
+    def write_word(self, addr, word, now):
+        line_addr = addr - addr % self.geo.line_bytes
+        offset = addr - line_addr
+        self.stats.accesses += 1
+        way = self._find(line_addr)
+        as_bytes = np.frombuffer(int(word & 0xFFFFFFFF).to_bytes(4, "little"),
+                                 dtype=np.uint8)
+        if self.write_back:
+            if way is None:
+                self.stats.misses += 1
+                payload, below_latency = self.below.read_line(
+                    line_addr, self.geo.line_bytes, now)
+                way = self._allocate(line_addr, payload, now + below_latency)
+                latency = self.hit_latency + below_latency
+            else:
+                self.stats.hits += 1
+                latency = self.hit_latency
+            self._touch(way)
+            self.data[way, offset:offset + 4] = as_bytes
+            self.dirty[way] = True
+            return latency
+        if way is not None:
+            self.stats.hits += 1
+            self._touch(way)
+            self.data[way, offset:offset + 4] = as_bytes
+        else:
+            self.stats.misses += 1
+        return self.hit_latency + self.below.write_word(addr, word, now)
+
+    def write_words_line(self, line_addr, offsets, values, now):
+        self.stats.accesses += 1
+        way = self._find(line_addr)
+        if way is None:
+            self.stats.misses += 1
+            payload, below_latency = self.below.read_line(
+                line_addr, self.geo.line_bytes, now)
+            way = self._allocate(line_addr, payload, now + below_latency)
+            latency = self.hit_latency + below_latency
+        else:
+            self.stats.hits += 1
+            latency = self.hit_latency
+        self._touch(way)
+        self.data[way].view("<u4")[offsets >> 2] = values
+        self.dirty[way] = True
+        return latency
+
+    def update_words_if_present(self, line_addr, offsets, values):
+        self.stats.accesses += 1
+        way = self._find(line_addr)
+        if way is None:
+            self.stats.misses += 1
+            return
+        self.stats.hits += 1
+        self._touch(way)
+        self.data[way].view("<u4")[offsets >> 2] = values
+
+
+#: The walk test's lines: ``(k, s)`` is line ``8 * k + s``, in set ``s``
+#: (modulo the set count) of every level, so six lines share each set and
+#: the 48 lines overflow both caches (4 L1 and 16 L2 lines).
+_WALK_SETS = 8
+_walk_line = st.tuples(st.integers(0, 5), st.integers(0, _WALK_SETS - 1))
+_walk_ops = st.lists(st.tuples(st.integers(0, 120), st.one_of(
+    st.tuples(st.just("read_line"), _level, _walk_line),
+    st.tuples(st.just("read_line"), _level, _walk_line),
+    st.tuples(st.just("write_word"), _level, _walk_line, st.integers(0, 7)),
+    st.tuples(st.just("write_words_line"), _walk_line, _offsets),
+    st.tuples(st.just("update_words_if_present"), _walk_line, _offsets),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("invalidate_all"), _level),
+    st.tuples(st.just("new_clock_epoch"), _level),
+    st.tuples(st.just("save")),
+    st.tuples(st.just("restore_checkpoint"), _level),
+    st.tuples(st.just("flip_bit"), _level, st.integers(0, 128 * 8 - 1)),
+)), min_size=1, max_size=60)
+
+
+def _walk_hierarchy(cls, l1_assoc, l2_assoc, mshrs):
+    mem = GlobalMemory(1 << 16)
+    base = mem.alloc(6 * _WALK_SETS * 32)
+    mem.write_bytes(base, np.arange(6 * _WALK_SETS * 8, dtype=np.uint32))
+    stats = LaunchStats()
+    dram = DRAMInterface(mem, latency=200, stats_ref=stats)
+    l2 = cls("l2", CacheGeometry(512, 32, l2_assoc, mshrs), 90, dram,
+             write_back=True)
+    l1 = cls("l1", CacheGeometry(128, 32, l1_assoc, mshrs), 20, l2,
+             write_back=False)
+    return mem, {"l1": l1, "l2": l2}, stats, base
+
+
+def _walk_state(cache):
+    return (cache.data.tobytes(), cache.tags.tolist(), cache.valid.tolist(),
+            cache.dirty.tolist(), cache.lru.tolist(), cache.fill_done.tolist(),
+            list(cache._fills_in_flight), cache.stats, cache._lru_clock)
+
+
+def _walk(l1_assoc, l2_assoc, mshrs, ops):
+    """Run ``ops`` on a hierarchy of :class:`Cache` and one of the
+    reference, comparing every result and all state after each step;
+    returns the first side's caches."""
+    sides = [_walk_hierarchy(cls, l1_assoc, l2_assoc, mshrs)
+             for cls in (Cache, _ReferenceCache)]
+    saved = [None, None]
+    now = 0
+    for step, op in ops:
+        now += step
+        name, args = op[0], op[1:]
+        results = []
+        for i, (mem, caches, _, base) in enumerate(sides):
+            def addr(line):
+                return base + 32 * (line[0] * _WALK_SETS + line[1])
+            result = None
+            if name == "read_line":
+                data, latency = caches[args[0]].read_line(addr(args[1]), 32, now)
+                result = data.tobytes(), latency
+            elif name == "write_word":
+                result = caches[args[0]].write_word(
+                    addr(args[1]) + 4 * args[2], now * 7 + step, now)
+            elif name in ("write_words_line", "update_words_if_present"):
+                offs = 4 * np.array(args[1], dtype=np.int64)
+                vals = np.arange(offs.size, dtype=np.uint32) + now
+                if name == "write_words_line":
+                    result = caches["l2"].write_words_line(addr(args[0]), offs,
+                                                           vals, now)
+                else:
+                    caches["l1"].update_words_if_present(addr(args[0]), offs,
+                                                         vals)
+            elif name == "flush":
+                caches["l2"].flush()
+            elif name in ("invalidate_all", "new_clock_epoch"):
+                getattr(caches[args[0]], name)()
+            elif name == "save":
+                saved[i] = {lv: c.checkpoint_state() for lv, c in caches.items()}
+            elif name == "restore_checkpoint" and saved[i]:
+                caches[args[0]].restore_checkpoint(saved[i][args[0]])
+            elif name == "flip_bit":
+                caches[args[0]].flip_bit(args[1])
+            results.append(result)
+        assert results[0] == results[1], op
+        (mem, caches, stats, _), (ref_mem, ref_caches, ref_stats, _) = sides
+        for level in caches:
+            assert (_walk_state(caches[level])
+                    == _walk_state(ref_caches[level])), (op, level)
+        assert np.array_equal(mem.data, ref_mem.data)
+        assert stats == ref_stats
+    return sides[0][1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 4)), st.sampled_from((2, 4, 8)),
+       st.sampled_from((1, 2, 3, 8)), _walk_ops)
+def test_miss_walk_matches_reference(l1_assoc, l2_assoc, mshrs, ops):
+    """Property: the miss walk (victim by ``argmin``, the valid bits
+    skipped while every line is valid, no eviction bookkeeping for an
+    invalid way, MSHR pruning only with fills in flight, word stores
+    through one view of ``data``) leaves every latency, byte, tag, valid,
+    dirty and LRU bit, fill time, MSHR list and counter as the reference
+    does, after every step of a random sequence over lines that crowd
+    every set, with fills in flight overlapping."""
+    _walk(l1_assoc, l2_assoc, mshrs, ops)
+
+
+def test_miss_walk_matches_reference_through_full_caches():
+    """Every line read, stored and read again in a scrambled order: both
+    caches run full (the victim comes from the LRU stamps alone) with
+    dirty L2 lines written back on eviction."""
+    order = np.random.default_rng(3).permutation(6 * _WALK_SETS).tolist()
+    lines = [divmod(line, _WALK_SETS) for line in order]
+    ops = [(40, ("read_line", "l1", line)) for line in lines]
+    ops += [(40, ("write_words_line", line, [0, 3])) for line in lines[::2]]
+    ops += [(40, ("read_line", level, line)) for line in lines[::-1]
+            for level in ("l2", "l1")]
+    caches = _walk(2, 4, 2, ops)
+    for cache in caches.values():
+        assert len(cache._way_of) == cache._num_lines
+        assert cache.stats.evictions
+    assert caches["l2"].stats.writebacks
+
+
+def test_miss_walk_takes_the_invalid_way_after_a_restore():
+    """One way invalid and the rest valid, the invalid way stamped more
+    recently than a valid one (a restore re-stamps the valid lines
+    relative to the clock and leaves the invalid way's stamp): the miss
+    must still take the invalid way, not the least recent valid one."""
+    lines = [(0, s) for s in range(5)]  # one set of the 4-way, 4-line L1
+    ops = [(10, ("read_line", "l1", line)) for line in lines[:3]]
+    ops += [(10, ("save",)), (10, ("read_line", "l1", lines[3])),
+            (10, ("read_line", "l1", lines[3])),
+            (10, ("restore_checkpoint", "l1")),
+            (10, ("read_line", "l1", lines[4]))]
+    l1 = _walk(4, 4, 8, ops)["l1"]
+    assert l1.stats.evictions == 0

@@ -675,3 +675,27 @@ def test_restored_checkpoint_equals_its_capture(app_name, gv100,
         agree(app, profile, lambda: MicroarchFaultPlan(
             0, checkpoint.now, Structure.L1T, seed=2))
     assert differs == [None] * len(distinct)
+
+
+def test_earlier_trials_only_shorten_a_trials_simulation(v100):
+    """Checkpoints are captured lazily, by pristine trials, onto the
+    profile every trial shares. A trial run again after other trials
+    (itself included) may fast-forward to a checkpoint its first run did
+    not have: the cycles it clocks itself may only fall, while outcome,
+    cycles, outputs and per-launch stats stay. So "cycles simulated" in
+    ``campaign report`` depends on trial order and worker sharding."""
+    app = get_application("bfs")
+    profile = fresh_profile(app, v100)
+    launches = profile.kernel_launches("bfs_k1")
+    seeds = (1, 5, 6, 7)
+    first = {seed: run(app, profile, draw("sw", launches, seed))
+             for seed in seeds}
+    fell = 0
+    for seed in reversed(seeds):
+        again = run(app, profile, draw("sw", launches, seed))
+        assert_same(again, first[seed])
+        before, after = first[seed]["simulated"], again["simulated"]
+        assert len(before) == len(after)
+        assert all(b <= a for a, b in zip(before, after)), seed
+        fell += after != before
+    assert fell

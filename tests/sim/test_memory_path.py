@@ -1,29 +1,44 @@
-"""Differential test of the global memory path against the per-line loop.
+"""Differential test of the memory closures against the closures they
+replaced.
 
 A warp's ``LD``/``LDT`` reads each distinct line once, in ascending order,
 and writes the destination row with one gather; ``ST`` sorts its lanes by
-line once and stores each line's slice. The per-line loop they replace is
-kept here as the reference: one select, read and register write per line
-for loads, one select and L1-then-L2 store per line for stores.
+line once and stores each line's slice; ``LDS``/``STS`` read and write
+the CTA's window. Each closure resolves its base (and store-data) operand
+at compile time to a register row or a constant, and groups lines from
+the lane address list the bounds check returns.
 
-Hypothesis draws lane addresses with duplicates, lines that share a set in
-every cache (so a fill can evict a line read earlier by the same
-instruction), partial guard masks, scalar bases (``RZ`` and a constant),
-and both configs' cache geometries. Both sides run the same instruction
-sequence on separate GPUs; every destination row, latency, DRAM byte
-count, cache array, counter and MSHR list must match after each step.
+The reference is the older code, kept here because ``repro.sim`` no
+longer has it: operands fetched at issue through ``_fetch_u`` lambdas and
+``np.asarray``, the per-line loop for global memory (one select, read and
+register write per line for loads; one select and L1-then-L2 store per
+line for stores) and the fetch-based ``LDS``/``STS`` closures.
+
+Hypothesis draws every memory opcode with the base (and the store data)
+as a register, ``RZ``, an immediate or a constant; lane addresses with
+duplicates; lines that share a set in every cache (so a fill can evict a
+line read earlier by the same instruction); full and partial guard
+masks; both configs' cache geometries; and out-of-bounds or misaligned
+lanes, where both sides must raise the same exception with the same
+message. Both sides run the same instruction sequence on separate GPUs;
+every destination row, latency, DRAM byte count, SMEM byte, cache array,
+counter and MSHR list must match after each step.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import quadro_gv100_like, tesla_v100_like
-from repro.isa.instruction import RZ, Instruction, Operand
+from repro.errors import IllegalInstruction
+from repro.isa.instruction import RZ, Instruction, Operand, OperandKind, SpecialReg
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.sim import GPU
-from repro.sim.executor import CompiledKernel, _fetch_u
+from repro.sim.executor import CompiledKernel
+from repro.sim.memory import HEAP_BASE
+from repro.sim.shared_memory import SharedWindow
 from repro.sim.stats import LaunchStats
 
 #: Every cache's set index repeats with this byte stride (the largest
@@ -33,9 +48,45 @@ SET_STRIDE = 4096
 #: Lines per set the heap spans: more than any cache's associativity.
 SET_LINES = 18
 HEAP_BYTES = SET_STRIDE * SET_LINES
+#: The CTA's shared-memory window.
+SMEM_BYTES = 512
 BASE_REG, DATA_REG, DST_REG = 1, 3, 2
-#: Constant-bank byte offset holding a base address.
-CONST_OFS = 8
+#: Constant-bank byte offsets holding a base address and a store value.
+CONST_OFS, DATA_CONST_OFS = 8, 12
+#: Shared opcodes.
+SHARED = (Opcode.LDS, Opcode.STS)
+STORES = (Opcode.ST, Opcode.STS)
+
+
+# ---------------------------------------------------------------------- #
+# The reference closures
+# ---------------------------------------------------------------------- #
+def _fetch_u(op, const_bank):
+    """A fetcher returning the operand as a uint32 row or a scalar int."""
+    kind = op.kind
+    if kind == OperandKind.REG:
+        if op.value == RZ:
+            return lambda w: 0
+        idx = op.value
+        return lambda w: w.bank.regs[idx]
+    if kind == OperandKind.IMM:
+        val = op.value
+        return lambda w: val
+    if kind == OperandKind.CONST:
+        val = int(const_bank[op.value >> 2])
+        return lambda w: val
+    raise AssertionError(f"no reference fetch for operand kind {kind}")
+
+
+def _lane_values(fetch, w, lanes, dtype):
+    """The guarded lanes' values of a fetched operand."""
+    full = np.asarray(fetch(w), dtype=dtype)
+    return full[lanes] if full.ndim else np.full(len(lanes), full, dtype=dtype)
+
+
+def _lane_addresses(fetch, offset, w, gm):
+    lanes = np.nonzero(gm)[0]
+    return lanes, _lane_values(fetch, w, lanes, np.int64) + offset
 
 
 def _reference_load(instr, const_bank):
@@ -46,10 +97,7 @@ def _reference_load(instr, const_bank):
     is_tex = instr.opcode == Opcode.LDT
 
     def load(sm, w, gm):
-        addrs_all = np.asarray(base_fetch(w), dtype=np.int64) + offset
-        lanes = np.nonzero(gm)[0]
-        addrs = (addrs_all[lanes] if addrs_all.ndim
-                 else np.full(len(lanes), addrs_all, dtype=np.int64))
+        lanes, addrs = _lane_addresses(base_fetch, offset, w, gm)
         sm.gpu.mem.check_word_addresses(addrs)
         cache = sm.l1t if is_tex else sm.l1d
         lb = cache.geo.line_bytes
@@ -76,14 +124,9 @@ def _reference_store(instr, const_bank, l1_hit):
     data_fetch = _fetch_u(instr.src_b, const_bank)
 
     def store(sm, w, gm):
-        addrs_all = np.asarray(base_fetch(w), dtype=np.int64) + offset
-        lanes = np.nonzero(gm)[0]
-        addrs = (addrs_all[lanes] if addrs_all.ndim
-                 else np.full(len(lanes), addrs_all, dtype=np.int64))
+        lanes, addrs = _lane_addresses(base_fetch, offset, w, gm)
         sm.gpu.mem.check_word_addresses(addrs)
-        vals_full = np.asarray(data_fetch(w), dtype=np.uint32)
-        vals = vals_full[lanes] if vals_full.ndim else np.full(
-            len(lanes), vals_full, dtype=np.uint32)
+        vals = _lane_values(data_fetch, w, lanes, np.uint32)
         lb = sm.gpu.l2.geo.line_bytes
         lines = addrs & ~np.int64(lb - 1)
         now = sm.gpu.now
@@ -97,29 +140,89 @@ def _reference_store(instr, const_bank, l1_hit):
     return store
 
 
+def _reference_lds(instr, const_bank, smem):
+    offset = instr.mem_offset
+    base_fetch = _fetch_u(instr.src_a, const_bank)
+    dst = instr.dst
+
+    def lds(sm, w, gm):
+        lanes, offs = _lane_addresses(base_fetch, offset, w, gm)
+        vals = w.cta.smem.read_words(offs)
+        if dst != RZ:
+            w.bank.regs[dst][lanes] = vals
+        return smem
+
+    return lds
+
+
+def _reference_sts(instr, const_bank, smem):
+    offset = instr.mem_offset
+    base_fetch = _fetch_u(instr.src_a, const_bank)
+    data_fetch = _fetch_u(instr.src_b, const_bank)
+
+    def sts(sm, w, gm):
+        lanes, offs = _lane_addresses(base_fetch, offset, w, gm)
+        vals = _lane_values(data_fetch, w, lanes, np.uint32)
+        w.cta.smem.write_words(offs, vals)
+        return smem
+
+    return sts
+
+
+def _reference(instr, const_bank, config):
+    op, lat = instr.opcode, config.latencies
+    if op == Opcode.ST:
+        return _reference_store(instr, const_bank, lat.l1_hit)
+    if op == Opcode.LDS:
+        return _reference_lds(instr, const_bank, lat.smem)
+    if op == Opcode.STS:
+        return _reference_sts(instr, const_bank, lat.smem)
+    return _reference_load(instr, const_bank)
+
+
+# ---------------------------------------------------------------------- #
+# Harness
+# ---------------------------------------------------------------------- #
 class _Bank:
     def __init__(self, regs):
         self.regs = regs
 
 
-class _Warp:
-    """The part of a warp the memory closures read: its register bank."""
+class _CTA:
+    def __init__(self, window):
+        self.smem = window
 
-    def __init__(self, regs):
+
+class _Warp:
+    """The part of a warp the memory closures read: its register bank and
+    its CTA's shared-memory window."""
+
+    def __init__(self, regs, smem=None):
         self.bank = _Bank(regs)
+        window = SharedWindow(SMEM_BYTES)
+        if smem is not None:
+            window.data[:] = smem
+        self.cta = _CTA(window)
+
+
+_forms = st.sampled_from(("reg", "reg", "reg", "rz", "imm", "const"))
 
 
 @st.composite
 def _accesses(draw):
-    """Warp accesses ``(opcode, base, addrs, guard, dst)`` over one pool
-    of lines, so later accesses re-read lines earlier ones evicted.
+    """Warp accesses ``(opcode, base, data, addrs, guard, dst, fault)``
+    over one pool of lines, so later accesses re-read lines earlier ones
+    evicted.
 
-    ``base`` is ``"reg"`` (per-lane addresses in ``R1``), ``"rz"`` or
-    ``"const"`` (every lane at one address). The pool's lines fall in one
-    to four sets of every cache; each access spreads its lanes over a
-    window of the pool, so duplicate addresses and more same-set lines
-    than ways are common. Lanes the guard masks off get out-of-heap
-    addresses, which a closure that touched them would fault on.
+    ``base`` and ``data`` are ``"reg"`` (per-lane values in ``R1``/``R3``),
+    ``"rz"``, ``"imm"`` or ``"const"`` (one value for every lane). The
+    pool's lines fall in one to four sets of every cache; each global
+    access spreads its lanes over a window of the pool, so duplicate
+    addresses and more same-set lines than ways are common; a shared
+    access spreads its lanes over a window of SMEM words. Lanes the guard
+    masks off get invalid addresses, which a closure that touched them
+    would fault on. ``fault`` makes one guarded lane (every lane, for a
+    uniform base) out of bounds below or past the end, or misaligned.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_sets = draw(st.integers(1, 4))
@@ -128,26 +231,42 @@ def _accesses(draw):
     pool = pool[:draw(st.integers(1, 24))]
     accesses = []
     for _ in range(draw(st.integers(1, 6))):
-        opcode = draw(st.sampled_from((Opcode.LD, Opcode.LDT, Opcode.ST)))
-        base = draw(st.sampled_from(("reg", "reg", "reg", "rz", "const")))
-        lo = draw(st.integers(0, len(pool) - 1))
-        hi = draw(st.integers(lo, len(pool) - 1))
-        addrs = [pool[i][0] * SET_STRIDE + pool[i][1] * 32 + 4 * word
-                 for i, word in zip(rng.integers(lo, hi + 1, 32).tolist(),
-                                    rng.integers(0, 8, 32).tolist())]
+        opcode = draw(st.sampled_from(
+            (Opcode.LD, Opcode.LDT, Opcode.ST, Opcode.LDS, Opcode.STS)))
+        base, data = draw(_forms), draw(_forms)
+        if opcode in SHARED:
+            lo = draw(st.integers(0, SMEM_BYTES // 4 - 1))
+            hi = draw(st.integers(lo, min(lo + 40, SMEM_BYTES // 4 - 1)))
+            addrs = (4 * rng.integers(lo, hi + 1, 32)).tolist()
+        else:
+            lo = draw(st.integers(0, len(pool) - 1))
+            hi = draw(st.integers(lo, len(pool) - 1))
+            addrs = [pool[i][0] * SET_STRIDE + pool[i][1] * 32 + 4 * word
+                     for i, word in zip(rng.integers(lo, hi + 1, 32).tolist(),
+                                        rng.integers(0, 8, 32).tolist())]
         guard = rng.random(32) < draw(st.sampled_from((1.0, 0.6, 0.15)))
         guard[rng.integers(32)] = True
         dst = draw(st.sampled_from((DST_REG, DST_REG, RZ)))
-        accesses.append((opcode, base, addrs, guard.tolist(), dst))
+        fault = draw(st.sampled_from(
+            (None, None, None, None, "below", "past", "misaligned")))
+        accesses.append((opcode, base, data, addrs, guard.tolist(), dst,
+                         fault))
     return accesses
 
 
-def _instruction(opcode, base, dst, offset):
-    src_a = {"reg": Operand.reg(BASE_REG), "rz": Operand.reg(RZ),
-             "const": Operand.const(CONST_OFS)}[base]
-    if opcode == Opcode.ST:
-        return Instruction(opcode, src_a=src_a, src_b=Operand.reg(DATA_REG),
-                           mem_offset=offset)
+def _instruction(opcode, base, data, dst, offset, base_value, data_value):
+    """``opcode`` with its base reading ``base_value`` (a non-register
+    form) and its store data reading ``data_value``."""
+    def operand(form, reg, const_ofs, value):
+        return {"reg": lambda: Operand.reg(reg), "rz": lambda: Operand.reg(RZ),
+                "imm": lambda: Operand.imm(value),
+                "const": lambda: Operand.const(const_ofs)}[form]()
+
+    src_a = operand(base, BASE_REG, CONST_OFS, base_value)
+    if opcode in STORES:
+        return Instruction(opcode, src_a=src_a, mem_offset=offset,
+                           src_b=operand(data, DATA_REG, DATA_CONST_OFS,
+                                         data_value))
     return Instruction(opcode, dst=dst, src_a=src_a, mem_offset=offset)
 
 
@@ -184,43 +303,74 @@ def _device(config, seed):
     return gpu, heap
 
 
-@settings(max_examples=120, deadline=None)
+def _issue(fn, sm, warp, gm):
+    """``fn``'s latency, or the type and message of what it raised."""
+    try:
+        return fn(sm, warp, gm)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _faulted(addrs, gm, fault, shared, heap_end, uniform, rng):
+    """``addrs`` with the fault applied to one guarded lane: the first
+    one, whose address a uniform base takes, or any."""
+    guarded = np.flatnonzero(gm)
+    lane = int(guarded[0] if uniform else rng.choice(guarded))
+    bad = {"below": -4 if shared else HEAP_BASE - 4,
+           "past": SMEM_BYTES if shared else heap_end,
+           "misaligned": int(addrs[lane]) + int(rng.integers(1, 4))}[fault]
+    addrs = addrs.copy()
+    addrs[lane] = bad
+    return addrs
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from((quadro_gv100_like, tesla_v100_like)),
        _accesses(), st.integers(0, 2**32 - 1))
 def test_line_batched_path_matches_per_line_loop(make_config, accesses, seed):
+    """Every memory opcode and operand form against the reference closures
+    (for global memory, the per-line loop): same registers, SMEM, latency
+    or exception, DRAM bytes and cache state after each access."""
     config = make_config()
     (gpu, heap), (ref, _) = _device(config, seed), _device(config, seed)
     rng = np.random.default_rng(seed)
     regs = rng.integers(0, 2**32, (8, 32), dtype=np.uint32)
-    warps = _Warp(regs.copy()), _Warp(regs.copy())
+    smem = rng.integers(0, 256, SMEM_BYTES, dtype=np.uint8)
+    warps = _Warp(regs.copy(), smem), _Warp(regs.copy(), smem)
     now = 0
-    for opcode, base, addrs, guard, dst in accesses:
+    for opcode, base, data, addrs, guard, dst, fault in accesses:
         now += int(rng.integers(0, 400))
         gpu.now = ref.now = now
         gm = np.array(guard)
-        lane_addrs = heap + np.array(addrs, dtype=np.int64)
-        # Masked-off lanes point below the heap: touching one would fault.
-        lane_addrs[~gm] = 4
-        # Every form reaches its addresses as base + offset.
-        const_bank = np.zeros(8, dtype=np.uint32)
+        shared = opcode in SHARED
+        lane_addrs = np.array(addrs, dtype=np.int64) + (0 if shared else heap)
+        if fault is not None:
+            lane_addrs = _faulted(lane_addrs, gm, fault, shared,
+                                  gpu.mem.heap_end, base != "reg", rng)
+        # Masked-off lanes hold invalid addresses: touching one would fault.
+        lane_addrs[~gm] = 2 if shared else 4
+        # Every form reaches its addresses as base + offset; a uniform
+        # base gives every lane the first guarded lane's address.
         first = int(lane_addrs[gm][0])
-        offset = {"reg": 64, "rz": first, "const": first & 0xFF}[base]
-        const_bank[CONST_OFS // 4] = first - offset
+        offset = {"reg": -16 if shared else 64, "rz": first,
+                  "imm": first & 0xFF, "const": first & 0xFF}[base]
+        const_bank = np.zeros(8, dtype=np.uint32)
+        const_bank[CONST_OFS // 4] = (first - offset) & 0xFFFFFFFF
+        data_value = int(rng.integers(0, 2**32))
+        const_bank[DATA_CONST_OFS // 4] = data_value
         values = rng.integers(0, 2**32, 32, dtype=np.uint32)
         for w in warps:
-            w.bank.regs[BASE_REG] = (lane_addrs - 64).astype(np.uint32)
+            w.bank.regs[BASE_REG] = (lane_addrs - offset).astype(np.uint32)
             w.bank.regs[DATA_REG] = values
-        instr = _instruction(opcode, base, dst, offset)
+        instr = _instruction(opcode, base, data, dst, offset,
+                             first - offset, data_value)
         fn = _compile(instr, const_bank, config)
-        if opcode == Opcode.ST:
-            ref_fn = _reference_store(instr, const_bank,
-                                      config.latencies.l1_hit)
-        else:
-            ref_fn = _reference_load(instr, const_bank)
-        latency = fn(gpu.sms[0], warps[0], gm)
-        ref_latency = ref_fn(ref.sms[0], warps[1], gm)
-        assert latency == ref_latency
+        ref_fn = _reference(instr, const_bank, config)
+        got = _issue(fn, gpu.sms[0], warps[0], gm)
+        want = _issue(ref_fn, ref.sms[0], warps[1], gm)
+        assert got == want
         assert np.array_equal(warps[0].bank.regs, warps[1].bank.regs)
+        assert np.array_equal(warps[0].cta.smem.data, warps[1].cta.smem.data)
         assert gpu._dram_if.stats == ref._dram_if.stats
         _assert_same_caches(gpu, ref)
     gpu.l2.flush()
@@ -240,11 +390,29 @@ def test_same_set_lines_evict_within_one_load():
     lane_addrs += 4 * (np.arange(32) // 5)
     regs = np.zeros((8, 32), dtype=np.uint32)
     regs[BASE_REG] = (lane_addrs - 64).astype(np.uint32)
-    fn = _compile(_instruction(Opcode.LD, "reg", DST_REG, 64),
-                  np.zeros(8, np.uint32), config)
+    fn = _compile(_instruction(Opcode.LD, "reg", None, DST_REG, 64, 0, 0),
+                  np.zeros(8, np.uint32), tesla_v100_like())
     warp = _Warp(regs)
     fn(gpu.sms[0], warp, np.ones(32, dtype=bool))
     words = gpu.mem.data[: heap + HEAP_BYTES].view("<u4")
     assert np.array_equal(warp.bank.regs[DST_REG], words[lane_addrs >> 2])
     assert gpu.sms[0].l1d.stats.evictions >= 3
 
+
+@pytest.mark.parametrize("opcode, operand", [
+    (Opcode.LD, "base"), (Opcode.LDT, "base"), (Opcode.LDS, "base"),
+    (Opcode.ST, "base"), (Opcode.ST, "data"),
+    (Opcode.STS, "base"), (Opcode.STS, "data")])
+def test_special_register_operand_is_rejected_at_compile_time(opcode,
+                                                              operand):
+    """No kernel addresses through (or stores) a special register; the
+    compiler refuses it instead of building a closure for it."""
+    sr = Operand.special(SpecialReg.TID_X)
+    base = sr if operand == "base" else Operand.reg(BASE_REG)
+    if opcode in STORES:
+        data = sr if operand == "data" else Operand.reg(DATA_REG)
+        instr = Instruction(opcode, src_a=base, src_b=data)
+    else:
+        instr = Instruction(opcode, dst=DST_REG, src_a=base)
+    with pytest.raises(IllegalInstruction):
+        _compile(instr, np.zeros(8, np.uint32), quadro_gv100_like())

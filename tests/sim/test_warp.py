@@ -2,12 +2,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from repro.arch.config import quadro_gv100_like
+from repro.arch.config import quadro_gv100_like, tesla_v100_like
 from repro.fi import gpufi
 from repro.fi.campaign import _gpu_factory
 from repro.fi.gpufi import MicroarchFaultPlan
 from repro.isa import assemble
+from repro.isa.instruction import SpecialReg
 from repro.kernels import get_application
 from repro.kernels.base import DeviceHarness
 from repro.kernels.registry import all_applications
@@ -40,6 +42,50 @@ def test_specials_linear_ids():
     assert warp.specials[SpecialReg.CTAID_X][0] == 1
     assert warp.specials[SpecialReg.NCTAID_Y][0] == 2
     assert warp.specials[SpecialReg.LANEID][31] == 31
+
+
+def _per_warp_specials(warp, warp_size=32):
+    """The special registers and ``done`` lanes of one warp, built from
+    its own geometry as each warp once built them."""
+    cta = warp.cta
+    lanes = np.arange(warp_size, dtype=np.uint32)
+    linear = warp.index_in_cta * warp_size + lanes
+    bx, by, bz = cta.block_dim
+    rows = [linear % bx, linear // bx % by, linear // bx // by,
+            *cta.ctaid, bx, by, bz, *cta.grid_dim, lanes, warp.index_in_cta]
+    sp = np.zeros((len(SpecialReg), warp_size), dtype=np.uint32)
+    for sid, row in zip(SpecialReg, rows):
+        sp[sid] = row
+    return sp, linear >= cta.num_threads
+
+
+def test_specials_template_equals_the_per_warp_build(monkeypatch):
+    """Every warp of every launch of the 15 apps, on both configs: the
+    rows copied from the launch geometry's template (with the CTA's
+    CTAID rows set) equal the per-warp build, no two warps share a row
+    array, and the rows are read-only, so nothing writes them after
+    creation (a write would raise and fail the run)."""
+    built = []
+    init = Warp.__init__
+
+    def spy(warp, *args, **kwargs):
+        init(warp, *args, **kwargs)
+        want_sp, want_done = _per_warp_specials(warp)
+        assert np.array_equal(warp.specials, want_sp), warp.cta.ctaid
+        assert np.array_equal(warp.done, want_done)
+        assert not warp.specials.flags.writeable
+        assert warp.done.flags.writeable
+        built.append(warp.specials)
+
+    monkeypatch.setattr(Warp, "__init__", spy)
+    for config in (quadro_gv100_like(), tesla_v100_like()):
+        for app in all_applications(suite="all"):
+            before = len(built)
+            app.run(GPU(config), DeviceHarness())
+            assert len(built) > before, app.name
+    assert len({id(sp) for sp in built}) == len(built)
+    with pytest.raises(ValueError):
+        built[0][SpecialReg.TID_X] = 0
 
 
 def test_partial_block_kills_extra_lanes():

@@ -61,6 +61,10 @@ FAULT_TARGETS = ("storage", "control")
 #: Persistent models: armed on every launch, re-pinned every cycle.
 PERSISTENT_MODELS = ("stuck0", "stuck1", "intermittent")
 
+#: The cache structures: their fault sites span every line, valid or not,
+#: so a site depends on the configuration alone, never on device state.
+CACHE_STRUCTURES = (Structure.L1D, Structure.L1T, Structure.L2)
+
 
 class ECCUncorrectableError(ExecutionError):
     """Multi-bit fault detected by SECDED: a DUE by definition."""
@@ -293,6 +297,9 @@ class MicroarchFaultPlan:
     #: None before it fires.
     _fire_bits: list | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    #: A cache fault's site once drawn (:meth:`_cache_site`).
+    _site: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def corrected_by_ecc(self) -> bool:
@@ -344,6 +351,29 @@ class MicroarchFaultPlan:
         bits = self._fire_bits
         return bits is not None and all(_dead_bit(gpu, bit) for bit in bits)
 
+    def dead_at_arm(self, gpu, golden) -> bool:
+        """Whether this plan, armed as the only actor of a launch that
+        repeats ``golden`` (a :class:`repro.sim.replay.GoldenLaunch`), is
+        a transient, unprotected cache fault whose every bit lies in a
+        line invalid when the golden launch ends. Inside a launch a line's
+        ``valid`` bit only goes from 0 to 1, so that line was invalid at
+        every cycle of the launch, the fire included: :meth:`fire` would
+        write only dead state (:meth:`dead_on_arrival`). When so, the plan
+        is marked fired as :meth:`fire` would mark it, and writes no bit."""
+        if (self.fired or self.persistent or self.ecc_protected
+                or self.target != "storage"
+                or self.structure not in CACHE_STRUCTURES):
+            return False
+        targets, label = self._select(gpu)
+        cache = targets[0].owner
+        valid = golden.valid_at_exit(gpu, cache)
+        if any(valid[t.byte // cache.geo.line_bytes] for t in targets):
+            return False
+        self.fired = True
+        self._fire_bits = targets
+        self.description = label
+        return True
+
     # ------------------------------------------------------------ selection
     def _select_storage(self, gpu, rng) -> tuple[list, str]:
         structure = self.structure
@@ -373,17 +403,25 @@ class MicroarchFaultPlan:
                                for b in self._bits(bit, size)]
                     return targets, f"SMEM window bit {bit} x{self.num_bits}"
                 bit -= size
-        else:
-            caches = gpu.cache_instances(structure)
-            total = sum(c.total_bits for c in caches)
-            bit = int(rng.integers(total))
-            for cache in caches:
-                if bit < cache.total_bits:
-                    targets = [_BufferBit(cache.data, b, cache)
-                               for b in self._bits(bit, cache.total_bits)]
-                    return targets, f"{cache.name} bit {bit} x{self.num_bits}"
-                bit -= cache.total_bits
         return [], ""
+
+    def _cache_site(self, gpu) -> tuple[Cache, list[int], str]:
+        """A cache fault's instance, bits of its data array and label,
+        drawn over every instance of the structure on the first call (a
+        cache site does not depend on device state; see
+        :data:`CACHE_STRUCTURES`) and kept by instance index."""
+        caches = gpu.cache_instances(self.structure)
+        if self._site is None:
+            bit = int(derive_rng(self.seed, "uarch-fire").integers(
+                sum(c.total_bits for c in caches)))
+            for index, cache in enumerate(caches):
+                if bit < cache.total_bits:
+                    self._site = (index, self._bits(bit, cache.total_bits),
+                                  f"{cache.name} bit {bit} x{self.num_bits}")
+                    break
+                bit -= cache.total_bits
+        index, bits, label = self._site
+        return caches[index], bits, label
 
     def _select_control(self, gpu, rng) -> tuple[list, str]:
         sites = _control_sites(gpu)
@@ -400,6 +438,9 @@ class MicroarchFaultPlan:
         return [], ""
 
     def _select(self, gpu) -> tuple[list, str]:
+        if self.target == "storage" and self.structure in CACHE_STRUCTURES:
+            cache, bits, label = self._cache_site(gpu)
+            return [_BufferBit(cache.data, b, cache) for b in bits], label
         # One fresh, tag-derived stream per resolution: firing and every
         # later rebind draw the same site index deterministically.
         rng = derive_rng(self.seed, "uarch-fire")

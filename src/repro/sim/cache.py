@@ -293,7 +293,15 @@ class Cache:
                 self.dirty[ways] = False
 
     def invalidate_all(self) -> None:
-        """Drop every line without writeback (caller flushes first if needed)."""
+        """Drop every line without writeback (caller flushes first if needed).
+
+        A cache whose way index is current and empty, with no fill in
+        flight, holds no valid line, so there is nothing to drop: an
+        invalid line is never dirty and its tag is -1 (only this module
+        clears ``valid``, and always with both). Its ``fill_done`` may
+        be stale after a restore, but a fill sets it before any read."""
+        if self._way_of == {} and not self._fills_in_flight:
+            return
         self.valid[:] = False
         self.dirty[:] = False
         self.tags[:] = -1

@@ -51,6 +51,7 @@ from repro.sim.replay import (
     CheckpointCursor,
     GoldenLaunch,
     ReplayTrack,
+    exit_valid_masks,
     golden_record,
     set_uid_counters,
     uid_counters,
@@ -112,12 +113,14 @@ class LaunchRecord:
     program_name: str = ""
     #: The cycles this run clocked itself. Fewer than ``cycles`` when the
     #: launch was fast-forwarded or finished from the golden run, and 0
-    #: when it was replayed whole (see :mod:`repro.sim.replay`); ``stats``
-    #: are the golden launch's when it finished from the golden run.
+    #: when it was replayed whole or its fault was found dead when armed
+    #: (see :mod:`repro.sim.replay`); ``stats`` are the golden launch's
+    #: when it finished from the golden run.
     simulated_cycles: int = 0
     #: Observation only: the launch's fault flipped only dead state, so it
-    #: finished from the golden run at the fire cycle (see
-    #: :mod:`repro.sim.replay`).
+    #: finished from the golden run at the fire cycle, or before its first
+    #: cycle when the arm-time verdict found every bit in a line the
+    #: golden launch never fills (see :mod:`repro.sim.replay`).
     dead_at_fire: bool = False
 
     @property
@@ -274,6 +277,12 @@ class GPU:
                 golden = None
         if golden is not None and not actors:
             return self._finish_from_golden(golden, entry_uids)
+        if (golden is not None and plan is not None and len(actors) == 1
+                and plan.dead_at_arm(self, golden)):
+            # The fault lands in lines the golden launch never fills: it
+            # is dead at its fire, decided before simulating any cycle.
+            return self._finish_from_golden(
+                golden, entry_uids, simulated_cycles=0, dead_at_fire=True)
         cursor = None
         if golden is not None and not any(a.fired for a in actors):
             cursor = CheckpointCursor(golden, actors, entry_uids)
@@ -344,7 +353,9 @@ class GPU:
             self.now = 0
 
         if converged:
-            return self._finish_from_golden(golden, entry_uids, cursor)
+            return self._finish_from_golden(golden, entry_uids,
+                                            cursor.end - cursor.start,
+                                            cursor.dead_at_fire)
         start = checkpoint.now if checkpoint is not None else 0
         record = LaunchRecord(launch_index, launch, stats, program.name,
                               stats.cycles - start)
@@ -352,8 +363,10 @@ class GPU:
         self.launch_records.append(record)
         if self.recorder is not None:
             deltas = tuple(b - a for a, b in zip(entry_uids, uid_counters(self)))
+            boundary = Boundary.capture(self)
             self.recorder.launches.append(GoldenLaunch(
-                program, launch, entry, Boundary.capture(self), deltas, record))
+                program, launch, entry, boundary, deltas, record,
+                exit_valid_masks(self, boundary)))
         return record
 
     def _within_budgets(self, cycles: int, budget: int) -> bool:
@@ -365,25 +378,26 @@ class GPU:
             or self.trial_cycles_done + cycles <= trial_budget)
 
     def _finish_from_golden(self, golden: GoldenLaunch, entry_uids: tuple,
-                            cursor: CheckpointCursor | None = None
-                            ) -> LaunchRecord:
+                            simulated_cycles: int | None = None,
+                            dead_at_fire: bool = False) -> LaunchRecord:
         """Take the effect of a golden launch this run has not simulated
-        (no ``cursor``) or has converged back to: its exit state, its uid
+        (``simulated_cycles`` None) or has converged back to after
+        clocking ``simulated_cycles`` of it: its exit state, its uid
         counters and a copy of its record. Raises :class:`TrialConverged`
-        when the whole rest of the run is golden."""
-        golden.exit.restore(self)
+        when the whole rest of the run is golden, without restoring the
+        exit state: nothing reads the device before the next run's
+        :meth:`reset`."""
         set_uid_counters(self, [a + d for a, d in
                                 zip(entry_uids, golden.uid_deltas)])
-        if cursor is None:
-            record = golden_record(golden, 0)
-        else:
-            record = golden_record(golden, cursor.end - cursor.start)
-            record.dead_at_fire = cursor.dead_at_fire
+        record = golden_record(golden, simulated_cycles or 0)
+        if simulated_cycles is not None:
+            record.dead_at_fire = dead_at_fire
             self.stats = record.stats
         self.trial_cycles_done += record.cycles
         self.launch_records.append(record)
         if self._golden_so_far and self._injectors_spent():
             self._end_converged_trial()
+        golden.exit.restore(self)
         return record
 
     def _injectors_spent(self) -> bool:

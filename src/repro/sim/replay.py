@@ -13,6 +13,9 @@ The shortcuts, and the fact that makes each one exact:
   later instruction can read;
 * **fire-time convergence**: the launch's only actor is a transient fault
   that wrote only dead state, and the trial equalled golden until then;
+* **the arm-time verdict**: fire-time convergence decided before the
+  launch starts, for a transient cache fault whose every bit lies in a
+  line the golden launch never fills (see below);
 * **trial-level convergence** (``GPU._finish_from_golden``): every launch
   so far ended from the golden run and every injector is spent, so the
   host has seen only golden data and issues the golden launches on golden
@@ -79,17 +82,35 @@ reads, so the rest of the launch is golden
 (:meth:`CheckpointCursor.converged_at_fire`). Every cache fill writes the
 whole line before it sets ``valid``, so an invalid line is never read.
 
-All three end in one path, "finish from golden" (``GPU._finish_from_golden``):
-restore the golden exit boundary, set the uid counters to their entry
-values plus the golden deltas, and append a copy of the golden record
-whose ``simulated_cycles`` says how many cycles this run clocked (0 for a
-replayed launch) and whose ``dead_at_fire`` says whether the fire ended
-it. The result is exact by construction: the simulated
-launch would have reached the same state with the same counters. When
-every launch of the run so far ended there and no injector can act
-again, the run ends there too (``repro.sim.gpu.TrialConverged``): a
-launch that ran to its end instead may have handed the host corrupted
-data, so it keeps the run going even if a later launch matches golden.
+*The arm-time verdict* (``MicroarchFaultPlan.dead_at_arm``) takes that
+decision for cache faults before a cycle is simulated. A cache fault's
+site does not depend on device state (it is drawn over every line, valid
+or not), and inside a launch a line's ``valid`` bit only goes from 0 to
+1: only ``Cache.invalidate_all`` and restores clear it, and both run
+outside ``GPU._run``. So a line invalid in the golden launch's exit mask
+(:attr:`GoldenLaunch.exit_valid`, recorded by the profiling run only)
+was invalid at every cycle of that launch. When a launch repeats its
+golden launch and its only actor is a transient, unprotected cache fault
+with every bit in such a line, the fault is dead at whatever cycle it
+fires, and the launch is taken whole from the golden run with the plan
+marked fired as its fire would have marked it: no checkpoint restore, no
+L1 invalidation and no cycle. Lines invalid at the fire but filled later
+are left to fire-time convergence.
+
+All of these end in one path, "finish from golden"
+(``GPU._finish_from_golden``): set the uid counters to their entry
+values plus the golden deltas, append a copy of the golden record whose
+``simulated_cycles`` says how many cycles this run clocked (0 for a
+replayed launch and for one the arm-time verdict took) and whose
+``dead_at_fire`` says whether its fault was dead at the fire, and restore
+the golden exit boundary. The result is exact by construction: the
+simulated launch would have reached the same state with the same
+counters. When every launch of the run so far ended there and no
+injector can act again, the run ends there too
+(``repro.sim.gpu.TrialConverged``), without the exit restore: nothing
+reads the device before the next run's ``GPU.reset``. A launch that ran
+to its end instead may have handed the host corrupted data, so it keeps
+the run going even if a later launch matches golden.
 
 Checkpoints are captured lazily, by injected trials themselves while their
 injector is still pristine (the state then equals golden by construction),
@@ -488,12 +509,21 @@ class Checkpoint:
         gpu.now = self.now
 
 
+def exit_valid_masks(gpu, boundary: Boundary) -> tuple[np.ndarray, ...]:
+    """The valid mask of every cache of ``gpu`` (in :func:`_caches`
+    order) at the end of a launch whose exit boundary is ``boundary``; the
+    L2's is the boundary's own."""
+    return (*(c.valid.copy() for c in _caches(gpu)[:-1]), boundary.l2[0])
+
+
 @dataclass(frozen=True, eq=False)
 class GoldenLaunch:
     """One launch of the fault-free run. ``program`` is held, not its
     ``id()``, so it cannot be collected and its id reused.
     ``checkpoints[k]`` is the state at the first loop top at or after
-    ``grid[k]``, once an injected trial has captured it."""
+    ``grid[k]``, once an injected trial has captured it. ``exit_valid``
+    holds every cache's valid mask at the launch's end
+    (:func:`exit_valid_masks`)."""
 
     program: Program
     launch: object  # repro.sim.gpu.KernelLaunch
@@ -501,8 +531,14 @@ class GoldenLaunch:
     exit: Boundary
     uid_deltas: tuple[int, ...]
     record: object  # repro.sim.gpu.LaunchRecord
+    exit_valid: tuple = field(repr=False)
     checkpoints: list = field(
         default_factory=lambda: [None] * CHECKPOINTS_PER_LAUNCH, repr=False)
+
+    def valid_at_exit(self, gpu, cache) -> np.ndarray:
+        """``cache``'s valid mask at the end of this launch, a superset of
+        its valid lines at every cycle of it (see the module docstring)."""
+        return self.exit_valid[_caches(gpu).index(cache)]
 
     @property
     def grid(self) -> list[int]:

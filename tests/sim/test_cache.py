@@ -447,12 +447,13 @@ def _walk_state(cache):
             list(cache._fills_in_flight), cache.stats, cache._lru_clock)
 
 
-def _walk(l1_assoc, l2_assoc, mshrs, ops):
-    """Run ``ops`` on a hierarchy of :class:`Cache` and one of the
-    reference, comparing every result and all state after each step;
-    returns the first side's caches."""
+def _walk(l1_assoc, l2_assoc, mshrs, ops, ref=_ReferenceCache,
+          state=_walk_state):
+    """Run ``ops`` on a hierarchy of :class:`Cache` and one of ``ref``,
+    comparing every result and the ``state`` of each cache after each
+    step; returns the first side's caches."""
     sides = [_walk_hierarchy(cls, l1_assoc, l2_assoc, mshrs)
-             for cls in (Cache, _ReferenceCache)]
+             for cls in (Cache, ref)]
     saved = [None, None]
     now = 0
     for step, op in ops:
@@ -486,14 +487,16 @@ def _walk(l1_assoc, l2_assoc, mshrs, ops):
                 saved[i] = {lv: c.checkpoint_state() for lv, c in caches.items()}
             elif name == "restore_checkpoint" and saved[i]:
                 caches[args[0]].restore_checkpoint(saved[i][args[0]])
+            elif name == "restore_boundary" and saved[i]:
+                caches[args[0]].restore_boundary(saved[i][args[0]][3:])
             elif name == "flip_bit":
                 caches[args[0]].flip_bit(args[1])
             results.append(result)
         assert results[0] == results[1], op
         (mem, caches, stats, _), (ref_mem, ref_caches, ref_stats, _) = sides
         for level in caches:
-            assert (_walk_state(caches[level])
-                    == _walk_state(ref_caches[level])), (op, level)
+            assert (state(caches[level])
+                    == state(ref_caches[level])), (op, level)
         assert np.array_equal(mem.data, ref_mem.data)
         assert stats == ref_stats
     return sides[0][1]
@@ -543,3 +546,102 @@ def test_miss_walk_takes_the_invalid_way_after_a_restore():
             (10, ("read_line", "l1", lines[4]))]
     l1 = _walk(4, 4, 8, ops)["l1"]
     assert l1.stats.evictions == 0
+
+
+class _FullInvalidateCache(_ReferenceCache):
+    """The reference with ``invalidate_all`` as it was: every array reset,
+    whatever the cache holds."""
+
+    def invalidate_all(self):
+        self.valid[:] = False
+        self.dirty[:] = False
+        self.tags[:] = -1
+        self._way_of = {}
+        self.fill_done[:] = 0
+        self._fills_in_flight.clear()
+
+
+def _observable_state(cache):
+    """What a later read, compare or restore can observe: the checkpoint
+    state (the boundary state, the counters, the fills in flight and the
+    fill time of each valid line). Invalid lines' fill times are not in
+    it: a fill sets a line's time before any read of it."""
+    counters, fills, fill_done, valid, dirty, tags, lru, lines = (
+        cache.checkpoint_state())
+    return (counters, fills, fill_done.tolist(), valid.tolist(),
+            dirty.tolist(), tags.tolist(), lru.tolist(), lines.tobytes(),
+            cache.stats)
+
+
+#: Cache operations around frequent invalidations, with restores to
+#: states saved while a cache was empty or not.
+_invalidate_ops = st.lists(st.tuples(st.integers(0, 120), st.one_of(
+    st.tuples(st.just("read_line"), _level, _walk_line),
+    st.tuples(st.just("write_word"), _level, _walk_line, st.integers(0, 7)),
+    st.tuples(st.just("write_words_line"), _walk_line, _offsets),
+    st.tuples(st.just("update_words_if_present"), _walk_line, _offsets),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("invalidate_all"), _level),
+    st.tuples(st.just("invalidate_all"), _level),
+    st.tuples(st.just("new_clock_epoch"), _level),
+    st.tuples(st.just("save")),
+    st.tuples(st.just("restore_boundary"), _level),
+    st.tuples(st.just("restore_checkpoint"), _level),
+    st.tuples(st.just("flip_bit"), _level, st.integers(0, 128 * 8 - 1)),
+)), min_size=1, max_size=40)
+
+#: Every line read at both levels, one cycle apart: after any sequence,
+#: each later read must return the same data with the same latency.
+_READ_BACK = [(1, ("read_line", level, (k, s))) for k in range(6)
+              for s in range(_WALK_SETS) for level in ("l1", "l2")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 4)), st.sampled_from((2, 4, 8)),
+       st.sampled_from((1, 2, 8)), _invalidate_ops)
+def test_fast_invalidate_equals_a_full_one(l1_assoc, l2_assoc, mshrs, ops):
+    """Property: ``invalidate_all`` returning at once on a cache whose way
+    index is current and empty, with no fill in flight, leaves what a full
+    invalidate leaves: after any sequence of operations and restores, the
+    boundary and checkpoint states, the counters and every later read's
+    data and latency are equal."""
+    _walk(l1_assoc, l2_assoc, mshrs, ops + _READ_BACK,
+          ref=_FullInvalidateCache, state=_observable_state)
+
+
+def test_invalidating_an_empty_cache_writes_no_array():
+    """The fast path: a fresh or just-invalidated cache is left alone
+    (its arrays are read-only here), while one holding a line (its index
+    current or stale), or with no valid line but a fill in flight, is
+    reset in full."""
+    _, l1, l2, _ = make_hierarchy()
+    arrays = ("valid", "dirty", "tags", "fill_done")
+
+    def frozen(cache, writeable):
+        for name in arrays:
+            getattr(cache, name).flags.writeable = writeable
+
+    for cache in (l1, l2):
+        frozen(cache, False)
+        cache.invalidate_all()
+        cache.invalidate_all()
+        frozen(cache, True)
+    empty = l1.boundary_state()
+    l1.read_line(0, 32, now=0)
+    l1.invalidate_all()  # holds a line
+    assert l1._way_of == {} and not l1.valid.any()
+    assert not l1._fills_in_flight
+    l1.read_line(0, 32, now=0)
+    l1.new_clock_epoch()
+    holding = l1.boundary_state()
+    l1.invalidate_all()
+    l1.restore_boundary(holding)  # a line, a stale index, no fill
+    l1.invalidate_all()
+    assert l1._way_of == {} and not l1.valid.any()
+    l1.read_line(0, 32, now=0)
+    l1.restore_boundary(empty)
+    l1.update_words_if_present(0, np.zeros(1, np.int64),
+                               np.zeros(1, np.uint32))  # rebuilds the index
+    assert l1._way_of == {} and l1._fills_in_flight
+    l1.invalidate_all()  # a fill in flight
+    assert not l1._fills_in_flight and not l1.fill_done.any()

@@ -15,12 +15,13 @@ from repro.arch.structures import Structure
 from repro.fi.campaign import _gpu_factory, _kernel_rollup
 from repro.fi.gpufi import MicroarchFaultPlan, _BufferBit, plan_microarch_fault
 from repro.fi.nvbitfi import plan_software_fault
-from repro.kernels import get_application
+from repro.kernels import application_names, get_application
 from repro.sim.cache import Cache
 from repro.sim.register_file import WarpRegisters
 from repro.staticanalysis.dataflow import is_pred_var, liveness
 from tests.sim.test_checkpoint import populate
-from tests.sim.trials import agree, assert_same, draw, fresh_profile, full, golden_profile, run
+from tests.sim.trials import (agree, assert_same, draw, fresh_profile, full, golden_profile,
+                              no_arm_verdict, run)
 
 #: app -> its target kernel.
 APPS = {"gemm": "gemm_tile", "hotspot": "hotspot_k1", "sradv1": "sradv1_k1",
@@ -88,15 +89,23 @@ class Inverted(MicroarchFaultPlan):
             array[at] = ~array[at]
 
 
+@pytest.fixture()
+def fire_path():
+    """The arm-time verdict off (``tests.sim.trials.no_arm_verdict``):
+    every cache fault is simulated to its fire."""
+    with no_arm_verdict():
+        yield
+
+
 @pytest.mark.parametrize("label", sorted(STRUCTURES))
-def test_dead_at_fire_equals_full_simulation(label, gv100):
+def test_dead_at_fire_equals_full_simulation(label, gv100, fire_path):
     """Every trial, dead at fire or not, equals the checkpoints-off run in
     outcome, cycles, outputs, per-launch stats and description. Each cell
     called dead stays harmless when its whole register or line is
     inverted and simulated in full. The structure takes the new path at
     least twice, also fires faults that are not dead, and (RF) calls
     dead both done lanes of live registers and dead registers of alive
-    lanes."""
+    lanes. The arm-time verdict is off, so cache faults take this path."""
     structure, num_bits = STRUCTURES[label]
     dead = live = 0
     reasons = set()
@@ -180,10 +189,11 @@ def test_register_written_at_the_fire_cycle_is_live(app_name, gv100):
     assert hits >= 4
 
 
-def test_dead_at_the_resume_cycle_is_not_a_replay(gv100):
+def test_dead_at_the_resume_cycle_is_not_a_replay(gv100, fire_path):
     """A dead fault fired at the cycle its launch fast-forwarded to clocks
     no cycle, yet its launch was simulated: the record says dead at fire,
-    not replayed, and the trial rollup counts it."""
+    not replayed, and the trial rollup counts it. (The arm-time verdict,
+    off here, would take this plan before the fast-forward.)"""
     app = get_application("gemm")
     profile = fresh_profile(app, gv100)
     checkpoint = populate(app, profile)[5]
@@ -208,6 +218,8 @@ OTHER_FAULTS = {
                    {"fault_model": "stuck1"}),
     "l2-intermittent": ("sradv1", "sradv1_k1", Structure.L2,
                         {"fault_model": "intermittent"}),
+    "l1t-ecc-2bit": ("gemm", "gemm_tile", Structure.L1T,
+                     {"num_bits": 2, "ecc_protected": True}),
     "sw": ("bfs", "bfs_k1", "sw", {}),
     "sw-ld": ("nw", "nw_k1", "sw-ld", {}),
 }
@@ -246,3 +258,91 @@ def test_a_second_actor_keeps_the_launch_simulated(gv100):
             acted += on["outputs"] is None or {
                 k: v.tobytes() for k, v in on["outputs"].items()} != golden
         assert acted, app_name  # a software fault acted after the dead one
+
+
+# ---------------------------------------------------------------------- #
+# The arm-time verdict (MicroarchFaultPlan.dead_at_arm)
+# ---------------------------------------------------------------------- #
+class Verdicts(MicroarchFaultPlan):
+    """The drawn plan, noting each arm-time verdict it gives."""
+
+    def dead_at_arm(self, gpu, golden):
+        taken = super().dead_at_arm(gpu, golden)
+        self.verdicts = [*getattr(self, "verdicts", []), taken]
+        return taken
+
+
+#: Cache structure label -> structure.
+CACHES = {"l1d": Structure.L1D, "l1t": Structure.L1T, "l2": Structure.L2}
+
+ORACLE_SEEDS = range(6)
+
+
+@pytest.mark.parametrize("label", sorted(CACHES))
+def test_arm_time_verdict_equals_full_simulation(label, gv100):
+    """Every paper app, 1- and 2-bit upsets, plans drawn over all of the
+    app's launches: each trial equals full simulation (outcome, cycles,
+    outputs, per-launch stats and description). Each plan the verdict
+    takes ends dead at fire on the simulated path (verdict off), and its
+    launch's rollup reads dead at fire, no cycle simulated and not
+    replayed. The verdict takes plans and declines others."""
+    structure = CACHES[label]
+    taken = declined = 0
+    for app_name in application_names():
+        app = get_application(app_name)
+        profile = golden_profile(app_name, gv100)
+        gpu = _gpu_factory(profile, gv100)()
+        for num_bits in (1, 2):
+            for seed in ORACLE_SEEDS:
+                make = lambda: plan_microarch_fault(
+                    profile.launches, structure, seed, num_bits=num_bits)
+                plan = _as(Verdicts, make())
+                on = run(app, profile, plan, gpu=gpu)
+                assert_same(on, run(app, full(profile), make()))
+                verdicts = getattr(plan, "verdicts", [])
+                assert verdicts in ([], [False], [True])  # asked at most once
+                if verdicts != [True]:
+                    declined += verdicts == [False]
+                    continue
+                taken += 1
+                at = plan.launch_index
+                assert on["dead_at_fire"][at] and on["simulated"][at] == 0
+                (roll,) = _kernel_rollup(gpu.launch_records[at:at + 1]).values()
+                assert (roll["dead_at_fire"], roll["simulated_cycles"],
+                        roll["replayed"]) == (1, 0, 0)
+                with no_arm_verdict():
+                    off = run(app, profile, make())
+                assert off["dead_at_fire"][at], (app_name, seed, num_bits)
+                assert_same(off, on)
+    assert taken and declined, (taken, declined)
+
+
+class Sited(MicroarchFaultPlan):
+    """A transient L2 fault at a given site: bits ``bits`` of the L2 data
+    array."""
+
+    def __init__(self, launch, cycle, bits):
+        super().__init__(launch, cycle, Structure.L2, seed=0,
+                         num_bits=len(bits))
+        self.bits = bits
+
+    def _cache_site(self, gpu):
+        return gpu.l2, self.bits, f"l2 bits {self.bits}"
+
+
+def test_a_two_bit_upset_reaching_a_filled_line_is_simulated(gv100):
+    """A 2-bit upset whose first bit lies in a line the launch never fills
+    and whose second bit lies in the next line, which it fills: the
+    verdict declines it, and at its fire the flip is live."""
+    app = get_application("sradv1")
+    profile = golden_profile("sradv1", gv100)
+    golden = profile.replay.launches[0]
+    valid = golden.exit.l2[0]
+    line_bits = 8 * gv100.l2.line_bytes
+    line = int(np.flatnonzero(~valid[:-1] & valid[1:])[0])
+    edge = (line + 1) * line_bits  # the first bit of the filled line
+    cycle = golden.record.cycles - 1
+    plan = Sited(0, cycle, [edge - 1, edge])
+    assert not plan.dead_at_arm(_gpu_factory(profile, gv100)(), golden)
+    on = agree(app, profile, lambda: Sited(0, cycle, [edge - 1, edge]))
+    assert not on["dead_at_fire"][0]

@@ -5,6 +5,7 @@ exactness test of :mod:`repro.sim.replay` and trial-level convergence
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,6 +43,20 @@ def full(profile):
     """The same profile with replay, checkpoints and trial-level
     convergence off."""
     return dataclasses.replace(profile, replay=None)
+
+
+@contextmanager
+def no_arm_verdict():
+    """Run the body with the arm-time verdict off
+    (``MicroarchFaultPlan.dead_at_arm`` always False): a cache fault in a
+    line the golden launch never fills is simulated to its fire again,
+    and its launch ends there (fire-time convergence)."""
+    verdict = MicroarchFaultPlan.dead_at_arm
+    MicroarchFaultPlan.dead_at_arm = lambda plan, gpu, golden: False
+    try:
+        yield
+    finally:
+        MicroarchFaultPlan.dead_at_arm = verdict
 
 
 def draw(level, launches, seed, **kw):

@@ -23,8 +23,6 @@ Usage::
     python -m repro.cli campaign watch <campaign key>
     python -m repro.cli campaign backfill
     python -m repro.cli campaign gc --yes
-    python -m repro.cli perf record nightly <key> --out baseline.json
-    python -m repro.cli perf check <key> --baseline baseline.json --bench .
     python -m repro.cli sdc profile <campaign key> --by site
     python -m repro.cli sdc report
 
@@ -748,111 +746,6 @@ def _cmd_campaign_gc(args) -> int:
     return 0
 
 
-def _perf_metrics_from_target(target: str):
-    """Resolve a ``perf`` target (events path / journal / key) to
-    ``(PerfMetrics, key)`` or ``(None, None)`` with the error printed."""
-    from repro.store import PerfMetrics
-    from repro.telemetry import read_events, summarize_events
-
-    events_path = _resolve_report_events(target)
-    if events_path is None:
-        return None, None
-    events = read_events(events_path)
-    if not events:
-        print(f"{events_path} holds no events", file=sys.stderr)
-        return None, None
-    return (PerfMetrics.from_summary(summarize_events(events)),
-            events_path.stem)
-
-
-def _cmd_perf_record(args) -> int:
-    from repro.store import RunLedger, store_path, write_baseline_file
-
-    metrics, key = _perf_metrics_from_target(args.target)
-    if metrics is None:
-        return 2
-    with RunLedger(store_path()) as ledger:
-        ledger.set_baseline(args.name, metrics, cache_key=key,
-                            note=args.note)
-        ledger.record_perf(key, metrics, source="perf-record")
-    print(f"baseline {args.name!r}: {metrics.trials} trial(s), "
-          f"{metrics.trials_per_sec:.2f} trials/s, "
-          f"p99 {metrics.latency_p99 * 1e3:.1f} ms -> {store_path()}")
-    if args.out:
-        path = write_baseline_file(args.out, args.name, metrics,
-                                   note=args.note)
-        print(f"baseline file: {path}")
-    return 0
-
-
-def _cmd_perf_check(args) -> int:
-    from repro.store import (RunLedger, check_metrics, load_baseline_file,
-                             render_verdict, store_path, write_bench_artifact)
-
-    metrics, key = _perf_metrics_from_target(args.target)
-    if metrics is None:
-        return 2
-    name = args.name
-    if args.baseline:
-        file_name, baseline = load_baseline_file(args.baseline)
-        name = name or file_name or "baseline"
-    else:
-        if not name:
-            print("perf check needs --name (a recorded baseline) or "
-                  "--baseline FILE", file=sys.stderr)
-            return 2
-        ledger = _open_ledger()
-        if ledger is None:
-            return 2
-        with ledger:
-            baseline = ledger.get_baseline(name)
-        if baseline is None:
-            print(f"no baseline {name!r} in the ledger; record one with "
-                  f"'perf record'", file=sys.stderr)
-            return 2
-    from repro.store import DEFAULT_LATENCY_TOL, DEFAULT_THROUGHPUT_TOL
-
-    verdict = check_metrics(
-        metrics, baseline, name=name,
-        latency_tol=(args.latency_tol if args.latency_tol is not None
-                     else DEFAULT_LATENCY_TOL),
-        throughput_tol=(args.throughput_tol
-                        if args.throughput_tol is not None
-                        else DEFAULT_THROUGHPUT_TOL))
-    print(render_verdict(verdict))
-    if args.bench:
-        trajectory: list = []
-        path = store_path()
-        if path.exists():
-            with RunLedger(path) as ledger:
-                ledger.record_perf(key, metrics, source="perf-check")
-                trajectory = ledger.perf_samples(key)
-        artifact = write_bench_artifact(args.bench, verdict, metrics,
-                                        baseline, trajectory)
-        print(f"bench artifact: {artifact}")
-    return 0 if verdict.ok else 1
-
-
-def _cmd_perf_ls(_args) -> int:
-    ledger = _open_ledger()
-    if ledger is None:
-        return 2
-    with ledger:
-        baselines = ledger.baselines()
-        samples = ledger.perf_samples()
-    if baselines:
-        print("named baselines:")
-        for b in baselines:
-            print(f"  {b['name']:<20} {b['trials']:>5} trial(s) "
-                  f"w{b['workers']}  {b['trials_per_sec']:>8.2f} trials/s  "
-                  f"p99 {b['latency_p99'] * 1e3:>7.1f} ms"
-                  + (f"  ({b['note']})" if b['note'] else ""))
-    else:
-        print("no named baselines (record one with 'perf record')")
-    print(f"{len(samples)} perf sample(s) recorded")
-    return 0
-
-
 def _resolve_sdc_records(target: str):
     """Map a ``sdc profile`` target to its anatomy records.
 
@@ -1156,45 +1049,6 @@ def main(argv: list[str] | None = None) -> int:
     cgc.add_argument("--yes", action="store_true",
                      help="actually delete (default: report only)")
     cgc.set_defaults(func=_cmd_campaign_gc)
-
-    perf_parser = sub.add_parser(
-        "perf", help="performance baselines and regression gates over "
-                     "recorded campaign telemetry")
-    perf_sub = perf_parser.add_subparsers(dest="perf_command", required=True)
-    precord = perf_sub.add_parser(
-        "record", help="fold a campaign's telemetry into a named baseline")
-    precord.add_argument("name", help="baseline name")
-    precord.add_argument("target",
-                         help="events .jsonl, journal path, or campaign key")
-    precord.add_argument("--note", default="", help="free-form annotation")
-    precord.add_argument("--out", default=None, metavar="FILE",
-                         help="also export the baseline as committable JSON")
-    precord.set_defaults(func=_cmd_perf_record)
-    pcheck = perf_sub.add_parser(
-        "check", help="gate a campaign's p99 latency and trials/sec "
-                      "against a baseline (exit 1 on regression)")
-    pcheck.add_argument("target",
-                        help="events .jsonl, journal path, or campaign key")
-    pcheck.add_argument("--name", default=None,
-                        help="ledger baseline to gate against")
-    pcheck.add_argument("--baseline", default=None, metavar="FILE",
-                        help="baseline JSON file (e.g. committed in CI) "
-                             "instead of a ledger baseline")
-    pcheck.add_argument("--latency-tol", type=float, default=None,
-                        metavar="F",
-                        help="allowed p99 latency growth as a fraction "
-                             "(default 0.5 = +50%%)")
-    pcheck.add_argument("--throughput-tol", type=float, default=None,
-                        metavar="F",
-                        help="allowed trials/sec drop as a fraction "
-                             "(default 0.5 = -50%%)")
-    pcheck.add_argument("--bench", default=None, metavar="DIR",
-                        help="write the BENCH_<name>.json trajectory "
-                             "artifact into DIR")
-    pcheck.set_defaults(func=_cmd_perf_check)
-    pls = perf_sub.add_parser(
-        "ls", help="list named baselines and recorded perf samples")
-    pls.set_defaults(func=_cmd_perf_ls)
 
     sdc_parser = sub.add_parser(
         "sdc", help="inspect SDC anatomy (fingerprints, severity, profiles)")

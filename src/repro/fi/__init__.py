@@ -41,13 +41,8 @@ from repro.fi.avf import (
 )
 from repro.fi.svf import svf_of_application, svf_of_kernel
 
-#: Alias for callers who think in campaign outcomes rather than fault
-#: taxonomy terms (``from repro.fi import Outcome``).
-Outcome = FaultOutcome
-
 __all__ = [
     "FaultOutcome",
-    "Outcome",
     "OutcomeCounts",
     "MicroarchFaultPlan",
     "MicroarchInjector",

@@ -13,9 +13,8 @@ which runs its whole campaign lifecycle through one SQLite database:
   :meth:`RunLedger.backfill` indexes pre-existing cache payloads.
 * :mod:`repro.store.watch` — live dashboard tailing an in-flight
   campaign's journal + telemetry (``campaign watch``).
-* :mod:`repro.store.perf` — named performance baselines and the
-  ``perf record/check`` regression gates with ``BENCH_*.json``
-  trajectory artifacts.
+* :mod:`repro.store.perf` — :class:`PerfMetrics`, the performance facts
+  a telemetry-enabled campaign records as a ``perf_samples`` row.
 
 The store is observation-only by contract: recording happens once per
 campaign at completion (never on the trial hot path), affects no cache
@@ -31,18 +30,7 @@ from repro.store.ledger import (
     spec_fingerprint,
     tag_from_payload,
 )
-from repro.store.perf import (
-    DEFAULT_LATENCY_TOL,
-    DEFAULT_THROUGHPUT_TOL,
-    PerfCheck,
-    PerfMetrics,
-    PerfVerdict,
-    check_metrics,
-    load_baseline_file,
-    render_verdict,
-    write_baseline_file,
-    write_bench_artifact,
-)
+from repro.store.perf import PerfMetrics
 from repro.store.watch import (
     WatchSnapshot,
     read_journal_prefix,
@@ -55,9 +43,7 @@ __all__ = [
     "SCHEMA_VERSION", "connect", "store_path",
     "RunLedger", "record_completed_campaign", "row_from_payload",
     "spec_fingerprint", "tag_from_payload",
-    "DEFAULT_LATENCY_TOL", "DEFAULT_THROUGHPUT_TOL", "PerfCheck",
-    "PerfMetrics", "PerfVerdict", "check_metrics", "load_baseline_file",
-    "render_verdict", "write_baseline_file", "write_bench_artifact",
+    "PerfMetrics",
     "WatchSnapshot", "read_journal_prefix", "render_watch_frame",
     "snapshot", "watch",
 ]

@@ -2,7 +2,7 @@
 
 One database file (default ``<cache_dir>/ledger.sqlite3``, overridable via
 ``REPRO_STORE_PATH``) holds every recorded campaign — the model is DrSEUs,
-which runs its entire campaign lifecycle through one SQLite database. Three
+which runs its entire campaign lifecycle through one SQLite database. Two
 tables:
 
 * ``runs`` — one row per campaign *result*, keyed by the campaign cache
@@ -12,12 +12,10 @@ tables:
   (only ``source`` and the timestamps differ). Upserts are idempotent:
   re-recording a key updates in place and bumps ``observations``.
 * ``perf_samples`` — append-only performance observations (one per
-  telemetry-enabled completion, or per explicit ``perf record``): wall
-  time, trials/sec, trial-latency p50/p95/p99, worker utilization, cache
-  hit rate. Unlike ``runs`` these are *per execution*, so the same cache
-  key accumulates a trajectory over time.
-* ``baselines`` — named performance baselines for the ``perf check``
-  regression gates (see :mod:`repro.store.perf`).
+  telemetry-enabled completion): wall time, trials/sec, trial-latency
+  p50/p95/p99, worker utilization, cache hit rate. Unlike ``runs`` these
+  are *per execution*, so the same cache key accumulates a trajectory
+  over time.
 
 Connections run in WAL mode with a generous busy timeout, so the parent
 processes of several concurrently-finishing campaigns can all record into
@@ -44,7 +42,7 @@ log = get_logger(__name__)
 
 #: Applied migrations == ``PRAGMA user_version``. Append a new script to
 #: :data:`MIGRATIONS` (never edit an existing one) to evolve the schema.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: ``MIGRATIONS[i]`` upgrades a database at ``user_version == i`` to
 #: ``i + 1``. Scripts must be pure SQL (executescript) and idempotent
@@ -127,6 +125,11 @@ MIGRATIONS: list[str] = [
     # carries NULL, exactly like the payload omits the field.
     """
     ALTER TABLE runs ADD COLUMN harden TEXT
+    """,
+    # v2 -> v3: named perf baselines are gone; regression gating is the
+    # campaign benchmark's (benchmarks/perf).
+    """
+    DROP TABLE IF EXISTS baselines
     """,
 ]
 

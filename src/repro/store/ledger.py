@@ -14,8 +14,8 @@ upserts keyed on cache key, filtered :meth:`~RunLedger.runs` /
 :meth:`~RunLedger.history` queries that answer cross-campaign questions
 (AVF trend for one app across recorded runs) without decoding a single
 flat-file payload, append-only :meth:`~RunLedger.record_perf` samples,
-named :meth:`~RunLedger.set_baseline` performance baselines, and a
-:meth:`~RunLedger.backfill` importer over an existing cache directory.
+and a :meth:`~RunLedger.backfill` importer over an existing cache
+directory.
 
 :func:`record_completed_campaign` is the one-call entry point
 ``run_campaign`` uses: open ledger, upsert the run row, fold the
@@ -264,47 +264,6 @@ class RunLedger:
                 "SELECT * FROM perf_samples WHERE cache_key = ? "
                 "ORDER BY recorded_at, id", (key,))
         return [dict(r) for r in rows.fetchall()]
-
-    # --------------------------------------------------------- baselines
-
-    def set_baseline(self, name: str, metrics: PerfMetrics, *,
-                     cache_key: str | None = None, note: str = "",
-                     now: float | None = None) -> None:
-        now = time.time() if now is None else now
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO baselines (name, cache_key, created_at,"
-                " updated_at, trials, workers, wall_time, trials_per_sec,"
-                " latency_p50, latency_p95, latency_p99,"
-                " worker_utilization, cache_hit_rate, note)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
-                " ON CONFLICT(name) DO UPDATE SET"
-                " cache_key = excluded.cache_key,"
-                " updated_at = excluded.updated_at,"
-                " trials = excluded.trials, workers = excluded.workers,"
-                " wall_time = excluded.wall_time,"
-                " trials_per_sec = excluded.trials_per_sec,"
-                " latency_p50 = excluded.latency_p50,"
-                " latency_p95 = excluded.latency_p95,"
-                " latency_p99 = excluded.latency_p99,"
-                " worker_utilization = excluded.worker_utilization,"
-                " cache_hit_rate = excluded.cache_hit_rate,"
-                " note = excluded.note",
-                (name, cache_key, now, now, metrics.trials, metrics.workers,
-                 metrics.wall_time, metrics.trials_per_sec,
-                 metrics.latency_p50, metrics.latency_p95,
-                 metrics.latency_p99, metrics.worker_utilization,
-                 metrics.cache_hit_rate, note))
-
-    def get_baseline(self, name: str) -> PerfMetrics | None:
-        row = self._conn.execute(
-            "SELECT * FROM baselines WHERE name = ?", (name,)).fetchone()
-        return PerfMetrics.from_dict(dict(row)) if row is not None else None
-
-    def baselines(self) -> list[dict]:
-        rows = self._conn.execute(
-            "SELECT * FROM baselines ORDER BY name").fetchall()
-        return [dict(r) for r in rows]
 
     # ---------------------------------------------------------- backfill
 

@@ -1,53 +1,20 @@
-"""Named performance baselines and regression gates over campaign telemetry.
+"""Performance facts of one campaign execution, folded from its telemetry.
 
-The ledger's ``perf_samples`` table gives every campaign a machine-readable
-performance history; this module turns one of those observations into a
-*gate*:
-
-* :class:`PerfMetrics` — the folded performance facts of one campaign
-  execution (trials/sec, trial-latency p50/p95/p99, worker utilization,
-  cache hit rate), built from a :class:`~repro.telemetry.metrics.
-  CampaignSummary` with :meth:`PerfMetrics.from_summary`.
-* :func:`check_metrics` — compare a current observation against a named
-  baseline with configurable tolerances. Two gates matter (the
-  edge-latency-regression pattern): **p99 trial latency** must not exceed
-  ``baseline * (1 + latency_tol)`` and **throughput** (trials/sec) must
-  not fall below ``baseline * (1 - throughput_tol)``.
-* Baseline JSON import/export, so CI can commit a baseline file next to
-  the workflow and ``perf check --baseline`` against it on machines whose
-  absolute speed is unknown (the committed tolerance absorbs the machine
-  delta; the *regression* test injects a synthetic 2× latency and proves
-  the gate trips).
-* :func:`write_bench_artifact` — a ``BENCH_<name>.json`` trajectory
-  artifact: the verdict plus every prior perf sample of the same cache
-  key, so CI uploads a growing performance history instead of a
-  point-in-time pass/fail.
-
-Persistence (the ``baselines`` / ``perf_samples`` tables) lives in
-:class:`repro.store.ledger.RunLedger`; this module is pure logic so the
-CLI can also gate against a baseline *file* with no database at all.
+:class:`PerfMetrics` (trials/sec, trial-latency p50/p95/p99, worker
+utilization, cache hit rate) is what the ledger's ``perf_samples`` table
+stores for every telemetry-enabled campaign (see
+:meth:`repro.store.ledger.RunLedger.record_perf`) and ``campaign show``
+prints. Regression gating lives in the campaign benchmark,
+``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.telemetry.metrics import CampaignSummary
 
-__all__ = [
-    "DEFAULT_LATENCY_TOL", "DEFAULT_THROUGHPUT_TOL", "PerfCheck",
-    "PerfMetrics", "PerfVerdict", "check_metrics", "load_baseline_file",
-    "render_verdict", "write_baseline_file", "write_bench_artifact",
-]
-
-#: Default gate tolerances: p99 latency may grow 50 %, throughput may drop
-#: 50 %, before the gate fails. Wide enough for run-to-run noise on one
-#: machine; a synthetic 2× latency regression still trips the latency gate.
-DEFAULT_LATENCY_TOL = 0.5
-DEFAULT_THROUGHPUT_TOL = 0.5
+__all__ = ["PerfMetrics"]
 
 
 @dataclass(frozen=True)
@@ -80,142 +47,3 @@ class PerfMetrics:
             worker_utilization=(sum(utils) / len(utils)) if utils else 0.0,
             cache_hit_rate=s.cache_hits / lookups if lookups else 0.0,
         )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerfMetrics":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in fields})
-
-
-@dataclass(frozen=True)
-class PerfCheck:
-    """One gate: a metric, its limit, and whether it held."""
-
-    metric: str
-    current: float
-    baseline: float
-    limit: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PerfVerdict:
-    """The outcome of gating one observation against one baseline."""
-
-    name: str
-    checks: tuple[PerfCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "checks": [dataclasses.asdict(c) for c in self.checks],
-        }
-
-
-def check_metrics(
-    current: PerfMetrics,
-    baseline: PerfMetrics,
-    *,
-    name: str = "",
-    latency_tol: float = DEFAULT_LATENCY_TOL,
-    throughput_tol: float = DEFAULT_THROUGHPUT_TOL,
-) -> PerfVerdict:
-    """Gate ``current`` against ``baseline``.
-
-    Fails when p99 trial latency regressed past ``1 + latency_tol`` times
-    the baseline, or trials/sec fell below ``1 - throughput_tol`` times
-    the baseline. A zero-valued baseline metric (no trials recorded)
-    disables its gate rather than dividing by zero.
-    """
-    checks: list[PerfCheck] = []
-
-    p99_limit = baseline.latency_p99 * (1.0 + latency_tol)
-    checks.append(PerfCheck(
-        metric="latency_p99",
-        current=current.latency_p99,
-        baseline=baseline.latency_p99,
-        limit=p99_limit,
-        ok=baseline.latency_p99 <= 0.0 or current.latency_p99 <= p99_limit,
-    ))
-
-    tps_limit = baseline.trials_per_sec * (1.0 - throughput_tol)
-    checks.append(PerfCheck(
-        metric="trials_per_sec",
-        current=current.trials_per_sec,
-        baseline=baseline.trials_per_sec,
-        limit=tps_limit,
-        ok=(baseline.trials_per_sec <= 0.0
-            or current.trials_per_sec >= tps_limit),
-    ))
-
-    return PerfVerdict(name=name, checks=tuple(checks))
-
-
-def render_verdict(verdict: PerfVerdict) -> str:
-    """Human-readable gate report for ``perf check``."""
-    lines = [f"perf check {verdict.name or '<unnamed>'}: "
-             f"{'PASS' if verdict.ok else 'FAIL'}"]
-    for c in verdict.checks:
-        bound = "<=" if c.metric.startswith("latency") else ">="
-        lines.append(
-            f"  {'ok ' if c.ok else 'FAIL'} {c.metric:<16} "
-            f"current {c.current:.6g}  baseline {c.baseline:.6g}  "
-            f"limit {bound} {c.limit:.6g}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------- baseline files / CI
-
-def write_baseline_file(path: Path | str, name: str,
-                        metrics: PerfMetrics, *, note: str = "") -> Path:
-    """Export a baseline as committed-to-the-repo JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"name": name, "note": note, "metrics": metrics.to_dict()}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
-def load_baseline_file(path: Path | str) -> tuple[str, PerfMetrics]:
-    """Load a committed baseline JSON back as ``(name, metrics)``."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return str(payload.get("name", "")), PerfMetrics.from_dict(
-        payload["metrics"])
-
-
-def write_bench_artifact(
-    out_dir: Path | str,
-    verdict: PerfVerdict,
-    current: PerfMetrics,
-    baseline: PerfMetrics,
-    trajectory: list[dict] | None = None,
-) -> Path:
-    """Emit the ``BENCH_<name>.json`` trajectory artifact.
-
-    ``trajectory`` is the prior ``perf_samples`` history of the same
-    campaign (dicts straight off the ledger rows), so successive CI runs
-    upload a growing latency/throughput series rather than one point.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    slug = "".join(ch if (ch.isalnum() or ch in "-_") else "-"
-                   for ch in (verdict.name or "perf"))
-    path = out_dir / f"BENCH_{slug}.json"
-    payload = {
-        "verdict": verdict.to_dict(),
-        "current": current.to_dict(),
-        "baseline": baseline.to_dict(),
-        "trajectory": trajectory or [],
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path

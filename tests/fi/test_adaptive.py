@@ -201,8 +201,6 @@ def test_fi_public_surface_resolves():
 
     for name in repro.fi.__all__:
         assert getattr(repro.fi, name) is not None
-    from repro.fi import FaultOutcome, Outcome
-    assert Outcome is FaultOutcome
 
 
 def test_spec_derive_overrides_one_field():

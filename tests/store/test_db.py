@@ -5,7 +5,19 @@ import sqlite3
 
 import pytest
 
-from repro.store.db import SCHEMA_VERSION, connect, ensure_schema, store_path
+from repro.store import RunLedger, row_from_payload
+from repro.store.db import (
+    MIGRATIONS,
+    SCHEMA_VERSION,
+    connect,
+    ensure_schema,
+    store_path,
+)
+
+
+def _tables(conn) -> set[str]:
+    return {r[0] for r in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type='table'")}
 
 
 def test_connect_creates_and_migrates(tmp_path):
@@ -13,13 +25,57 @@ def test_connect_creates_and_migrates(tmp_path):
     conn = connect(db)
     try:
         (version,) = conn.execute("PRAGMA user_version").fetchone()
-        assert version == SCHEMA_VERSION
-        tables = {r[0] for r in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table'")}
-        assert {"runs", "perf_samples", "baselines"} <= tables
+        assert version == SCHEMA_VERSION == 3
+        tables = _tables(conn)
+        assert {"runs", "perf_samples"} <= tables
+        assert "baselines" not in tables
     finally:
         conn.close()
     assert db.exists()
+
+
+def test_v2_ledger_migrates_to_v3_keeping_its_rows(tmp_path):
+    """A ledger written by a v2 build, holding a run, a perf sample and a
+    named baseline, opens as v3: the baseline table is dropped and the
+    run and perf sample rows come through unchanged."""
+    db = tmp_path / "ledger.sqlite3"
+    raw = sqlite3.connect(db)
+    for script in MIGRATIONS[:2]:
+        raw.executescript(script)
+    raw.execute("PRAGMA user_version = 2")
+    payload = {
+        "app_name": "va", "kernel": "va_k1", "injector": "sw",
+        "trials": 8, "seed": 1, "config_name": "quadro-gv100-like",
+        "counts": {"masked": 5, "sdc": 2, "timeout": 0, "due": 1},
+    }
+    row = dict(row_from_payload("k", payload), recorded_at=1.0,
+               updated_at=1.0, source="live", observations=1)
+    raw.execute(f"INSERT INTO runs ({', '.join(row)}) VALUES "
+                f"({', '.join('?' * len(row))})", tuple(row.values()))
+    raw.execute(
+        "INSERT INTO perf_samples (cache_key, recorded_at, source, trials,"
+        " workers, wall_time, trials_per_sec, latency_p50, latency_p95,"
+        " latency_p99, worker_utilization, cache_hit_rate)"
+        " VALUES ('k', 2.0, 'live', 8, 1, 0.5, 16.0, 0.01, 0.02, 0.03,"
+        " 0.9, 0.0)")
+    raw.execute(
+        "INSERT INTO baselines (name, cache_key, created_at, updated_at,"
+        " trials, workers, wall_time, trials_per_sec, latency_p50,"
+        " latency_p95, latency_p99, worker_utilization, cache_hit_rate,"
+        " note) VALUES ('nightly', 'k', 3.0, 3.0, 8, 1, 0.5, 16.0, 0.01,"
+        " 0.02, 0.03, 0.9, 0.0, '')")
+    raw.commit()
+    raw.close()
+
+    with RunLedger(db) as ledger:
+        (version,) = ledger.conn.execute("PRAGMA user_version").fetchone()
+        assert version == 3
+        assert "baselines" not in _tables(ledger.conn)
+        assert ledger.get("k") == row
+        (sample,) = ledger.perf_samples("k")
+        assert sample["recorded_at"] == 2.0
+        assert sample["trials_per_sec"] == 16.0
+        assert sample["latency_p99"] == 0.03
 
 
 def test_wal_mode_and_row_factory(tmp_path):

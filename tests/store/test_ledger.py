@@ -1,5 +1,6 @@
 """Record/query semantics of the run ledger: idempotent upserts, filtered
-queries, backfill-vs-live identity, and concurrent writers."""
+queries, backfill-vs-live identity, concurrent writers, and perf samples
+folded from telemetry."""
 
 import json
 import multiprocessing as mp
@@ -8,13 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.store import (
+    PerfMetrics,
     RunLedger,
     row_from_payload,
     spec_fingerprint,
     tag_from_payload,
 )
 from repro.store.ledger import ROW_FIELDS
+from repro.telemetry.metrics import summarize_events
 
 IDENTITY_FIXTURE = (Path(__file__).resolve().parents[2] / "benchmarks"
                     / "baselines" / "identity-digest.json")
@@ -200,3 +205,56 @@ def test_ledger_context_manager_closes(tmp_path):
     except sqlite3.ProgrammingError:
         closed = True
     assert closed
+
+
+# ------------------------------------------------------------ perf samples
+
+def _metrics(**overrides):
+    base = dict(trials=200, workers=2, wall_time=10.0, trials_per_sec=20.0,
+                latency_p50=0.010, latency_p95=0.020, latency_p99=0.030,
+                worker_utilization=0.9, cache_hit_rate=0.0)
+    base.update(overrides)
+    return PerfMetrics(**base)
+
+
+def _trial_events(latencies, workers=2):
+    events = [{"ts": 0.0, "kind": "campaign", "phase": "begin",
+               "campaign": "k", "worker": None}]
+    t = 0.0
+    for i, dur in enumerate(latencies):
+        worker = i % workers
+        events.append({"ts": t, "kind": "span", "name": "trial",
+                       "dur": dur, "worker": worker})
+        events.append({"ts": t + dur, "kind": "commit", "outcome": "masked",
+                       "worker": None})
+        t += dur
+    return events
+
+
+def test_from_summary_folds_percentiles_and_workers():
+    latencies = [0.01] * 98 + [0.05, 0.10]
+    m = PerfMetrics.from_summary(summarize_events(_trial_events(latencies)))
+    assert m.trials == 100
+    assert m.workers == 2
+    assert m.latency_p50 == 0.01
+    assert m.latency_p99 == pytest.approx(0.05)
+    assert m.trials_per_sec > 0
+
+
+def test_from_summary_serial_counts_one_worker():
+    events = _trial_events([0.01] * 4, workers=1)
+    for e in events:
+        if e["kind"] == "span":
+            e["worker"] = None  # serial path: parent runs the trials
+    m = PerfMetrics.from_summary(summarize_events(events))
+    assert m.workers == 1
+
+
+def test_perf_samples_accumulate(tmp_path):
+    with RunLedger(tmp_path / "l.db") as ledger:
+        ledger.record_perf("k", _metrics(), now=1.0)
+        ledger.record_perf("k", _metrics(trials_per_sec=30.0), now=2.0)
+        samples = ledger.perf_samples("k")
+        assert len(samples) == 2  # append-only: a trajectory, not an upsert
+        assert samples[0]["recorded_at"] == 1.0
+        assert samples[1]["trials_per_sec"] == 30.0

@@ -329,7 +329,7 @@ def test_sdc_report_empty_cache(capsys, tmp_cache):
     assert "no cached campaign" in capsys.readouterr().err
 
 
-# ----------------------------------------- run ledger & perf gate CLI
+# ------------------------------------------------------- run ledger CLI
 
 def _seed_history(tmp_cache, seeds=(1, 2, 3)):
     for seed in seeds:
@@ -377,6 +377,18 @@ def test_campaign_show_by_key_prefix(capsys, tmp_cache):
     assert "no recorded campaign" in capsys.readouterr().err
 
 
+def test_campaign_show_lists_live_perf_samples(capsys, tmp_cache):
+    """A telemetry-enabled campaign records a perf sample, and ``campaign
+    show`` (the ledger's only CLI reader of them) prints it."""
+    assert main(["campaign", "run", "va", "--level", "sw", "--trials", "4",
+                 "--telemetry", "--quiet"]) == 0
+    (cached,) = tmp_cache.glob("*.json")
+    capsys.readouterr()
+    assert main(["campaign", "show", cached.stem]) == 0
+    out = capsys.readouterr().out
+    assert "perf samples (1)" in out and "[live]" in out
+
+
 def test_campaign_watch_once_on_completed_campaign(capsys, tmp_cache):
     _seed_history(tmp_cache, seeds=(1,))
     cached = sorted(tmp_cache.glob("*.json"))
@@ -418,58 +430,3 @@ def test_campaign_gc_dry_run_then_delete(capsys, tmp_cache):
     assert not corrupt.exists()
     assert main(["campaign", "gc"]) == 0
     assert "nothing to prune" in capsys.readouterr().out
-
-
-def _run_with_events(tmp_path, seed=1):
-    events = tmp_path / f"events-s{seed}.jsonl"
-    assert main(["campaign", "run", "va", "--level", "sw", "--trials", "6",
-                 "--seed", str(seed), "--events", str(events),
-                 "--quiet"]) == 0
-    return events
-
-
-def test_perf_record_then_check_passes(capsys, tmp_cache, tmp_path):
-    events = _run_with_events(tmp_path)
-    capsys.readouterr()
-    assert main(["perf", "record", "nightly", str(events)]) == 0
-    assert "baseline 'nightly'" in capsys.readouterr().out
-    assert main(["perf", "check", str(events), "--name", "nightly"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "latency_p99" in out
-    assert main(["perf", "ls"]) == 0
-    assert "nightly" in capsys.readouterr().out
-
-
-def test_perf_check_fails_on_injected_regression(capsys, tmp_cache,
-                                                 tmp_path):
-    """Gate proof: a baseline doctored to half the observed p99 (i.e. a
-    2x current-vs-baseline latency regression) exits non-zero and leaves
-    a BENCH artifact."""
-    import json as _json
-
-    events = _run_with_events(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    capsys.readouterr()
-    assert main(["perf", "record", "gate", str(events),
-                 "--out", str(baseline)]) == 0
-    doc = _json.loads(baseline.read_text())
-    doc["metrics"]["latency_p99"] /= 2.0
-    doc["metrics"]["trials_per_sec"] *= 4.0
-    baseline.write_text(_json.dumps(doc))
-    bench_dir = tmp_path / "bench"
-    capsys.readouterr()
-    assert main(["perf", "check", str(events), "--baseline", str(baseline),
-                 "--bench", str(bench_dir)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    artifacts = list(bench_dir.glob("BENCH_*.json"))
-    assert len(artifacts) == 1
-    payload = _json.loads(artifacts[0].read_text())
-    assert payload["verdict"]["ok"] is False
-
-
-def test_perf_check_unknown_baseline(capsys, tmp_cache, tmp_path):
-    events = _run_with_events(tmp_path)
-    capsys.readouterr()
-    assert main(["perf", "check", str(events), "--name", "absent"]) == 2
-    assert "no baseline" in capsys.readouterr().err

@@ -95,6 +95,7 @@ from repro.errors import ConfigError, ExecutionError, PlanningError, SimTimeout
 from repro.fi.gpufi import (
     FAULT_MODELS,
     FAULT_TARGETS,
+    MicroarchFaultPlan,
     MicroarchInjector,
     plan_microarch_fault,
 )
@@ -112,7 +113,7 @@ from repro.identity import (
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
 from repro.sim.gpu import GPU, TrialConverged
-from repro.sim.replay import ReplayTrack
+from repro.sim.replay import ReplayTrack, golden_record
 from repro.telemetry.events import (
     NULL,
     TelemetrySession,
@@ -760,12 +761,12 @@ def _classify(app, gpu, harness, profile: AppProfile
 def _converged(profile: AppProfile, records=(), rest=()
                ) -> "tuple[FaultOutcome, int, dict]":
     """The result of a trial that ended at convergence: its fault died
-    (or ECC corrected it) while every launch so far was a golden copy,
-    so the rest of the run is the golden run's (see
-    :mod:`repro.sim.gpu`). Its cycles are the golden run's, which keeps
-    it out of the control-path tally. ``records`` are the launches it
-    ran, ``rest`` the golden launches it did not; telemetry counts those
-    as replayed."""
+    (or was settled when planned, :func:`_settled_at_plan`) while every
+    launch so far was a golden copy, so the rest of the run is the golden
+    run's (see :mod:`repro.sim.gpu`). Its cycles are the golden run's,
+    which keeps it out of the control-path tally. ``records`` are the
+    launches it ran, ``rest`` the golden launches it did not; telemetry
+    counts those as replayed."""
     tel = current_telemetry()
     if tel.enabled:
         tel.emit("kernels", kernels=_kernel_rollup(records, rest),
@@ -836,6 +837,27 @@ def _kernel_rollup(records, rest=()) -> dict[str, dict[str, int]]:
     return rollup
 
 
+def _settled_at_plan(gpu: GPU, plan, profile: AppProfile):
+    """``(records, rest)`` for :func:`_converged` when ``plan`` settles
+    its trial before it runs, else None: an ECC-corrected plan flips
+    nothing, and one dead at arm (``MicroarchFaultPlan.dead_at_arm``)
+    dies whenever it fires, after golden launches and host code. So the
+    trial is the golden run, if that fits the cycle budgets
+    (``GPU.golden_fits``). A dead-at-arm launch is recorded dead at fire."""
+    replay = profile.replay
+    if replay is None or not isinstance(plan, MicroarchFaultPlan):
+        return None
+    launches, at = replay.launches, plan.launch_index
+    if plan.corrected_by_ecc:
+        settled = (), launches
+    elif plan.dead_at_arm(gpu, launches[at]):
+        settled = ((golden_record(launches[at], 0, dead_at_fire=True),),
+                   launches[:at] + launches[at + 1:])
+    else:
+        return None
+    return settled if gpu.golden_fits(launches, 0) else None
+
+
 def _injection_trial_fn(app, profile, harness_factory, plan_fn,
                         injector_attr, injector_cls,
                         sdc_anatomy=False, site_fn=None):
@@ -862,11 +884,9 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
         tel = current_telemetry()
         with tel.span("inject.plan"):
             plan = plan_fn(trial_seed)
-        if getattr(plan, "corrected_by_ecc", False):
-            # Provably architecturally silent: converged before the first
-            # launch, so nothing is simulated.
-            rest = profile.replay.launches if profile.replay else ()
-            return _converged(profile, rest=rest)[:2]
+        settled = _settled_at_plan(gpu, plan, profile)
+        if settled is not None:
+            return _converged(profile, *settled)[:2]
         gpu.reset()
         gpu.replay = profile.replay
         setattr(gpu, injector_attr, injector_cls(plan))

@@ -352,27 +352,20 @@ class MicroarchFaultPlan:
         return bits is not None and all(_dead_bit(gpu, bit) for bit in bits)
 
     def dead_at_arm(self, gpu, golden) -> bool:
-        """Whether this plan, armed as the only actor of a launch that
-        repeats ``golden`` (a :class:`repro.sim.replay.GoldenLaunch`), is
-        a transient, unprotected cache fault whose every bit lies in a
-        line invalid when the golden launch ends. Inside a launch a line's
-        ``valid`` bit only goes from 0 to 1, so that line was invalid at
-        every cycle of the launch, the fire included: :meth:`fire` would
-        write only dead state (:meth:`dead_on_arrival`). When so, the plan
-        is marked fired as :meth:`fire` would mark it, and writes no bit."""
-        if (self.fired or self.persistent or self.ecc_protected
-                or self.target != "storage"
+        """Whether this plan is a transient, unprotected cache fault whose
+        every bit lies in a line invalid when ``golden`` (the
+        :class:`repro.sim.replay.GoldenLaunch` it is armed for) ends.
+        Inside a launch a line's ``valid`` bit only goes from 0 to 1, so
+        that line was invalid at every cycle of the launch, the fire
+        included: in a launch that repeats ``golden``, :meth:`fire` would
+        write only dead state (:meth:`dead_on_arrival`)."""
+        if (self.persistent or self.ecc_protected or self.target != "storage"
                 or self.structure not in CACHE_STRUCTURES):
             return False
-        targets, label = self._select(gpu)
-        cache = targets[0].owner
+        cache, bits, _ = self._cache_site(gpu)
         valid = golden.valid_at_exit(gpu, cache)
-        if any(valid[t.byte // cache.geo.line_bytes] for t in targets):
-            return False
-        self.fired = True
-        self._fire_bits = targets
-        self.description = label
-        return True
+        line_bits = 8 * cache.geo.line_bytes
+        return not any(valid[bit // line_bits] for bit in bits)
 
     # ------------------------------------------------------------ selection
     def _select_storage(self, gpu, rng) -> tuple[list, str]:

@@ -20,6 +20,8 @@ masked to 5 bits, NaN-safe float-to-int conversion.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.errors import IllegalInstruction
@@ -132,10 +134,11 @@ _INT_FNS = {
     Opcode.XOR: np.bitwise_xor,
 }
 
+#: Operators, not ufuncs: two scalar NaN sources give scalar math's NaN.
 _FLOAT_FNS = {
-    Opcode.FADD: np.add,
-    Opcode.FSUB: np.subtract,
-    Opcode.FMUL: np.multiply,
+    Opcode.FADD: operator.add,
+    Opcode.FSUB: operator.sub,
+    Opcode.FMUL: operator.mul,
 }
 
 _MUFU_FNS = {

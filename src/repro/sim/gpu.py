@@ -113,14 +113,14 @@ class LaunchRecord:
     program_name: str = ""
     #: The cycles this run clocked itself. Fewer than ``cycles`` when the
     #: launch was fast-forwarded or finished from the golden run, and 0
-    #: when it was replayed whole or its fault was found dead when armed
-    #: (see :mod:`repro.sim.replay`); ``stats`` are the golden launch's
-    #: when it finished from the golden run.
+    #: when it was replayed whole (see :mod:`repro.sim.replay`) or its
+    #: trial was settled when planned (``repro.fi.campaign``); ``stats``
+    #: are the golden launch's when it finished from the golden run.
     simulated_cycles: int = 0
     #: Observation only: the launch's fault flipped only dead state, so it
-    #: finished from the golden run at the fire cycle, or before its first
-    #: cycle when the arm-time verdict found every bit in a line the
-    #: golden launch never fills (see :mod:`repro.sim.replay`).
+    #: finished from the golden run at the fire cycle, or the campaign
+    #: found every bit in a line the golden launch never fills and took
+    #: the launch from the golden run without simulating it.
     dead_at_fire: bool = False
 
     @property
@@ -272,17 +272,11 @@ class GPU:
         golden = None
         if self.replay is not None and self.tracer is None:
             golden = self.replay.find(self, launch_index, program, launch)
-            if golden is not None and not self._within_budgets(
-                    golden.record.cycles, budget):
+            if golden is not None and not self.golden_fits(
+                    (golden,), self.trial_cycles_done):
                 golden = None
         if golden is not None and not actors:
             return self._finish_from_golden(golden, entry_uids)
-        if (golden is not None and plan is not None and len(actors) == 1
-                and plan.dead_at_arm(self, golden)):
-            # The fault lands in lines the golden launch never fills: it
-            # is dead at its fire, decided before simulating any cycle.
-            return self._finish_from_golden(
-                golden, entry_uids, simulated_cycles=0, dead_at_fire=True)
         cursor = None
         if golden is not None and not any(a.fired for a in actors):
             cursor = CheckpointCursor(golden, actors, entry_uids)
@@ -369,14 +363,6 @@ class GPU:
                 exit_valid_masks(self, boundary)))
         return record
 
-    def _within_budgets(self, cycles: int, budget: int) -> bool:
-        """Whether a launch of ``cycles`` cycles passes the per-launch
-        budget and the trial watchdog (a simulated one would time out)."""
-        trial_budget = self.trial_cycle_budget
-        return cycles <= budget and (
-            trial_budget is None
-            or self.trial_cycles_done + cycles <= trial_budget)
-
     def _finish_from_golden(self, golden: GoldenLaunch, entry_uids: tuple,
                             simulated_cycles: int | None = None,
                             dead_at_fire: bool = False) -> LaunchRecord:
@@ -389,9 +375,8 @@ class GPU:
         :meth:`reset`."""
         set_uid_counters(self, [a + d for a, d in
                                 zip(entry_uids, golden.uid_deltas)])
-        record = golden_record(golden, simulated_cycles or 0)
+        record = golden_record(golden, simulated_cycles or 0, dead_at_fire)
         if simulated_cycles is not None:
-            record.dead_at_fire = dead_at_fire
             self.stats = record.stats
         self.trial_cycles_done += record.cycles
         self.launch_records.append(record)
@@ -409,18 +394,23 @@ class GPU:
                 and (sw is None or sw.spent))
 
     def _end_converged_trial(self) -> None:
-        """Raise :class:`TrialConverged` unless a remaining golden launch
-        would not fit its per-launch budget or the golden total the trial
-        watchdog: a simulated run would time out there."""
+        """Raise :class:`TrialConverged` if the remaining golden launches
+        fit the budgets (:meth:`golden_fits`)."""
         rest = self.replay.launches[len(self.launch_records):]
-        trial_budget = self.trial_cycle_budget
-        if trial_budget is not None and self.trial_cycles_done + sum(
-                g.record.cycles for g in rest) > trial_budget:
-            return
-        if all(g.record.cycles <= self._launch_budget(g.record.index,
-                                                      g.launch.name)
-               for g in rest):
+        if self.golden_fits(rest, self.trial_cycles_done):
             raise TrialConverged(rest)
+
+    def golden_fits(self, launches, done: int) -> bool:
+        """Whether golden ``launches`` run after ``done`` cycles of the
+        trial fit their per-launch budgets, and their total the trial
+        watchdog: a simulated run would time out otherwise."""
+        for golden in launches:
+            cycles = golden.record.cycles
+            if cycles > self._launch_budget(golden.record.index,
+                                            golden.launch.name):
+                return False
+            done += cycles
+        return self.trial_cycle_budget is None or done <= self.trial_cycle_budget
 
     def _launch_budget(self, launch_index: int, kernel_name: str) -> int:
         budget = None

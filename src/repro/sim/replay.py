@@ -13,9 +13,6 @@ The shortcuts, and the fact that makes each one exact:
   later instruction can read;
 * **fire-time convergence**: the launch's only actor is a transient fault
   that wrote only dead state, and the trial equalled golden until then;
-* **the arm-time verdict**: fire-time convergence decided before the
-  launch starts, for a transient cache fault whose every bit lies in a
-  line the golden launch never fills (see below);
 * **trial-level convergence** (``GPU._finish_from_golden``): every launch
   so far ended from the golden run and every injector is spent, so the
   host has seen only golden data and issues the golden launches on golden
@@ -82,31 +79,25 @@ reads, so the rest of the launch is golden
 (:meth:`CheckpointCursor.converged_at_fire`). Every cache fill writes the
 whole line before it sets ``valid``, so an invalid line is never read.
 
-*The arm-time verdict* (``MicroarchFaultPlan.dead_at_arm``) takes that
-decision for cache faults before a cycle is simulated. A cache fault's
-site does not depend on device state (it is drawn over every line, valid
-or not), and inside a launch a line's ``valid`` bit only goes from 0 to
-1: only ``Cache.invalidate_all`` and restores clear it, and both run
-outside ``GPU._run``. So a line invalid in the golden launch's exit mask
-(:attr:`GoldenLaunch.exit_valid`, recorded by the profiling run only)
-was invalid at every cycle of that launch. When a launch repeats its
-golden launch and its only actor is a transient, unprotected cache fault
-with every bit in such a line, the fault is dead at whatever cycle it
-fires, and the launch is taken whole from the golden run with the plan
-marked fired as its fire would have marked it: no checkpoint restore, no
-L1 invalidation and no cycle. Lines invalid at the fire but filled later
-are left to fire-time convergence.
+*The plan-time exit* of a campaign trial (``repro.fi.campaign``) takes
+that decision before the trial runs, for a transient cache fault whose
+every bit lies in a line the golden launch never fills. A cache fault's
+site does not depend on device state, and inside a launch a line's
+``valid`` bit only goes from 0 to 1: only ``Cache.invalidate_all`` and
+restores clear it, and both run outside ``GPU._run``. So a line invalid
+in the golden launch's exit mask (:attr:`GoldenLaunch.exit_valid`,
+recorded by the profiling run only) was invalid at every cycle of that
+launch. Such a plan that reaches a launch anyway ends it at its fire.
 
-All of these end in one path, "finish from golden"
+The shortcuts in this module end in one path, "finish from golden"
 (``GPU._finish_from_golden``): set the uid counters to their entry
 values plus the golden deltas, append a copy of the golden record whose
 ``simulated_cycles`` says how many cycles this run clocked (0 for a
-replayed launch and for one the arm-time verdict took) and whose
-``dead_at_fire`` says whether its fault was dead at the fire, and restore
-the golden exit boundary. The result is exact by construction: the
-simulated launch would have reached the same state with the same
-counters. When every launch of the run so far ended there and no
-injector can act again, the run ends there too
+replayed launch) and whose ``dead_at_fire`` says whether its fault was
+dead at the fire, and restore the golden exit boundary. The result is
+exact by construction: the simulated launch would have reached the same
+state with the same counters. When every launch of the run so far ended
+there and no injector can act again, the run ends there too
 (``repro.sim.gpu.TrialConverged``), without the exit restore: nothing
 reads the device before the next run's ``GPU.reset``. A launch that ran
 to its end instead may have handed the host corrupted data, so it keeps
@@ -676,8 +667,10 @@ class ReplayTrack:
         return golden if golden.entry.matches(gpu) else None
 
 
-def golden_record(golden: GoldenLaunch, simulated_cycles: int):
+def golden_record(golden: GoldenLaunch, simulated_cycles: int,
+                  dead_at_fire: bool = False):
     """A copy of the golden record for a launch that clocked
     ``simulated_cycles`` of its cycles itself."""
     return dataclasses.replace(golden.record, stats=golden.record.stats.copy(),
-                               simulated_cycles=simulated_cycles)
+                               simulated_cycles=simulated_cycles,
+                               dead_at_fire=dead_at_fire)

@@ -67,13 +67,10 @@ def kinds(events) -> set[str]:
 
 def populate(app, profile, kernel_index=0):
     """Capture every checkpoint of launch ``kernel_index``: a plan that
-    fires in the launch's last cycle keeps the injector pristine. The
-    arm-time verdict is off: it would skip the launch's simulation when
-    the plan's L1T line is never filled."""
+    fires in the launch's last cycle keeps the injector pristine."""
     cycles = profile.launches[kernel_index]["cycles"]
-    with no_arm_verdict():
-        run(app, profile, MicroarchFaultPlan(kernel_index, cycles - 1,
-                                             Structure.L1T, seed=1))
+    run(app, profile, MicroarchFaultPlan(kernel_index, cycles - 1,
+                                         Structure.L1T, seed=1))
     slots = profile.replay.launches[kernel_index].checkpoints
     assert all(slot is not None for slot in slots)
     return slots
@@ -110,17 +107,8 @@ EXTRA_SEEDS = {"gemm-rf": (36, 49), "gemm-rf-2bit": (36, 49),
                "sradv1-l2": (294,)}
 
 
-@pytest.fixture()
-def fire_path():
-    """The arm-time verdict off for the whole test (see
-    ``tests.sim.trials.no_arm_verdict``): its cache faults in lines the
-    golden launch never fills keep fast-forwarding to their fire."""
-    with no_arm_verdict():
-        yield
-
-
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_checkpoints_on_and_off_agree(cell, spy, fire_path, gv100, v100):
+def test_checkpoints_on_and_off_agree(cell, spy, gv100, v100):
     app_name, kernel, level, kw, mechanisms = CELLS[cell]
     config = v100 if isinstance(level, str) else gv100
     app = get_application(app_name)
@@ -390,12 +378,14 @@ def deep_equal(a, b) -> bool:
     return a == b
 
 
-def test_stored_checkpoints_equal_a_fault_free_capture(gv100, tmp_cache,
-                                                      fire_path):
+def test_stored_checkpoints_equal_a_fault_free_capture(gv100, tmp_cache):
     app = get_application("sradv1")
     profile = fresh_profile("sradv1", gv100)
-    run_campaign(CampaignSpec(level="uarch", app=app, structure="l2",
-                              trials=24, seed=9), profile=profile)
+    with no_arm_verdict():  # dead-at-arm faults capture checkpoints too
+        # One worker: checkpoints forked workers capture never reach profile.
+        run_campaign(CampaignSpec(level="uarch", app=app, structure="l2",
+                                  trials=24, seed=9, workers=1),
+                     profile=profile)
     clean = fresh_profile("sradv1", gv100)
     stored = 0
     for index, golden in enumerate(profile.replay.launches):
@@ -669,7 +659,7 @@ def test_liveness_converges_more_gemm_rf_launches(spy, gv100, monkeypatch):
 
 @pytest.mark.parametrize("app_name", ["gemm", "nw", "pathfinder", "va-wide"])
 def test_restored_checkpoint_equals_its_capture(app_name, gv100,
-                                                monkeypatch, fire_path):
+                                                monkeypatch):
     """A fast-forwarded launch holds exactly the captured state: every
     component round-trips through ``restore``."""
     app = _app(app_name)

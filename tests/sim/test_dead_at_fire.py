@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from repro.arch.structures import Structure
-from repro.fi.campaign import _gpu_factory, _kernel_rollup
-from repro.fi.gpufi import MicroarchFaultPlan, _BufferBit, plan_microarch_fault
+from repro.fi import CampaignSpec, run_campaign
+from repro.fi.campaign import (_converged, _gpu_factory, _injection_trial_fn, _kernel_rollup,
+                               _settled_at_plan)
+from repro.fi.gpufi import (MicroarchFaultPlan, MicroarchInjector, _BufferBit,
+                            plan_microarch_fault)
+from repro.fi.outcomes import FaultOutcome
 from repro.fi.nvbitfi import plan_software_fault
 from repro.kernels import application_names, get_application
 from repro.sim.cache import Cache
@@ -89,23 +93,15 @@ class Inverted(MicroarchFaultPlan):
             array[at] = ~array[at]
 
 
-@pytest.fixture()
-def fire_path():
-    """The arm-time verdict off (``tests.sim.trials.no_arm_verdict``):
-    every cache fault is simulated to its fire."""
-    with no_arm_verdict():
-        yield
-
-
 @pytest.mark.parametrize("label", sorted(STRUCTURES))
-def test_dead_at_fire_equals_full_simulation(label, gv100, fire_path):
+def test_dead_at_fire_equals_full_simulation(label, gv100):
     """Every trial, dead at fire or not, equals the checkpoints-off run in
     outcome, cycles, outputs, per-launch stats and description. Each cell
     called dead stays harmless when its whole register or line is
     inverted and simulated in full. The structure takes the new path at
     least twice, also fires faults that are not dead, and (RF) calls
     dead both done lanes of live registers and dead registers of alive
-    lanes. The arm-time verdict is off, so cache faults take this path."""
+    lanes."""
     structure, num_bits = STRUCTURES[label]
     dead = live = 0
     reasons = set()
@@ -189,11 +185,11 @@ def test_register_written_at_the_fire_cycle_is_live(app_name, gv100):
     assert hits >= 4
 
 
-def test_dead_at_the_resume_cycle_is_not_a_replay(gv100, fire_path):
+def test_dead_at_the_resume_cycle_is_not_a_replay(gv100):
     """A dead fault fired at the cycle its launch fast-forwarded to clocks
     no cycle, yet its launch was simulated: the record says dead at fire,
-    not replayed, and the trial rollup counts it. (The arm-time verdict,
-    off here, would take this plan before the fast-forward.)"""
+    not replayed, and the trial rollup counts it. (A campaign would
+    settle this plan before the trial runs.)"""
     app = get_application("gemm")
     profile = fresh_profile(app, gv100)
     checkpoint = populate(app, profile)[5]
@@ -232,7 +228,10 @@ def test_other_faults_never_end_at_fire(label, gv100, v100):
     app = get_application(app_name)
     profile = golden_profile(app_name, config)
     launches = profile.kernel_launches(kernel)
+    gpu = _gpu_factory(profile, config)()
     for seed in range(6):
+        assert _settled_at_plan(gpu, draw(level, launches, seed, **kw),
+                                profile) is None, seed
         on = agree(app, profile, lambda: draw(level, launches, seed, **kw))
         assert not any(on["dead_at_fire"]), seed
 
@@ -261,10 +260,10 @@ def test_a_second_actor_keeps_the_launch_simulated(gv100):
 
 
 # ---------------------------------------------------------------------- #
-# The arm-time verdict (MicroarchFaultPlan.dead_at_arm)
+# The plan-time exit (repro.fi.campaign._settled_at_plan)
 # ---------------------------------------------------------------------- #
 class Verdicts(MicroarchFaultPlan):
-    """The drawn plan, noting each arm-time verdict it gives."""
+    """The drawn plan, noting each dead-at-arm verdict it gives."""
 
     def dead_at_arm(self, gpu, golden):
         taken = super().dead_at_arm(gpu, golden)
@@ -281,40 +280,114 @@ ORACLE_SEEDS = range(6)
 @pytest.mark.parametrize("label", sorted(CACHES))
 def test_arm_time_verdict_equals_full_simulation(label, gv100):
     """Every paper app, 1- and 2-bit upsets, plans drawn over all of the
-    app's launches: each trial equals full simulation (outcome, cycles,
-    outputs, per-launch stats and description). Each plan the verdict
-    takes ends dead at fire on the simulated path (verdict off), and its
-    launch's rollup reads dead at fire, no cycle simulated and not
-    replayed. The verdict takes plans and declines others."""
+    app's launches, through the campaign's plan-time exit. Each trial it
+    settles equals full simulation (outcome, cycles, outputs, per-launch
+    stats), its armed launch rolls up dead at fire, no cycle simulated
+    and not replayed, and run through the GPU that launch ends dead at
+    fire. Each trial it declines, run through the GPU, equals full
+    simulation, description too, and the GPU never asks the verdict.
+    The exit settles plans and declines others."""
     structure = CACHES[label]
     taken = declined = 0
     for app_name in application_names():
         app = get_application(app_name)
         profile = golden_profile(app_name, gv100)
+        golden_stats = [g.record.stats.snapshot()
+                        for g in profile.replay.launches]
         gpu = _gpu_factory(profile, gv100)()
         for num_bits in (1, 2):
             for seed in ORACLE_SEEDS:
                 make = lambda: plan_microarch_fault(
                     profile.launches, structure, seed, num_bits=num_bits)
                 plan = _as(Verdicts, make())
-                on = run(app, profile, plan, gpu=gpu)
-                assert_same(on, run(app, full(profile), make()))
-                verdicts = getattr(plan, "verdicts", [])
-                assert verdicts in ([], [False], [True])  # asked at most once
-                if verdicts != [True]:
-                    declined += verdicts == [False]
+                settled = _settled_at_plan(gpu, plan, profile)
+                assert plan.verdicts == [settled is not None]  # asked once
+                expected = run(app, full(profile), make())
+                if settled is None:
+                    declined += 1
+                    assert_same(run(app, profile, plan, gpu=gpu), expected)
+                    assert plan.verdicts == [False]
                     continue
                 taken += 1
+                outcome, cycles, outputs = _converged(profile, *settled)
+                assert outcome is FaultOutcome.MASKED
+                assert_same({"outcome": "ok", "cycles": cycles,
+                             "outputs": outputs, "descriptions": [""],
+                             "stats": golden_stats},
+                            {**expected, "descriptions": [""]})
                 at = plan.launch_index
-                assert on["dead_at_fire"][at] and on["simulated"][at] == 0
-                (roll,) = _kernel_rollup(gpu.launch_records[at:at + 1]).values()
+                (record,), rest = settled
+                assert record.index == at and len(rest) == len(golden_stats) - 1
+                (roll,) = _kernel_rollup((record,)).values()
                 assert (roll["dead_at_fire"], roll["simulated_cycles"],
                         roll["replayed"]) == (1, 0, 0)
-                with no_arm_verdict():
-                    off = run(app, profile, make())
+                off = run(app, profile, make(), gpu=gpu)
                 assert off["dead_at_fire"][at], (app_name, seed, num_bits)
-                assert_same(off, on)
+                assert_same(off, expected)
     assert taken and declined, (taken, declined)
+
+
+def _trial(app, profile, plan, config):
+    """``(outcome, cycles)`` of the campaign trial body injecting
+    ``plan``, on a fresh budget-configured GPU."""
+    trial_fn = _injection_trial_fn(app, profile, None, lambda seed: plan,
+                                   "uarch_injector", MicroarchInjector)
+    return trial_fn(_gpu_factory(profile, config)(), 0)
+
+
+def test_settled_trials_keep_the_cycle_budgets(gv100, monkeypatch):
+    """Under ``REPRO_HANG_FACTOR=0.5`` nw's golden run (52 670 cycles)
+    overruns the trial watchdog's 50 000-cycle floor, so a simulated trial
+    times out. ECC-corrected RF plans and dead-at-arm L1T plans, which
+    the plan-time exit settles under the default factor, then time out as
+    full simulation does."""
+    app = get_application("nw")
+    profile = golden_profile("nw", gv100)
+    launches = profile.kernel_launches("nw_k1")
+    makes = [lambda seed: plan_microarch_fault(launches, Structure.RF, seed,
+                                               ecc_protected=True),
+             lambda seed: plan_microarch_fault(launches, Structure.L1T, seed)]
+    gpu = _gpu_factory(profile, gv100)()
+    cases = [(make, seed) for make in makes for seed in range(4)
+             if _settled_at_plan(gpu, make(seed), profile) is not None]
+    assert {make for make, _ in cases} == set(makes)
+    monkeypatch.setenv("REPRO_HANG_FACTOR", "0.5")
+    for make, seed in cases:
+        on = _trial(app, profile, make(seed), gv100)
+        assert on == _trial(app, full(profile), make(seed), gv100), seed
+        assert on[0] is FaultOutcome.TIMEOUT
+
+
+def test_plan_time_exit_keeps_the_report_lines(gv100, tmp_path):
+    """A telemetry-on sradv1 L2 campaign reports the same faults dead at
+    fire and trials ended at convergence over the same cycles with the
+    dead-at-arm verdict on and off; on, it simulates fewer cycles. The
+    lines with it on are pinned."""
+    from repro.telemetry.events import TelemetrySession, read_events
+    from repro.telemetry.metrics import render_summary, summarize_events
+
+    def lines(name):
+        session = TelemetrySession(tmp_path / name)
+        run_campaign(CampaignSpec(
+            level="uarch", app="sradv1", structure=Structure.L2,
+            config=gv100, trials=32, seed=1, use_cache=False, workers=1),
+            telemetry_session=session)
+        session.close()
+        report = render_summary(summarize_events(read_events(tmp_path / name)))
+        return [line.strip() for line in report.splitlines()
+                if line.lstrip().startswith(("cycles simulated",
+                                             "faults dead at fire",
+                                             "trials ended at convergence"))]
+
+    on = lines("on.jsonl")
+    with no_arm_verdict():
+        off = lines("off.jsonl")
+    assert on == ["cycles simulated   2136 of 406656 (0.5%)",
+                  "faults dead at fire 30 of 32 trials",
+                  "trials ended at convergence 30 of 32 trials"]
+    assert on[1:] == off[1:]
+    simulated = [int(line.split()[2]) for line in (on[0], off[0])]
+    assert on[0].split()[4] == off[0].split()[4] and simulated[0] < simulated[1]
 
 
 class Sited(MicroarchFaultPlan):

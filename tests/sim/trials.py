@@ -47,10 +47,11 @@ def full(profile):
 
 @contextmanager
 def no_arm_verdict():
-    """Run the body with the arm-time verdict off
-    (``MicroarchFaultPlan.dead_at_arm`` always False): a cache fault in a
-    line the golden launch never fills is simulated to its fire again,
-    and its launch ends there (fire-time convergence)."""
+    """Run the body with the dead-at-arm verdict off
+    (``MicroarchFaultPlan.dead_at_arm`` always False): a campaign trial
+    whose cache fault lies in a line the golden launch never fills is
+    simulated to its fire, and its launch ends there (fire-time
+    convergence)."""
     verdict = MicroarchFaultPlan.dead_at_arm
     MicroarchFaultPlan.dead_at_arm = lambda plan, gpu, golden: False
     try:

@@ -72,7 +72,8 @@ Environment knobs (see :mod:`repro.config`):
 * ``REPRO_CACHE_DIR`` — cache location (default ``.repro_cache``).
 * ``REPRO_MAX_TRIAL_FAILURES`` — tolerated crash fraction (default 0.1).
 * ``REPRO_WORKERS`` — default trial-execution pool size (default 1).
-* ``REPRO_HANG_FACTOR`` — trial watchdog headroom (default 25x golden).
+* ``REPRO_HANG_FACTOR`` — trial watchdog headroom (default 25x golden);
+  off its default it enters the cache key.
 * ``REPRO_TELEMETRY`` — default-enable campaign telemetry.
 * ``REPRO_CI_HALFWIDTH`` / ``REPRO_MIN_TRIALS`` — default adaptive stop
   rule for specs that don't carry one.
@@ -459,7 +460,8 @@ def run_campaign(
         level.kind, app.name, kernel, config.name, structure=structure_name,
         num_bits=spec.num_bits, ecc=spec.ecc_protected,
         sdc_anatomy=spec.sdc_anatomy, fault_model=spec.fault_model,
-        target=spec.target, harden=spec.harden, stop_rule=rule)
+        target=spec.target, harden=spec.harden, stop_rule=rule,
+        hang_factor=get_settings().hang_factor)
     key = _cache_key({"v": CACHE_VERSION, "app_seed": app.seed,
                       "trials": planned, "seed": spec.seed, **identity})
     if spec.use_cache:

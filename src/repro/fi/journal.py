@@ -33,7 +33,9 @@ Journal records are dicts with an ``event`` field:
   value string).
 * ``{"event": "crash", "trial": i, "seed": s, "error": r, "traceback": t,
   "retry": bool}`` — an attempt at trial ``i`` raised an unexpected
-  exception; diagnostic only, never replayed into tallies.
+  exception; written in one append with trial ``i``'s record, just
+  before it, when the trial commits. Diagnostic only, never replayed
+  into tallies.
 """
 
 from __future__ import annotations
@@ -136,10 +138,10 @@ class CampaignJournal:
         """Append several records as whole lines, in order, and flush them
         to the OS before returning.
 
-        The parallel execution pool uses this when a burst of out-of-order
-        trial results becomes journalable at once. Once this returns, the
-        records survive a SIGKILL of this process, and ``campaign watch``
-        sees them. They survive an OS crash once fsynced: on the first
+        The runner's commit uses this to write a trial's crash records
+        and its trial record together. Once this returns, the records
+        survive a SIGKILL of this process, and ``campaign watch`` sees
+        them. They survive an OS crash once fsynced: on the first
         append, then at most once per :data:`SYNC_INTERVAL_S`, or by
         :meth:`sync`. The file remains a valid prefix at every instant.
         """

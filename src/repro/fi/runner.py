@@ -5,14 +5,23 @@ All statistical FI campaigns (dispatched through
 The engine owns everything that is about *executing N trials reliably and
 fast* rather than about *which fault to inject*:
 
+* **One trial loop** — every trial, at any worker count, runs the same
+  per-trial step (:func:`_attempt_trial`) and reaches the same in-order
+  commit inside :func:`execute_trials`, which journals, tallies, reports
+  and checks the crash threshold and stop rule. One worker runs both
+  in-process; a pool runs the step in its workers and the commit in the
+  parent.
+
 * **Per-trial fault isolation** — an unexpected exception from one trial
   (anything but :class:`ExecutionError`/:class:`SimTimeout`, which the
-  classifier already maps to DUE/Timeout) is caught, journaled with its
+  classifier already maps to DUE/Timeout) is caught, recorded with its
   traceback and trial seed, and retried once on a fresh :class:`GPU`. If
   the retry also fails the trial is tallied as the infrastructure outcome
-  :attr:`FaultOutcome.CRASH` and the campaign moves on. A campaign whose
-  crash fraction exceeds ``REPRO_MAX_TRIAL_FAILURES`` (default 10 %)
-  raises :class:`CampaignError` instead of producing garbage statistics.
+  :attr:`FaultOutcome.CRASH` and the campaign moves on. The crash records
+  are journaled together with their trial's record, when it commits. A
+  campaign whose crash fraction exceeds ``REPRO_MAX_TRIAL_FAILURES``
+  (default 10 %) raises :class:`CampaignError` instead of producing
+  garbage statistics.
 
 * **Journaled checkpoint/resume** — every completed trial is appended to
   ``.repro_cache/journal/<key>.jsonl`` and flushed to the OS before it is
@@ -34,8 +43,8 @@ fast* rather than about *which fault to inject*:
   arrivals. A fixed-budget campaign submits everything in one round, so
   serial and parallel runs produce bit-identical journals, tallies, and
   cache payloads, and kill/resume works the same regardless of completion
-  order. Platforms without the ``fork`` start method fall back to serial
-  execution with a warning.
+  order. Platforms without the ``fork`` start method fall back to one
+  worker with a warning.
 
 * **Adaptive early stopping** — an optional ``stop_rule`` (duck-typed;
   see :class:`repro.fi.planner.StopRule`) is evaluated against the
@@ -218,51 +227,43 @@ def _crash_record(trial: int, trial_seed: int, exc: BaseException,
             "error": repr(exc), "traceback": tb, "retry": retry}
 
 
-def _unpack_trial(result) -> "tuple[FaultOutcome, int, dict | None]":
-    """Normalize a trial function's return value to (outcome, cycles,
-    extra) — legacy two-tuples get ``extra=None``."""
-    outcome, cycles, *rest = result
-    return outcome, cycles, (rest[0] if rest else None)
-
-
 def _attempt_trial(trial_fn: TrialFn, gpu, gpu_factory, trial_index: int,
-                   trial_seed: int, on_crash):
-    """One trial with the isolation contract: unexpected exceptions get one
-    retry on a fresh GPU, a second failure becomes CRASH. Returns
-    ``(outcome, cycles, extra, gpu)`` — the GPU is replaced after any
-    failure, since the blown-up trial may have corrupted its state."""
-    try:
-        outcome, cycles, extra = _unpack_trial(trial_fn(gpu, trial_seed))
-        return outcome, cycles, extra, gpu
-    except ExecutionError:
-        # SimTimeout/ExecutionError are fault effects the classifier
-        # already maps to Timeout/DUE; one escaping the trial is a
-        # harness bug the campaign must not paper over.
-        raise
-    except Exception as exc:
-        log.warning("trial %d (seed %d) raised %r; retrying on a fresh GPU",
-                    trial_index, trial_seed, exc)
-        on_crash(exc, traceback.format_exc(), False)
-        gpu = gpu_factory()
+                   trial_seed: int, tel: Telemetry):
+    """One trial under its ``trial`` span, with the isolation contract:
+    an unexpected exception gets one retry on a fresh GPU, a second
+    failure becomes CRASH. Returns ``((outcome, cycles, extra,
+    crash_records), gpu)`` — the GPU is replaced after any failure, since
+    the blown-up trial may have corrupted its state, and each failed
+    attempt leaves a crash record for the commit to journal."""
+    crash_records: list[dict] = []
+    with tel.span("trial", trial=trial_index):
         try:
-            outcome, cycles, extra = _unpack_trial(trial_fn(gpu, trial_seed))
-            return outcome, cycles, extra, gpu
+            result = trial_fn(gpu, trial_seed)
         except ExecutionError:
+            # SimTimeout/ExecutionError are fault effects the classifier
+            # already maps to Timeout/DUE; one escaping the trial is a
+            # harness bug the campaign must not paper over.
             raise
-        except Exception as exc2:
-            log.error("trial %d (seed %d) raised %r again on retry; "
-                      "tallying as CRASH", trial_index, trial_seed, exc2)
-            on_crash(exc2, traceback.format_exc(), True)
-            return FaultOutcome.CRASH, 0, None, gpu_factory()
-
-
-def _threshold_error(key: str, crash: int, total: int,
-                     threshold: float) -> CampaignError:
-    return CampaignError(
-        f"campaign {key}: {crash}/{total} trials crashed with unexpected "
-        f"exceptions, exceeding REPRO_MAX_TRIAL_FAILURES={threshold:.0%}; "
-        f"see the journal ({CampaignJournal(key).path}) for tracebacks"
-    )
+        except Exception as exc:
+            log.warning("trial %d (seed %d) raised %r; retrying on a fresh "
+                        "GPU", trial_index, trial_seed, exc)
+            crash_records.append(_crash_record(
+                trial_index, trial_seed, exc, traceback.format_exc(), False))
+            gpu = gpu_factory()
+            try:
+                result = trial_fn(gpu, trial_seed)
+            except ExecutionError:
+                raise
+            except Exception as exc2:
+                log.error("trial %d (seed %d) raised %r again on retry; "
+                          "tallying as CRASH", trial_index, trial_seed, exc2)
+                crash_records.append(_crash_record(
+                    trial_index, trial_seed, exc2, traceback.format_exc(),
+                    True))
+                return ((FaultOutcome.CRASH, 0, None, crash_records),
+                        gpu_factory())
+    extra = result[2] if len(result) > 2 else None
+    return (result[0], result[1], extra, crash_records), gpu
 
 
 def execute_trials(
@@ -291,9 +292,9 @@ def execute_trials(
     whose state an unexpected exception may have corrupted.
 
     ``workers`` (default ``REPRO_WORKERS``) selects the trial-execution
-    pool size; ``1`` is the serial path. ``meta`` is an optional dict of
-    campaign identity fields written to the journal's leading ``meta``
-    record (used by ``campaign status`` to detect stale journals).
+    pool size; ``1`` runs the trials in-process. ``meta`` is an optional
+    dict of campaign identity fields written to the journal's leading
+    ``meta`` record (used by ``campaign status`` to detect stale journals).
 
     ``journal=False`` disables checkpointing (used by ``use_cache=False``
     campaigns, whose callers asked for a from-scratch run).
@@ -370,9 +371,48 @@ def execute_trials(
             jr.discard()
         return tally
 
-    if tel.enabled:
-        tel.emit("campaign", phase="begin", key=key, total=total,
-                 resumed=done, workers=workers, **(event_tags or {}))
+    tel.emit("campaign", phase="begin", key=key, total=total, resumed=done,
+             workers=workers, **(event_tags or {}))
+
+    def commit(i: int, outcome: FaultOutcome, cycles: int,
+               extra: dict | None, crash_records: list[dict]) -> None:
+        """Journal, tally and report trial ``i`` — called strictly in
+        trial order, whichever process ran the trial."""
+        tally.crash_events += len(crash_records)
+        if jr is not None:
+            record = {"event": "trial", "trial": i, "seed": seeds[i],
+                      "outcome": outcome.value, "cycles": cycles}
+            if extra is not None:
+                record["sdc"] = extra
+            with tel.span("journal.commit", trial=i):
+                if crash_records:
+                    jr.append_many([*crash_records, record])
+                else:
+                    # The common case goes through the one-record entry
+                    # point, which benchmarks/perf/layers.py traces.
+                    jr.append(record)
+        tally._record(outcome, cycles, baseline_cycles)
+        if extra is not None:
+            tally.sdc_records.append({"trial": i, **extra})
+        if tel.enabled:
+            event_fields = dict(event_tags or {})
+            if extra is not None:
+                event_fields["severity"] = extra.get("severity")
+            tel.emit("commit", trial=i, outcome=outcome.value,
+                     cycles=cycles, **event_fields)
+        if progress is not None:
+            progress(i + 1, total, outcome)
+        if tally.counts.crash / total > threshold:
+            where = (f"; see the journal ({jr.path}) for tracebacks"
+                     if jr is not None else "")
+            raise CampaignError(
+                f"campaign {key}: {tally.counts.crash}/{total} trials "
+                f"crashed with unexpected exceptions, exceeding "
+                f"REPRO_MAX_TRIAL_FAILURES={threshold:.0%}{where}")
+        if _stop_satisfied(stop_rule, tally):
+            tally.stopped_early = True
+            log.info("campaign %s: stop rule satisfied after %d/%d trials",
+                     key, i + 1, total)
 
     if (workers > 1 and remaining > 1
             and "fork" not in multiprocessing.get_all_start_methods()):
@@ -380,29 +420,33 @@ def execute_trials(
                     "is unavailable on this platform; running serially",
                     workers)
         workers = 1
+    prev_tel = set_current_telemetry(tel)
     try:
         if workers > 1 and remaining > 1:
             tally.workers = min(workers, remaining)
             _execute_parallel(
                 key=key, seeds=seeds, trial_fn=trial_fn,
-                gpu_factory=gpu_factory, baseline_cycles=baseline_cycles,
-                threshold=threshold, progress=progress,
-                worker_progress=worker_progress, jr=jr, tally=tally,
-                done=done, total=total, workers=tally.workers, tel=tel,
-                event_tags=event_tags, stop_rule=stop_rule)
-        else:
-            _execute_serial(
-                key=key, seeds=seeds, trial_fn=trial_fn,
-                gpu_factory=gpu_factory, baseline_cycles=baseline_cycles,
-                threshold=threshold, progress=progress, jr=jr, tally=tally,
-                done=done, total=total, tel=tel, event_tags=event_tags,
+                gpu_factory=gpu_factory, commit=commit,
+                worker_progress=worker_progress, tally=tally, done=done,
+                total=total, workers=tally.workers, tel=tel,
                 stop_rule=stop_rule)
+        else:
+            with tel.span("sim.setup"):
+                gpu = gpu_factory()
+            for i in range(done, total):
+                result, gpu = _attempt_trial(trial_fn, gpu, gpu_factory, i,
+                                             seeds[i], tel)
+                commit(i, *result)
+                if tally.stopped_early:
+                    break
     except BaseException:
         # The journal stays behind for resume: put its group-committed
         # tail on disk.
         if jr is not None:
             jr.sync()
         raise
+    finally:
+        set_current_telemetry(prev_tel)
     if jr is not None:
         jr.discard()
     _emit_end(tel, key, tally, stop_rule)
@@ -417,68 +461,6 @@ def _emit_end(tel: Telemetry, key: str, tally: TrialTally,
               "rounds": tally.rounds} if stop_rule is not None else {})
     tel.emit("campaign", phase="end", key=key,
              committed=tally.counts.total, **extra)
-
-
-# --------------------------------------------------------------- serial path
-
-def _execute_serial(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
-                    threshold, progress, jr, tally, done, total,
-                    tel=NULL, event_tags=None, stop_rule=None) -> None:
-    prev_tel = set_current_telemetry(tel)
-    try:
-        if tel.enabled:
-            with tel.span("sim.setup"):
-                gpu = gpu_factory()
-        else:
-            gpu = gpu_factory()
-        for i in range(done, total):
-            trial_seed = seeds[i]
-
-            def on_crash(exc, tb, retry, _i=i, _seed=trial_seed):
-                tally.crash_events += 1
-                if jr is not None:
-                    jr.append(_crash_record(_i, _seed, exc, tb, retry))
-
-            if tel.enabled:
-                with tel.span("trial", trial=i):
-                    outcome, cycles, extra, gpu = _attempt_trial(
-                        trial_fn, gpu, gpu_factory, i, trial_seed, on_crash)
-            else:
-                outcome, cycles, extra, gpu = _attempt_trial(
-                    trial_fn, gpu, gpu_factory, i, trial_seed, on_crash)
-
-            tally._record(outcome, cycles, baseline_cycles)
-            if extra is not None:
-                tally.sdc_records.append({"trial": i, **extra})
-            if jr is not None:
-                record = {"event": "trial", "trial": i, "seed": trial_seed,
-                          "outcome": outcome.value, "cycles": cycles}
-                if extra is not None:
-                    record["sdc"] = extra
-                if tel.enabled:
-                    with tel.span("journal.commit", trial=i):
-                        jr.append(record)
-                else:
-                    jr.append(record)
-            if tel.enabled:
-                event_fields = dict(event_tags or {})
-                if extra is not None:
-                    event_fields["severity"] = extra.get("severity")
-                tel.emit("commit", trial=i, outcome=outcome.value,
-                         cycles=cycles, **event_fields)
-            if progress is not None:
-                progress(i + 1, total, outcome)
-
-            if tally.counts.crash / total > threshold:
-                raise _threshold_error(key, tally.counts.crash, total,
-                                       threshold)
-            if _stop_satisfied(stop_rule, tally):
-                tally.stopped_early = True
-                log.info("campaign %s: stop rule satisfied after %d/%d "
-                         "trials", key, i + 1, total)
-                break
-    finally:
-        set_current_telemetry(prev_tel)
 
 
 # ------------------------------------------------------------- parallel path
@@ -499,15 +481,16 @@ def _worker_main(worker_id: int, task_q, seeds: list[int],
     """Worker-process body (reached via fork: closures need no pickling).
 
     Blocks on its private ``task_q`` for lists of trial indices (one list
-    per scheduling round), runs them with the same isolation/retry
-    contract as the serial path, and streams
-    ``("trial", worker_id, index, outcome, cycles, extra, crash_records)``
-    messages to the parent, which owns all journal writes. The worker's
-    GPU state persists across rounds exactly as it persists across trials
-    (each trial resets it). Any exception that must abort the campaign
-    (an escaped :class:`ExecutionError`, KeyboardInterrupt, ...) is
-    shipped as a ``("fatal", ...)`` message for the parent to re-raise;
-    otherwise the worker runs until the parent terminates the pool.
+    per scheduling round), runs each with :func:`_attempt_trial` — the
+    same per-trial step as a one-worker campaign — and streams
+    ``("trial", worker_id, index, (outcome, cycles, extra,
+    crash_records))`` messages to the parent, which owns all journal
+    writes. The worker's GPU state persists across rounds exactly as it
+    persists across trials (each trial resets it). Any exception that
+    must abort the campaign (an escaped :class:`ExecutionError`,
+    KeyboardInterrupt, ...) is shipped as a ``("fatal", ...)`` message
+    for the parent to re-raise; otherwise the worker runs until the
+    parent terminates the pool.
 
     ``tel_args`` (``(campaign, t0)``, or None for telemetry off) wires a
     buffered event emitter: events accumulate locally and are flushed as
@@ -525,35 +508,16 @@ def _worker_main(worker_id: int, task_q, seeds: list[int],
         tel = NULL
     set_current_telemetry(tel)
     try:
-        if tel.enabled:
-            with tel.span("sim.setup"):
-                gpu = gpu_factory()
-        else:
+        with tel.span("sim.setup"):
             gpu = gpu_factory()
-        while True:
-            indices = task_q.get()
-            if indices is None:
-                return
+        while (indices := task_q.get()) is not None:
             for i in indices:
-                crash_records: list[dict] = []
-
-                def on_crash(exc, tb, retry, _i=i):
-                    crash_records.append(
-                        _crash_record(_i, seeds[_i], exc, tb, retry))
-
-                if tel.enabled:
-                    with tel.span("trial", trial=i):
-                        outcome, cycles, extra, gpu = _attempt_trial(
-                            trial_fn, gpu, gpu_factory, i, seeds[i],
-                            on_crash)
-                else:
-                    outcome, cycles, extra, gpu = _attempt_trial(
-                        trial_fn, gpu, gpu_factory, i, seeds[i], on_crash)
+                result, gpu = _attempt_trial(trial_fn, gpu, gpu_factory, i,
+                                             seeds[i], tel)
                 if buffer:
                     out_q.put(("events", worker_id, buffer[:]))
                     buffer.clear()
-                out_q.put(("trial", worker_id, i, outcome.value,
-                           int(cycles), extra, crash_records))
+                out_q.put(("trial", worker_id, i, result))
     except BaseException as exc:  # noqa: BLE001 — shipped to the parent
         out_q.put(("fatal", worker_id, _shippable(exc), repr(exc),
                    traceback.format_exc()))
@@ -566,20 +530,18 @@ def _round_chunk(stop_rule, workers: int) -> int:
     return chunk if chunk else max(2 * workers, 8)
 
 
-def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
-                      threshold, progress, worker_progress, jr, tally,
-                      done, total, workers, tel=NULL,
-                      event_tags=None, stop_rule=None) -> None:
+def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, commit,
+                      worker_progress, tally, done, total, workers,
+                      tel=NULL, stop_rule=None) -> None:
     """Submit trials to a persistent forked pool in rounds; commit in order.
 
     Each round covers a contiguous index range strided across the workers
     (worker ``w`` gets indices ``start+w, start+w+workers, ...``) — for a
     fixed-budget campaign there is exactly one round covering everything,
     which reproduces the historical static shards index for index. The
-    parent buffers out-of-order results in ``pending`` and journals /
-    tallies / reports them strictly by trial index, so the journal is
-    byte-compatible with a serial run's and kill/resume semantics are
-    unchanged.
+    parent buffers out-of-order results in ``pending`` and hands them to
+    ``commit`` strictly by trial index, so the journal is byte-identical
+    to a one-worker run's and kill/resume semantics are unchanged.
 
     With a ``stop_rule`` the rounds are bounded chunks: the first reaches
     the rule's ``min_trials`` floor, later ones keep roughly two chunks in
@@ -616,7 +578,7 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
                 task_qs[w].put(shard)
         next_to_submit = chunk.stop
         tally.rounds += 1
-        if tel.enabled and stop_rule is not None:
+        if stop_rule is not None:
             tel.emit("plan", round=tally.rounds, submitted=len(chunk),
                      horizon=next_to_submit)
 
@@ -630,7 +592,7 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
     log.info("campaign %s: running up to %d remaining trials on %d workers",
              key, total - done, workers)
 
-    pending: dict[int, tuple[str, int, list[dict]]] = {}
+    pending: dict[int, tuple] = {}
     per_worker: dict[int, int] = {w: 0 for w, _ in procs}
     running = {w for w, _ in procs}
     next_index = done
@@ -661,51 +623,15 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
                 raise CampaignError(
                     f"campaign {key}: worker {worker_id} failed with an "
                     f"unpicklable error {text}; worker traceback:\n{tb}")
-            _, worker_id, i, outcome_value, cycles, extra, crash_records = msg
-            pending[i] = (outcome_value, cycles, extra, crash_records)
+            _, worker_id, i, result = msg
+            pending[i] = result
             per_worker[worker_id] += 1
             if worker_progress is not None:
                 worker_progress(worker_id, per_worker[worker_id])
 
-            while next_index in pending:
-                outcome_value, cycles, extra, crash_records = pending.pop(
-                    next_index)
-                outcome = FaultOutcome(outcome_value)
-                tally.crash_events += len(crash_records)
-                if jr is not None:
-                    trial_record = {"event": "trial", "trial": next_index,
-                                    "seed": seeds[next_index],
-                                    "outcome": outcome_value,
-                                    "cycles": cycles}
-                    if extra is not None:
-                        trial_record["sdc"] = extra
-                    records = crash_records + [trial_record]
-                    if tel.enabled:
-                        with tel.span("journal.commit", trial=next_index):
-                            jr.append_many(records)
-                    else:
-                        jr.append_many(records)
-                tally._record(outcome, cycles, baseline_cycles)
-                if extra is not None:
-                    tally.sdc_records.append({"trial": next_index, **extra})
-                if tel.enabled:
-                    event_fields = dict(event_tags or {})
-                    if extra is not None:
-                        event_fields["severity"] = extra.get("severity")
-                    tel.emit("commit", trial=next_index,
-                             outcome=outcome_value, cycles=cycles,
-                             **event_fields)
+            while next_index in pending and not tally.stopped_early:
+                commit(next_index, *pending.pop(next_index))
                 next_index += 1
-                if progress is not None:
-                    progress(next_index, total, outcome)
-                if tally.counts.crash / total > threshold:
-                    raise _threshold_error(
-                        key, tally.counts.crash, total, threshold)
-                if _stop_satisfied(stop_rule, tally):
-                    tally.stopped_early = True
-                    log.info("campaign %s: stop rule satisfied after %d/%d "
-                             "trials", key, next_index, total)
-                    break
 
             # Refill the pool while the rule is undecided: keep at most
             # ~two chunks in flight so satisfaction wastes little work.

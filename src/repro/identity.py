@@ -27,6 +27,8 @@ journals.
 
 from __future__ import annotations
 
+from repro.config import DEFAULT_HANG_FACTOR
+
 __all__ = [
     "AXIS_DEFAULTS", "FAULT_AXES", "campaign_identity", "identity_extras",
     "identity_tag",
@@ -34,13 +36,16 @@ __all__ = [
 
 #: Newer identity axes and their defaults, in the order they label a
 #: campaign. An axis enters an identity only when set (not ``None``) and
-#: off its default.
+#: off its default. ``hang_factor`` (``REPRO_HANG_FACTOR``, the trial
+#: watchdog's headroom) changes which trials time out, so it keys the
+#: cache; it labels nothing, so seed tags and journal meta never hold it.
 AXIS_DEFAULTS: dict[str, object] = {
     "sdc_anatomy": False,
     "fault_model": "transient",
     "target": "storage",
     "harden": None,
     "stop_rule": None,
+    "hang_factor": DEFAULT_HANG_FACTOR,
 }
 
 #: The fault-model axes label a campaign as a pair: tags, journal meta

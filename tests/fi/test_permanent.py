@@ -324,6 +324,25 @@ def test_trial_cycle_budget_scales_with_hang_factor(monkeypatch, v100):
     assert trial_cycle_budget(profile) == expected
 
 
+def test_hang_factor_keys_the_cache(tmp_path, monkeypatch):
+    """Under ``REPRO_HANG_FACTOR=0.5`` nw's golden run overruns the trial
+    watchdog, so all four ECC-corrected RF trials time out. A rerun at
+    the default factor in the same cache directory must not get those
+    Timeouts back: it matches a run in a fresh directory."""
+    spec = CampaignSpec(level="uarch", app="nw", structure="rf",
+                        config="gv100", ecc_protected=True, num_bits=1,
+                        trials=4, seed=1)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
+    monkeypatch.setenv("REPRO_HANG_FACTOR", "0.5")
+    assert run_campaign(spec).counts.timeout == 4
+    monkeypatch.delenv("REPRO_HANG_FACTOR")
+    rerun = run_campaign(spec)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
+    fresh = run_campaign(spec)
+    assert rerun.counts == fresh.counts
+    assert fresh.counts.masked == 4
+
+
 def test_hanging_campaign_classifies_timeout(tmp_cache, monkeypatch):
     """Acceptance: a provably-hanging control-state stuck-at trial ends as
     TIMEOUT within budget and the campaign completes without tripping

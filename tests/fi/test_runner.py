@@ -23,8 +23,14 @@ from repro.fi.campaign import (
     run_campaign,
 )
 from repro.fi.journal import CampaignJournal, list_journals
-from repro.fi.runner import _journal_prefix_valid, max_trial_failure_rate
+from repro.fi.outcomes import FaultOutcome
+from repro.fi.runner import (
+    _journal_prefix_valid,
+    execute_trials,
+    max_trial_failure_rate,
+)
 from repro.kernels import get_application
+from repro.telemetry.events import Telemetry
 
 
 def _sw_campaign(app, kernel, config, *, trials, seed=1, use_cache=True,
@@ -137,6 +143,19 @@ def test_failure_threshold_raises_campaign_error(tmp_cache, v100, va_profile):
                      profile=va_profile)
     # the journal survives a threshold abort (it holds the tracebacks)
     assert list_journals()
+
+
+def test_uncached_threshold_error_names_no_journal(tmp_cache, v100,
+                                                  va_profile):
+    """A ``use_cache=False`` campaign keeps no journal, so its
+    threshold error must not send the user to one."""
+    bad = FlakyApp(get_application("va"), fail_all=True)
+    with pytest.raises(CampaignError, match="REPRO_MAX_TRIAL_FAILURES") as err:
+        _sw_campaign(bad, "va_k1", v100, trials=10, seed=3,
+                     use_cache=False, profile=va_profile)
+    assert "journal" not in str(err.value)
+    assert ".jsonl" not in str(err.value)
+    assert not list_journals()
 
 
 def test_threshold_override_allows_flaky_minority(tmp_cache, v100,
@@ -302,6 +321,53 @@ def test_sigkilled_campaign_resumes_bit_for_bit(tmp_path, monkeypatch, v100,
     [payload] = child_cache.glob("*.json")
     [ref_payload] = ref_cache.glob("*.json")
     assert payload.read_bytes() == ref_payload.read_bytes()
+
+
+def _seeded_trial_fn():
+    """A trial function driven by its seed alone, so it behaves the same
+    in any process: seeds ``≡ 1 (mod 5)`` fail their first attempt,
+    ``≡ 2`` fail both attempts (CRASH), ``≡ 3`` return an SDC extra."""
+    attempts: dict[int, int] = {}
+
+    def trial_fn(gpu, seed):
+        attempts[seed] = attempts.get(seed, 0) + 1
+        if seed % 5 == 2 or (seed % 5 == 1 and attempts[seed] == 1):
+            raise RuntimeError(f"seed {seed} attempt {attempts[seed]}")
+        if seed % 5 == 3:
+            return (FaultOutcome.SDC, 7 * seed,
+                    {"severity": "tolerable", "seed": seed})
+        return FaultOutcome.MASKED, 100 + seed % 2
+
+    return trial_fn
+
+
+def test_serial_and_pool_commit_the_same_records(tmp_cache, discarded):
+    """One worker and a pool journal the same crash, trial and ``sdc``
+    records and emit the same ``commit`` events, in the same order."""
+    runs = []
+    for workers in (1, 2):
+        events = []
+        tally = execute_trials(
+            key="same-commit", seeds=list(range(100, 130)),
+            trial_fn=_seeded_trial_fn(), gpu_factory=object,
+            baseline_cycles=100, max_failure_rate=0.5, workers=workers,
+            telemetry=Telemetry(events.append, campaign="same-commit"))
+        commits = [(e["trial"], e["outcome"], e["cycles"])
+                   for e in events if e["kind"] == "commit"]
+        runs.append((discarded[-1], commits, tally.crash_events,
+                     tally.counts, tally.sdc_records))
+    assert runs[0] == runs[1]
+    records, commits, crash_events, counts, sdc_records = runs[0]
+    assert len(commits) == 30
+    assert counts.crash == 6 and counts.sdc == 6
+    assert crash_events == 6 + 2 * 6
+    assert [r["event"] for r in records[:4]] == [
+        "trial", "crash", "trial", "crash"]
+    assert [r["retry"] for r in records if r["event"] == "crash"][:3] == [
+        False, False, True]
+    assert [r["trial"] for r in sdc_records] == list(range(3, 30, 5))
+    assert all(r["sdc"]["seed"] == r["seed"]
+               for r in records if "sdc" in r)
 
 
 def _trial_record(i: int) -> dict:

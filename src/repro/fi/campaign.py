@@ -91,7 +91,7 @@ from typing import Callable
 
 from repro.arch.config import GPUConfig
 from repro.arch.structures import Structure
-from repro.config import DEFAULT_TRIALS, get_settings
+from repro.config import DEFAULT_HANG_FACTOR, DEFAULT_TRIALS, get_settings
 from repro.errors import ConfigError, ExecutionError, PlanningError, SimTimeout
 from repro.fi.gpufi import (
     FAULT_MODELS,
@@ -135,8 +135,9 @@ log = get_logger(__name__)
 #: Bump to invalidate every cached campaign result after a model change.
 #: v12: permanent/intermittent fault models (``fault_model``/``target`` on
 #: the spec, clamped — no longer wrapping — adjacent multi-bit groups, the
-#: REPRO_HANG_FACTOR trial watchdog).
-CACHE_VERSION = 12
+#: REPRO_HANG_FACTOR trial watchdog). v13: payloads carry ``num_bits``,
+#: ``ecc_protected`` and ``hang_factor`` off their defaults.
+CACHE_VERSION = 13
 
 #: The injection levels ``run_campaign`` dispatches on. The ``uarch`` level
 #: additionally fans out over ``CampaignSpec.fault_model`` (transient /
@@ -238,7 +239,8 @@ def profile_app(
 
 #: :class:`CampaignResult` fields a payload carries only when set.
 _OPTIONAL_PAYLOAD = frozenset({"harden", "fault_model", "fault_target",
-                               "sdc_anatomy", "planned_trials", "stop_rule"})
+                               "sdc_anatomy", "planned_trials", "stop_rule",
+                               "num_bits", "ecc_protected", "hang_factor"})
 
 
 @dataclass
@@ -277,6 +279,12 @@ class CampaignResult:
     #: the count actually run.
     planned_trials: int | None = None
     stop_rule: dict | None = None
+    #: Upset width and SECDED protection of a uarch campaign, and the
+    #: trial watchdog's headroom (``REPRO_HANG_FACTOR``): identity axes
+    #: the ledger's family fingerprint reads back from the payload.
+    num_bits: int = 1
+    ecc_protected: bool = False
+    hang_factor: float = DEFAULT_HANG_FACTOR
 
     def to_dict(self) -> dict:
         """The cache payload. Like a campaign identity (see
@@ -456,12 +464,13 @@ def run_campaign(
     rule = stop_rule.to_payload() if stop_rule is not None else None
     structure = level.structure
     structure_name = structure.value if structure is not None else None
+    hang_factor = get_settings().hang_factor
     identity = campaign_identity(
         level.kind, app.name, kernel, config.name, structure=structure_name,
         num_bits=spec.num_bits, ecc=spec.ecc_protected,
         sdc_anatomy=spec.sdc_anatomy, fault_model=spec.fault_model,
         target=spec.target, harden=spec.harden, stop_rule=rule,
-        hang_factor=get_settings().hang_factor)
+        hang_factor=hang_factor)
     key = _cache_key({"v": CACHE_VERSION, "app_seed": app.seed,
                       "trials": planned, "seed": spec.seed, **identity})
     if spec.use_cache:
@@ -534,6 +543,9 @@ def run_campaign(
             sdc_anatomy=_anatomy_aggregate(tally) if spec.sdc_anatomy else None,
             planned_trials=planned if stop_rule is not None else None,
             stop_rule=rule,
+            num_bits=spec.num_bits,
+            ecc_protected=spec.ecc_protected,
+            hang_factor=hang_factor,
         )
         if spec.use_cache:
             with tel.span("cache.store"):

@@ -108,12 +108,6 @@ class SourceInjector:
         return restore
 
 
-def count_source_candidates(program, stats) -> None:
-    """(Documented helper) Source candidates are counted dynamically by the
-    injector; planning uses the destination-candidate count as a proxy upper
-    bound scaled by average source arity."""
-
-
 def plan_source_fault(
     launches: list[dict], seed: int, sticky: bool, context: str = ""
 ) -> SourceFaultPlan:

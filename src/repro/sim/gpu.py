@@ -653,6 +653,9 @@ class GPU:
             sm.l1d.reset_stats()
             sm.l1t.reset_stats()
             sm.scheduler_cursor = 0
+        # Uids name warps in fault descriptions: count them from boot, as
+        # a fresh GPU does, whatever launches the last trial skipped.
+        set_uid_counters(self, [0] * len(uid_counters(self)))
         self.launch_records.clear()
         self.now = 0
         self.trial_cycles_done = 0

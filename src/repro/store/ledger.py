@@ -58,13 +58,16 @@ ROW_FIELDS = (
 
 def _payload_identity(payload: dict) -> dict:
     """The campaign identity (:mod:`repro.identity`) a cached payload
-    records, less the trial budget (stop rule). Payloads carry no
-    ``num_bits``/``ecc``, so those take their defaults — as in the seed
-    tag, which never held them either."""
+    records, less the trial budget (stop rule). ``num_bits``,
+    ``ecc_protected`` and ``hang_factor`` appear in a payload only off
+    their defaults; the seed tag holds none of them."""
     return campaign_identity(
         payload["injector"], payload["app_name"], payload["kernel"],
         payload["config_name"], structure=payload.get("structure"),
         hardened=bool(payload.get("hardened", False)),
+        num_bits=payload.get("num_bits", 1),
+        ecc=payload.get("ecc_protected", False),
+        hang_factor=payload.get("hang_factor"),
         fault_model=payload.get("fault_model"),
         target=payload.get("fault_target"), harden=payload.get("harden"),
         sdc_anatomy=payload.get("sdc_anatomy") is not None)

@@ -5,8 +5,8 @@ The observability layer of the fault-injection stack (see the README's
 
 * :mod:`repro.telemetry.events` — process-safe structured event emission
   (JSONL sessions, span phase timers, parent/worker plumbing).
-* :mod:`repro.telemetry.metrics` — counter/gauge/histogram registry and
-  the per-campaign aggregation behind ``repro.cli campaign report``.
+* :mod:`repro.telemetry.metrics` — histogram and the per-campaign
+  aggregation behind ``repro.cli campaign report``.
 * :mod:`repro.telemetry.trace` — Chrome ``trace_event`` export for
   ``chrome://tracing`` / Perfetto.
 
@@ -29,10 +29,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.metrics import (
     CampaignSummary,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
     render_summary,
     summarize_events,
 )
@@ -41,10 +38,7 @@ from repro.telemetry.trace import to_chrome_trace, write_trace
 __all__ = [
     "NULL",
     "CampaignSummary",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Telemetry",
     "TelemetrySession",
     "current_telemetry",

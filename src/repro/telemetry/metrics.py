@@ -1,12 +1,8 @@
-"""Campaign metrics: counter/gauge/histogram registry + event aggregation.
+"""Campaign metrics: event aggregation.
 
-Two layers:
-
-* Generic metric primitives (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) collected in a :class:`MetricsRegistry` — small,
-  dependency-free, and serializable with :meth:`MetricsRegistry.as_dict`.
+* :class:`Histogram`, an exact-quantile distribution of observed values.
 * :func:`summarize_events`, which folds a campaign's event stream (see
-  :mod:`repro.telemetry.events`) through a registry into a
+  :mod:`repro.telemetry.events`) into a
   :class:`CampaignSummary`: trial-latency distribution, throughput,
   per-worker utilization and shard imbalance, outcome mix, cache
   hit/miss counts, and per-kernel LaunchStats rollups.
@@ -23,37 +19,10 @@ from dataclasses import dataclass, field
 from repro.log import get_logger
 
 __all__ = [
-    "CampaignSummary", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "render_summary", "summarize_events",
+    "CampaignSummary", "Histogram", "render_summary", "summarize_events",
 ]
 
 log = get_logger(__name__)
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counters only go up, got inc({n})")
-        self.value += n
-
-
-class Gauge:
-    """Last-write-wins sample of one quantity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -114,44 +83,6 @@ class Histogram:
         }
 
 
-class MetricsRegistry:
-    """Named metrics, created on first touch (Prometheus-client style)."""
-
-    def __init__(self):
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = cls()
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {cls.__name__}")
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
-    def as_dict(self) -> dict[str, object]:
-        """Flatten every metric to plain values (histograms to snapshots)."""
-        out: dict[str, object] = {}
-        for name in self.names():
-            metric = self._metrics[name]
-            out[name] = (metric.snapshot() if isinstance(metric, Histogram)
-                         else metric.value)
-        return out
-
-
 # --------------------------------------------------------- event aggregation
 
 def _worker_label(worker) -> str:
@@ -204,7 +135,8 @@ def summarize_events(events: list[dict]) -> CampaignSummary:
     s = CampaignSummary()
     if not events:
         return s
-    reg = MetricsRegistry()
+    trials: dict[str, int] = {}
+    busy: dict[str, float] = {}
     t_min = math.inf
     t_max = 0.0
     malformed = 0
@@ -236,9 +168,8 @@ def summarize_events(events: list[dict]) -> CampaignSummary:
             if name == "trial":
                 s.trial_latency.observe(dur)
                 label = _worker_label(e.get("worker"))
-                reg.counter(f"trials.{label}").inc()
-                reg.gauge(f"busy.{label}").set(
-                    reg.gauge(f"busy.{label}").value + dur)
+                trials[label] = trials.get(label, 0) + 1
+                busy[label] = busy.get(label, 0.0) + dur
         elif kind == "commit":
             s.trials += 1
             outcome = str(e.get("outcome"))
@@ -266,11 +197,8 @@ def summarize_events(events: list[dict]) -> CampaignSummary:
     if s.wall_time > 0:
         s.trials_per_sec = s.trials / s.wall_time
 
-    for name in reg.names():
-        if name.startswith("trials."):
-            s.worker_trials[name[len("trials."):]] = reg.counter(name).value
-        elif name.startswith("busy."):
-            s.worker_busy[name[len("busy."):]] = reg.gauge(name).value
+    s.worker_trials = dict(sorted(trials.items()))
+    s.worker_busy = dict(sorted(busy.items()))
     for label, busy in s.worker_busy.items():
         s.worker_utilization[label] = (busy / s.wall_time
                                        if s.wall_time > 0 else 0.0)

@@ -1,12 +1,13 @@
 """Mid-launch golden checkpoints (:mod:`repro.sim.replay`): fast-forward,
-convergence, their fallbacks, and exactness against full simulation."""
+convergence, resume rules, fallbacks, and the completeness of what a
+checkpoint compares and restores. Their exactness against full
+simulation is the oracle's (``tests/sim/test_exactness.py``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-import repro.sim.gpu as gpu_module
 import repro.sim.replay as replay_module
 from repro.arch.structures import Structure
 from repro.fi import CampaignSpec, run_campaign
@@ -14,55 +15,18 @@ from repro.fi.campaign import _gpu_factory
 from repro.fi.gpufi import MicroarchFaultPlan, plan_microarch_fault
 from repro.fi.nvbitfi import SoftwareFaultPlan, plan_software_fault
 from repro.kernels import get_application
-from repro.sim.replay import (
-    CHECKPOINTS_PER_LAUNCH,
-    Checkpoint,
-    CheckpointCursor,
-    ReplayTrack,
-)
+from repro.sim.gpu import GPU
+from repro.sim.replay import CHECKPOINTS_PER_LAUNCH, Checkpoint, ReplayTrack, uid_counters
 from repro.staticanalysis.dataflow import is_pred_var, liveness
-from tests.sim.trials import (VectorAdds, agree, assert_same, draw, fresh_profile, full,
-                              golden_profile, no_arm_verdict, run)
+from tests.sim.trials import (VectorAdds, agree, assert_same, cursor_spy, draw, exactness,
+                              fresh_profile, full, golden_profile, kinds, no_arm_verdict, run)
 
 
 @pytest.fixture()
-def spy(monkeypatch):
-    """Every cursor the GPU makes logs ``(launch, event, cycle)``: event
-    ``cursor`` (created), ``ff`` (fast-forwarded), ``converged`` (at a
-    checkpoint) or ``dead`` (at the fire cycle: the fault hit only dead
-    state)."""
-    events: list[tuple[int, str, int]] = []
-
-    class Spy(CheckpointCursor):
-        def __init__(self, golden, actors, base):
-            super().__init__(golden, actors, base)
-            self.index = golden.record.index
-            events.append((self.index, "cursor", 0))
-
-        def fast_forward(self):
-            checkpoint = super().fast_forward()
-            if checkpoint is not None:
-                events.append((self.index, "ff", checkpoint.now))
-            return checkpoint
-
-        def visit(self, gpu, now):
-            hit = super().visit(gpu, now)
-            if hit:
-                events.append((self.index, "converged", now))
-            return hit
-
-        def converged_at_fire(self, gpu, plan, now):
-            hit = super().converged_at_fire(gpu, plan, now)
-            if hit:
-                events.append((self.index, "dead", now))
-            return hit
-
-    monkeypatch.setattr(gpu_module, "CheckpointCursor", Spy)
-    return events
-
-
-def kinds(events) -> set[str]:
-    return {kind for _, kind, _ in events}
+def spy():
+    """The cursor log of :func:`tests.sim.trials.cursor_spy`."""
+    with cursor_spy() as events:
+        yield events
 
 
 def populate(app, profile, kernel_index=0):
@@ -77,58 +41,40 @@ def populate(app, profile, kernel_index=0):
 
 
 # ---------------------------------------------------------------------- #
-# Exactness: checkpoints on vs. full simulation
+# Rows of the exactness oracle in which checkpoints engage
 # ---------------------------------------------------------------------- #
-CELLS = {
-    "gemm-rf": ("gemm", "gemm_tile", Structure.RF, {},
-                {"ff", "converged", "dead"}),
-    "gemm-smem": ("gemm", "gemm_tile", Structure.SMEM, {},
-                  {"ff", "converged"}),
-    "gemm-control": ("gemm", "gemm_tile", None, {"target": "control"},
-                     {"ff"}),
-    "gemm-rf-2bit": ("gemm", "gemm_tile", Structure.RF, {"num_bits": 2},
-                     {"ff", "converged", "dead"}),
-    "va-rf-stuck0": ("va", "va_k1", Structure.RF, {"fault_model": "stuck0"},
-                     {"ff"}),
-    "hotspot-l1d": ("hotspot", "hotspot_k1", Structure.L1D, {},
-                    {"ff", "dead"}),
-    "hotspot-sw-ld": ("hotspot", "hotspot_k1", "sw-ld", {}, {"ff"}),
-    "pathfinder-src": ("pathfinder", "pathfinder_k1", "src", {},
-                       {"converged"}),
-    "sradv1-l2": ("sradv1", "sradv1_k1", Structure.L2, {},
-                  {"ff", "converged", "dead"}),
-}
+_FF, _CONVERGED, _DEAD = ("fast-forward", "checkpoint convergence",
+                          "fire-time convergence")
 
-#: Seeds a cell runs past the first 16 to also see checkpoint convergence:
-#: most of its faults now end at the fire cycle instead. (A hotspot L1D
-#: fault converged at a checkpoint only from an invalid line, which is now
-#: dead at fire; a valid line stays flipped until the launch ends.)
-EXTRA_SEEDS = {"gemm-rf": (36, 49), "gemm-rf-2bit": (36, 49),
-               "sradv1-l2": (294,)}
+#: label -> (app, kernel, cell, seeds, shortcuts some trial must take).
+#: Faults drawn in a fresh profile fast-forward only to checkpoints the
+#: trials before them captured, hence runs of seeds.
+CELLS = {
+    "gemm-rf": ("gemm", "gemm_tile", "rf-transient", (*range(16), 36, 49),
+                {_FF, _CONVERGED, _DEAD}),
+    "gemm-smem": ("gemm", "gemm_tile", "smem-transient", range(8),
+                  {_FF, _CONVERGED}),
+    "gemm-control": ("gemm", "gemm_tile", "control-transient", range(3, 7),
+                     {_FF}),
+    "gemm-rf-2bit": ("gemm", "gemm_tile", "rf-2bit", (*range(16), 36, 49),
+                     {_FF, _CONVERGED, _DEAD}),
+    "va-rf-stuck0": ("va", "va_k1", "rf-stuck0", range(3, 7), {_FF}),
+    "hotspot-l1d": ("hotspot", "hotspot_k1", "l1d-transient", range(3, 19),
+                    {_FF, _DEAD}),
+    "hotspot-sw-ld": ("hotspot", "hotspot_k1", "sw-ld", range(3, 9), {_FF}),
+    "pathfinder-src": ("pathfinder", "pathfinder_k1", "src", range(3, 9),
+                       {_CONVERGED}),
+    # Most sradv1 L2 faults settle at plan time.
+    "sradv1-l2": ("sradv1", "sradv1_k1", "l2-transient", (30, 31, 294),
+                  {_FF, _CONVERGED}),
+}
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_checkpoints_on_and_off_agree(cell, spy, gv100, v100):
-    app_name, kernel, level, kw, mechanisms = CELLS[cell]
-    config = v100 if isinstance(level, str) else gv100
-    app = get_application(app_name)
-    profile = golden_profile(app_name, config)
-    launches = profile.kernel_launches(kernel)
-    seen = set()
-    for seed in (*range(16), *EXTRA_SEEDS.get(cell, ())):
-        spy.clear()
-        on = run(app, profile, draw(level, launches, seed, **kw))
-        seen |= kinds(spy)
-        off = run(app, full(profile), draw(level, launches, seed, **kw))
-        assert_same(on, off)
-        assert off["simulated"] == [r["cycles"] for r in off["stats"]]
-    # Every mechanism the cell is meant to exercise did engage; src
-    # faults never fast-forward and persistent ones never converge.
-    assert mechanisms <= seen
-    if level == "src":
-        assert "ff" not in seen
-    if kw.get("fault_model") == "stuck0":
-        assert "converged" not in seen
+def test_checkpoints_on_and_off_agree(cell):
+    app_name, kernel, label, seeds, shortcuts = CELLS[cell]
+    tally = exactness(app_name, [(label, kernel, seed) for seed in seeds])
+    assert all(tally[name] for name in shortcuts), tally
 
 
 def test_converged_launch_takes_the_golden_record(spy, gv100):
@@ -308,8 +254,9 @@ def test_golden_launch_over_budget_uses_no_checkpoints(limit, spy, gv100):
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("level", ["sw", "control"])
 def test_reused_gpu_with_uid_and_lru_offsets(level, spy, gv100, v100):
-    """A trial GPU is reused: uid counters and LRU clocks keep counting
-    across trials, and fault descriptions name warps by uid."""
+    """A trial GPU is reused: LRU clocks keep counting across trials,
+    while reset returns the uid counters, by which fault descriptions name
+    warps, to boot."""
     app = get_application("gemm")
     config = v100 if level == "sw" else gv100
     profile = golden_profile("gemm", config)
@@ -329,10 +276,9 @@ def test_reused_gpu_with_uid_and_lru_offsets(level, spy, gv100, v100):
         off = run(app, full(profile), make(seed), gpu=off_gpu)
         assert_same(on, off)
     assert "ff" in kinds(spy)
-    assert on_gpu._warp_uid == off_gpu._warp_uid > 16
     assert on_gpu.l2._lru_clock != off_gpu.l2._lru_clock
-    assert [sm.rf._next_uid for sm in on_gpu.sms] == [
-        sm.rf._next_uid for sm in off_gpu.sms]
+    on_gpu.reset()
+    assert uid_counters(on_gpu) == uid_counters(GPU(config))
 
 
 def test_control_fault_reviving_a_finished_lane(spy, gv100, monkeypatch):

@@ -1,138 +1,66 @@
-"""Fire-time convergence (:mod:`repro.sim.replay`): a transient fault whose
+"""Fire-time convergence (:mod:`repro.sim.replay`) and the plan-time exit
+(:func:`repro.fi.campaign._settled_at_plan`): a transient fault whose
 every flipped bit is dead (a register cell not live-in at its lane's next
 pc, a done lane, an invalid cache line) ends its launch from the golden
-run at the fire cycle. Every trial must equal full simulation, and every
-cell called dead must really be dead."""
+run at the fire cycle, and a cache fault whose every bit lies in a line
+the golden launch never fills settles its trial before it runs. The
+exactness oracle (``tests/sim/trials.py`` ``exactness``) checks that
+every trial equals full simulation and every cell called dead is really
+dead, over its matrix and here over hand-picked apps and seeds; the rest
+are the edge cases."""
 
 from __future__ import annotations
 
-from dataclasses import fields
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.arch.structures import Structure
 from repro.fi import CampaignSpec, run_campaign
-from repro.fi.campaign import (_converged, _gpu_factory, _injection_trial_fn, _kernel_rollup,
+from repro.fi.campaign import (_gpu_factory, _injection_trial_fn, _kernel_rollup,
                                _settled_at_plan)
 from repro.fi.gpufi import (MicroarchFaultPlan, MicroarchInjector, _BufferBit,
                             plan_microarch_fault)
 from repro.fi.outcomes import FaultOutcome
 from repro.fi.nvbitfi import plan_software_fault
-from repro.kernels import application_names, get_application
-from repro.sim.cache import Cache
-from repro.sim.register_file import WarpRegisters
+from repro.kernels import get_application
 from repro.staticanalysis.dataflow import is_pred_var, liveness
 from tests.sim.test_checkpoint import populate
-from tests.sim.trials import (agree, assert_same, draw, fresh_profile, full, golden_profile,
-                              no_arm_verdict, run)
+from tests.sim.trials import (agree, assert_same, draw, exactness, fresh_profile, full,
+                              golden_profile, no_arm_verdict, run, trial)
 
 #: app -> its target kernel.
 APPS = {"gemm": "gemm_tile", "hotspot": "hotspot_k1", "sradv1": "sradv1_k1",
-        "bfs": "bfs_k1", "nw": "nw_k1"}
-
-#: structure label -> (structure, upset width).
-STRUCTURES = {"rf": (Structure.RF, 1), "rf-2bit": (Structure.RF, 2),
-              "l1d": (Structure.L1D, 1), "l1t": (Structure.L1T, 1),
-              "l2": (Structure.L2, 1)}
-
-SEEDS = range(12)
-
-#: A cycle no launch reaches: a plan drawn there never fires.
-NEVER = 1 << 40
+        "bfs": "bfs_k1"}
 
 
-def _as(cls, plan):
-    """``plan`` as an instance of the subclass ``cls``."""
-    return cls(**{f.name: getattr(plan, f.name) for f in fields(plan)
-                  if f.init})
+def rows(app_kernels, labels, seeds) -> Counter:
+    """The exactness oracle's tally over apps ``app_kernels`` (app ->
+    kernel, None for every launch) x cells ``labels`` x ``seeds``."""
+    return sum((exactness(app_name, [(label, kernel, seed)
+                                     for label in labels for seed in seeds])
+                for app_name, kernel in app_kernels.items()), Counter())
 
 
-def _warp_of(gpu, bank):
-    return next(w for sm in gpu.sms for w in sm.warps if w.bank is bank)
+#: structure label -> the seeds its row draws: most cache faults settle,
+#: but faults of seed 23 (L1s) or 31 (L2) often do not.
+DEAD_SEEDS = {"rf": (3, 4), "rf-2bit": (3, 4), "l1d": (3, 23),
+              "l1t": (3, 23), "l2": (3, 31)}
 
 
-class Watched(MicroarchFaultPlan):
-    """The drawn plan; at fire time it notes why each register cell it
-    flipped could be dead: ``"done lane"`` when the lane is done though
-    the register is live-in at the lane's pc, ``"dead register"`` when the
-    lane is alive."""
-
-    def fire(self, gpu):
-        super().fire(gpu)
-        self.reasons = set()
-        for bit in self._fire_bits:
-            if isinstance(bit.owner, WarpRegisters):
-                warp = _warp_of(gpu, bit.owner)
-                reg, lane = divmod(bit.byte // 4, gpu.config.warp_size)
-                pc = int(warp.pc[lane]) if warp.diverged else warp.upc
-                live_in = liveness(gpu.kernel.program).live_in
-                if not warp.done[lane]:
-                    self.reasons.add("dead register")
-                elif 0 <= pc < len(live_in) and reg in live_in[pc]:
-                    self.reasons.add("done lane")
-
-
-class Inverted(MicroarchFaultPlan):
-    """The drawn plan, but inverting every bit of each register cell or
-    cache line its fault hits instead of one: a dead cell stays dead."""
-
-    def fire(self, gpu):
-        super().fire(gpu)
-        cells = {}
-        for bit in self._fire_bits:
-            bit.flip()  # undone, so each cell is inverted exactly once
-            owner = bit.owner
-            if isinstance(owner, Cache):
-                cells[id(owner), bit.byte // owner.geo.line_bytes] = (
-                    owner.data, bit.byte // owner.geo.line_bytes)
-            else:
-                cells[id(owner), bit.byte // 4] = (
-                    owner.regs.reshape(-1), bit.byte // 4)
-        for array, at in cells.values():
-            array[at] = ~array[at]
-
-
-@pytest.mark.parametrize("label", sorted(STRUCTURES))
-def test_dead_at_fire_equals_full_simulation(label, gv100):
-    """Every trial, dead at fire or not, equals the checkpoints-off run in
-    outcome, cycles, outputs, per-launch stats and description. Each cell
-    called dead stays harmless when its whole register or line is
-    inverted and simulated in full. The structure takes the new path at
-    least twice, also fires faults that are not dead, and (RF) calls
-    dead both done lanes of live registers and dead registers of alive
-    lanes."""
-    structure, num_bits = STRUCTURES[label]
-    dead = live = 0
-    reasons = set()
-    for app_name, kernel in APPS.items():
-        app = get_application(app_name)
-        profile = golden_profile(app_name, gv100)
-        launches = profile.kernel_launches(kernel)
-        golden = run(app, full(profile),
-                     MicroarchFaultPlan(0, NEVER, structure, 0))
-        for seed in SEEDS:
-            make = lambda: plan_microarch_fault(launches, structure, seed,
-                                                num_bits=num_bits)
-            plan = _as(Watched, make())
-            on = run(app, profile, plan)
-            assert_same(on, run(app, full(profile), make()))
-            hits = on["dead_at_fire"]
-            assert sum(hits) <= 1
-            if any(hits):
-                dead += 1
-                # The dead launch is the planned one, cut at the fire.
-                at = plan.launch_index
-                assert hits[at] and plan.fired
-                assert on["simulated"][at] < on["stats"][at]["cycles"]
-                inverted = run(app, full(profile), _as(Inverted, make()))
-                assert_same({**inverted, "descriptions": [""]}, golden)
-                reasons |= plan.reasons
-            elif plan.fired:
-                live += 1
-    assert dead >= 2 and live >= 1, (dead, live)
-    if structure is Structure.RF:
-        assert reasons == {"done lane", "dead register"}
+@pytest.mark.parametrize("label", sorted(DEAD_SEEDS))
+def test_dead_at_fire_equals_full_simulation(label):
+    """Rows of the exactness oracle, which checks each fault called dead
+    (``check_dead``): the cell settles or ends at the fire at least
+    twice, also fires faults that are not dead, and (RF) calls dead both
+    done lanes of live registers and dead registers of alive lanes."""
+    cell = label if label.endswith("2bit") else f"{label}-transient"
+    tally = rows(APPS, [cell], DEAD_SEEDS[label])
+    dead = tally["fire-time convergence"] + tally["plan-time exit"]
+    assert tally[cell] > dead >= 2, tally
+    if label.startswith("rf"):
+        assert tally["done lane"] and tally["dead register"], tally
 
 
 class JustWritten(MicroarchFaultPlan):
@@ -230,10 +158,8 @@ def test_other_faults_never_end_at_fire(label, gv100, v100):
     launches = profile.kernel_launches(kernel)
     gpu = _gpu_factory(profile, config)()
     for seed in range(6):
-        assert _settled_at_plan(gpu, draw(level, launches, seed, **kw),
-                                profile) is None, seed
-        on = agree(app, profile, lambda: draw(level, launches, seed, **kw))
-        assert not any(on["dead_at_fire"]), seed
+        got = trial(app, profile, draw(level, launches, seed, **kw), gpu)
+        assert not got["settled"] and not any(got["dead_at_fire"]), seed
 
 
 def test_a_second_actor_keeps_the_launch_simulated(gv100):
@@ -262,69 +188,20 @@ def test_a_second_actor_keeps_the_launch_simulated(gv100):
 # ---------------------------------------------------------------------- #
 # The plan-time exit (repro.fi.campaign._settled_at_plan)
 # ---------------------------------------------------------------------- #
-class Verdicts(MicroarchFaultPlan):
-    """The drawn plan, noting each dead-at-arm verdict it gives."""
-
-    def dead_at_arm(self, gpu, golden):
-        taken = super().dead_at_arm(gpu, golden)
-        self.verdicts = [*getattr(self, "verdicts", []), taken]
-        return taken
+#: cache label -> the seed its row draws, one the exit declines in some
+#: apps.
+ARM_SEEDS = {"l1d": 6, "l1t": 6, "l2": 8}
 
 
-#: Cache structure label -> structure.
-CACHES = {"l1d": Structure.L1D, "l1t": Structure.L1T, "l2": Structure.L2}
-
-ORACLE_SEEDS = range(6)
-
-
-@pytest.mark.parametrize("label", sorted(CACHES))
-def test_arm_time_verdict_equals_full_simulation(label, gv100):
-    """Every paper app, 1- and 2-bit upsets, plans drawn over all of the
-    app's launches, through the campaign's plan-time exit. Each trial it
-    settles equals full simulation (outcome, cycles, outputs, per-launch
-    stats), its armed launch rolls up dead at fire, no cycle simulated
-    and not replayed, and run through the GPU that launch ends dead at
-    fire. Each trial it declines, run through the GPU, equals full
-    simulation, description too, and the GPU never asks the verdict.
-    The exit settles plans and declines others."""
-    structure = CACHES[label]
-    taken = declined = 0
-    for app_name in application_names():
-        app = get_application(app_name)
-        profile = golden_profile(app_name, gv100)
-        golden_stats = [g.record.stats.snapshot()
-                        for g in profile.replay.launches]
-        gpu = _gpu_factory(profile, gv100)()
-        for num_bits in (1, 2):
-            for seed in ORACLE_SEEDS:
-                make = lambda: plan_microarch_fault(
-                    profile.launches, structure, seed, num_bits=num_bits)
-                plan = _as(Verdicts, make())
-                settled = _settled_at_plan(gpu, plan, profile)
-                assert plan.verdicts == [settled is not None]  # asked once
-                expected = run(app, full(profile), make())
-                if settled is None:
-                    declined += 1
-                    assert_same(run(app, profile, plan, gpu=gpu), expected)
-                    assert plan.verdicts == [False]
-                    continue
-                taken += 1
-                outcome, cycles, outputs = _converged(profile, *settled)
-                assert outcome is FaultOutcome.MASKED
-                assert_same({"outcome": "ok", "cycles": cycles,
-                             "outputs": outputs, "descriptions": [""],
-                             "stats": golden_stats},
-                            {**expected, "descriptions": [""]})
-                at = plan.launch_index
-                (record,), rest = settled
-                assert record.index == at and len(rest) == len(golden_stats) - 1
-                (roll,) = _kernel_rollup((record,)).values()
-                assert (roll["dead_at_fire"], roll["simulated_cycles"],
-                        roll["replayed"]) == (1, 0, 0)
-                off = run(app, profile, make(), gpu=gpu)
-                assert off["dead_at_fire"][at], (app_name, seed, num_bits)
-                assert_same(off, expected)
-    assert taken and declined, (taken, declined)
+@pytest.mark.parametrize("label", sorted(ARM_SEEDS))
+def test_arm_time_verdict_equals_full_simulation(label):
+    """Rows of the exactness oracle over apps of several launches, 1- and
+    2-bit upsets drawn over all of the app's launches: the plan-time exit
+    settles plans and declines others."""
+    tally = rows(dict.fromkeys(("sradv1", "bfs", "lud", "pathfinder")),
+                 [f"{label}-transient", f"{label}-2bit"], (ARM_SEEDS[label],))
+    trials = tally[f"{label}-transient"] + tally[f"{label}-2bit"]
+    assert 0 < tally["plan-time exit"] < trials, tally
 
 
 def _trial(app, profile, plan, config):

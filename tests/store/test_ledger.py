@@ -73,6 +73,25 @@ def test_fingerprint_ignores_seed_and_trials():
     assert a != c
 
 
+def test_fingerprint_tells_width_ecc_and_hang_factor_apart(tmp_cache,
+                                                          monkeypatch):
+    """Campaigns that differ only in upset width, ECC protection or the
+    trial watchdog's headroom are different families: each payload
+    carries its axis, so ``campaign history`` charts four lines."""
+    from repro.fi import CampaignSpec, run_campaign
+
+    def fingerprint(**axes):
+        return spec_fingerprint(run_campaign(CampaignSpec(
+            level="uarch", app="va", structure="rf", trials=2,
+            **axes)).to_dict())
+
+    prints = [fingerprint(), fingerprint(num_bits=2),
+              fingerprint(ecc_protected=True)]
+    monkeypatch.setenv("REPRO_HANG_FACTOR", "0.5")
+    prints.append(fingerprint())
+    assert len(set(prints)) == 4
+
+
 def test_row_from_payload_metrics():
     row = row_from_payload("k1", _payload())
     classified = 40 + 12 + 5 + 5

@@ -5,32 +5,13 @@ import math
 import pytest
 
 from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
     render_summary,
     summarize_events,
 )
 
 
 # ------------------------------------------------------------- primitives
-
-def test_counter_increments_and_rejects_negative():
-    c = Counter()
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError, match="only go up"):
-        c.inc(-1)
-
-
-def test_gauge_last_write_wins():
-    g = Gauge()
-    g.set(3)
-    g.set(1.5)
-    assert g.value == 1.5
-
 
 def test_histogram_stats_and_percentiles():
     h = Histogram()
@@ -51,19 +32,6 @@ def test_histogram_empty_and_bad_percentile():
     assert h.mean == 0.0 and h.percentile(50) == 0.0
     with pytest.raises(ValueError, match=r"\[0, 100\]"):
         h.percentile(101)
-
-
-def test_registry_creates_on_first_touch_and_guards_kinds():
-    reg = MetricsRegistry()
-    assert reg.counter("a") is reg.counter("a")
-    reg.histogram("lat").observe(2.0)
-    reg.gauge("busy").set(0.5)
-    with pytest.raises(TypeError, match="already registered"):
-        reg.gauge("a")
-    assert reg.names() == ["a", "busy", "lat"]
-    d = reg.as_dict()
-    assert d["a"] == 0 and d["busy"] == 0.5
-    assert d["lat"]["count"] == 1  # histograms flatten to snapshots
 
 
 # ------------------------------------------------------------ aggregation

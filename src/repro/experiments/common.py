@@ -103,26 +103,10 @@ class SuiteData:
         return sorted(self.kernels, key=lambda k: (APP_ORDER.index(k[0]), k[1]))
 
     def app_avf(self) -> dict[str, VulnBreakdown]:
-        out: dict[str, VulnBreakdown] = {}
-        for app in APP_ORDER:
-            items = {k: d for (a, k), d in self.kernels.items() if a == app}
-            if items:
-                out[app] = avf_of_application(
-                    {k: d.avf for k, d in items.items()},
-                    {k: d.cycles for k, d in items.items()},
-                )
-        return out
+        return self.app_breakdown("avf")
 
     def app_svf(self) -> dict[str, VulnBreakdown]:
-        out: dict[str, VulnBreakdown] = {}
-        for app in APP_ORDER:
-            items = {k: d for (a, k), d in self.kernels.items() if a == app}
-            if items:
-                out[app] = svf_of_application(
-                    {k: d.svf for k, d in items.items()},
-                    {k: d.instructions for k, d in items.items()},
-                )
-        return out
+        return self.app_breakdown("svf")
 
     def app_breakdown(self, which: str) -> dict[str, VulnBreakdown]:
         """App-level aggregation of one sub-metric ('avf_rf', 'avf_cache',

@@ -43,10 +43,6 @@ class VulnBreakdown:
             self.sdc * factor, self.timeout * factor, self.due * factor
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return {"sdc": self.sdc, "timeout": self.timeout, "due": self.due,
-                "total": self.total}
-
     @staticmethod
     def combine(items: list["VulnBreakdown"], weights: list[float]
                 ) -> "VulnBreakdown":

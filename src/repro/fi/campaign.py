@@ -194,9 +194,6 @@ class AppProfile:
     def kernel_instructions(self, kernel: str) -> int:
         return sum(l["injectable"] for l in self.kernel_launches(kernel))
 
-    def kernel_loads(self, kernel: str) -> int:
-        return sum(l["injectable_loads"] for l in self.kernel_launches(kernel))
-
 
 def profile_app(
     app: GPUApplication,

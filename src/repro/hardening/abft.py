@@ -18,8 +18,9 @@ the freshly-written product:
    element, which is **recomputed in place** with the same ascending-k
    FFMA order as ``gemm_tile`` (so the corrected element is bit-identical
    to an uncorrupted run and the trial classifies MASKED); any other
-   flag pattern raises the sticky DUE flag checked at
-   :meth:`ABFTHarness.finalize`.
+   flag pattern raises the sticky DUE flag, the same
+   :class:`~repro.hardening.redundancy.DeviceFlag` TMR and DMR use,
+   checked at :meth:`ABFTHarness.finalize`.
 
 Float32 checksums are inexact, so the row/column tests use a relative +
 absolute tolerance (:data:`EPS_REL`/:data:`EPS_ABS`) sized well above
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.hardening.redundancy import DeviceFlag
 from repro.isa import assemble
 from repro.kernels.base import DeviceHarness
 from repro.sim.gpu import GPU, Buffer
@@ -318,13 +320,7 @@ class ABFTHarness(DeviceHarness):
     """Pass-through harness adding checksum checks to GEMM launches."""
 
     def __init__(self):
-        self._flag: Buffer | None = None
-
-    def _ensure_flag(self, gpu: GPU) -> Buffer:
-        if self._flag is None:
-            self._flag = gpu.malloc(4)
-            gpu.memcpy_htod(self._flag, np.zeros(1, dtype=np.uint32))
-        return self._flag
+        self._flag = DeviceFlag(ABFTCheckError, "ABFT checksum discrepancy (uncorrectable)")
 
     def launch(self, gpu: GPU, program, grid, block, params=(),
                smem_bytes: int = 0, name: str | None = None,
@@ -340,7 +336,7 @@ class ABFTHarness(DeviceHarness):
         """Checksum/locate/correct one just-completed GEMM launch."""
         buf_a, buf_b, buf_c = params[sig.a], params[sig.b], params[sig.c]
         m, n, k = int(params[sig.m]), int(params[sig.n]), int(params[sig.k])
-        flag = self._ensure_flag(gpu)
+        flag = self._flag.buffer(gpu)
         asum = gpu.malloc(4 * k)
         bsum = gpu.malloc(4 * k)
         rowbad = gpu.upload(np.zeros(m, dtype=np.uint32))
@@ -369,11 +365,7 @@ class ABFTHarness(DeviceHarness):
 
     def finalize(self, gpu: GPU) -> None:
         """Raise a DUE on any unlocatable checksum discrepancy."""
-        if self._flag is not None:
-            flag = gpu.memcpy_dtoh(self._flag, np.uint32)
-            if int(flag[0]) != 0:
-                raise ABFTCheckError(
-                    "ABFT checksum discrepancy (uncorrectable)")
+        self._flag.check(gpu)
 
 
 def abft_harness_factory() -> ABFTHarness:

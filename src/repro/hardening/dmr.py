@@ -1,13 +1,13 @@
 """Selective Dual Modular Redundancy: duplicate, compare, signal DUE.
 
-:class:`DMRHarness` is the detection-only sibling of
-:class:`~repro.hardening.tmr.TMRHarness`: every allocation/upload is
-duplicated, every launch runs twice (copy-sequential, ~2x the execution
+:class:`DMRHarness` is the two-copy
+:class:`~repro.hardening.redundancy.ReplicaHarness`, the detection-only
+sibling of :class:`~repro.hardening.tmr.TMRHarness`: every allocation/upload
+is duplicated, every launch runs twice (copy-sequential, ~2x the execution
 time), and a device-side comparison kernel checks the two copies of each
-declared output word-by-word, raising a sticky flag on any mismatch. The
-flag is checked at :meth:`DMRHarness.finalize`; a set flag is a DUE —
-duplication-with-comparison detects but, with only two copies, can never
-arbitrate which one is right.
+declared output word-by-word, raising a sticky flag on any mismatch. A set
+flag is a DUE (:class:`DMRMismatchError`) at ``finalize``: with only two
+copies, duplication-with-comparison detects but can never arbitrate.
 
 Comparison launches are named ``<kernel>@cmp`` so per-kernel campaigns
 treat the check as part of the hardened unit at the microarchitecture
@@ -17,12 +17,9 @@ computational kernel) skips it — the same convention as TMR's ``@vote``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ExecutionError
+from repro.hardening.redundancy import ReplicaHarness
 from repro.isa import assemble
-from repro.kernels.base import DeviceHarness
-from repro.sim.gpu import GPU, Buffer
 
 
 class DMRMismatchError(ExecutionError):
@@ -53,91 +50,16 @@ _CMP_ASM = """
 
 CMP_PROGRAM = assemble(_CMP_ASM, name="dmr_cmp")
 
-_CMP_BLOCK = 64
 
-
-class DMRHarness(DeviceHarness):
+class DMRHarness(ReplicaHarness):
     """Device harness applying duplication-with-comparison per launch."""
 
-    def __init__(self):
-        self._shadows: dict[int, tuple[Buffer, Buffer]] = {}
-        self._flag: Buffer | None = None
-
-    # ------------------------------------------------------------------ #
-    # Pre-processing: duplicated allocation / upload
-    # ------------------------------------------------------------------ #
-    def alloc(self, gpu: GPU, nbytes: int) -> Buffer:
-        b0 = gpu.malloc(nbytes)
-        b1 = gpu.malloc(nbytes)
-        self._shadows[b0.addr] = (b0, b1)
-        return b0
-
-    def upload(self, gpu: GPU, array: np.ndarray) -> Buffer:
-        b0 = self.alloc(gpu, array.nbytes)
-        for copy in self._shadows[b0.addr]:
-            gpu.memcpy_htod(copy, array)
-        return b0
-
-    def download(self, gpu: GPU, buf: Buffer, dtype=np.uint32,
-                 count: int | None = None) -> np.ndarray:
-        return gpu.memcpy_dtoh(buf, dtype, count)
-
-    def htod(self, gpu: GPU, buf: Buffer, array: np.ndarray) -> None:
-        copies = self._shadows.get(buf.addr)
-        if copies is None:
-            gpu.memcpy_htod(buf, array)
-            return
-        for copy in copies:
-            gpu.memcpy_htod(copy, array)
-
-    # ------------------------------------------------------------------ #
-    # Kernel execution + post-processing comparison
-    # ------------------------------------------------------------------ #
-    def _copy_param(self, param, copy_index: int):
-        if isinstance(param, Buffer) and param.addr in self._shadows:
-            return self._shadows[param.addr][copy_index]
-        return param
-
-    def _ensure_flag(self, gpu: GPU) -> Buffer:
-        if self._flag is None:
-            self._flag = gpu.malloc(4)
-            gpu.memcpy_htod(self._flag, np.zeros(1, dtype=np.uint32))
-        return self._flag
-
-    def launch(self, gpu: GPU, program, grid, block, params=(),
-               smem_bytes: int = 0, name: str | None = None,
-               outputs: tuple[Buffer, ...] = ()) -> None:
-        kernel_name = name or program.name
-        for copy_index in range(2):
-            copy_params = [self._copy_param(p, copy_index) for p in params]
-            gpu.launch(program, grid, block, copy_params, smem_bytes,
-                       kernel_name)
-        flag = self._ensure_flag(gpu)
-        for buf in outputs:
-            copies = self._shadows.get(buf.addr)
-            if copies is None:
-                raise ExecutionError(
-                    f"DMR compare requested on unmanaged buffer "
-                    f"0x{buf.addr:x}"
-                )
-            nwords = buf.nbytes // 4
-            cmp_grid = (-(-nwords // _CMP_BLOCK), 1)
-            gpu.launch(
-                CMP_PROGRAM,
-                cmp_grid,
-                (_CMP_BLOCK, 1),
-                [copies[0], copies[1], flag, nwords],
-                0,
-                f"{kernel_name}@cmp",
-            )
-
-    def finalize(self, gpu: GPU) -> None:
-        """Raise a DUE if any comparison saw the copies disagree."""
-        if self._flag is not None:
-            flag = gpu.memcpy_dtoh(self._flag, np.uint32)
-            if int(flag[0]) != 0:
-                raise DMRMismatchError(
-                    "duplication-with-comparison mismatch")
+    copies = 2
+    post_program = CMP_PROGRAM
+    post_step = "cmp"
+    post_label = "DMR compare"
+    due_error = DMRMismatchError
+    due_message = "duplication-with-comparison mismatch"
 
 
 def dmr_harness_factory() -> DMRHarness:

@@ -1,7 +1,8 @@
 """Thread-level Triple Modular Redundancy (the paper's Figure 6 workflow).
 
-The :class:`TMRHarness` transparently hardens any application written
-against the :class:`~repro.kernels.base.DeviceHarness` API:
+:class:`TMRHarness`, the three-copy setting of
+:class:`~repro.hardening.redundancy.ReplicaHarness`, transparently hardens
+any application written against the ``DeviceHarness`` API:
 
 1. **Pre-processing** — every allocation/upload is triplicated; the
    application sees copy 0, the harness tracks the shadows.
@@ -12,7 +13,7 @@ against the :class:`~repro.kernels.base.DeviceHarness` API:
    kernel reconciles every declared output buffer, writing the bitwise
    majority ``(a&b)|(a&c)|(b&c)`` back to all three copies and raising a
    sticky flag on any three-way word disagreement. The flag is checked at
-   :meth:`TMRHarness.finalize`; a set flag is a DUE, per Figure 6.
+   ``finalize``; a set flag is a DUE (:class:`TMRVoteError`), per Figure 6.
 
 Because the vote runs on the device, its stores leave dirty L2 lines holding
 the final output — the hardware-only SDC window the paper identifies as the
@@ -23,12 +24,9 @@ vote as part of the hardened kernel they protect.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ExecutionError
+from repro.hardening.redundancy import POST_BLOCK, ReplicaHarness
 from repro.isa import assemble
-from repro.kernels.base import DeviceHarness
-from repro.sim.gpu import GPU, Buffer
 
 
 class TMRVoteError(ExecutionError):
@@ -73,90 +71,18 @@ _VOTE_ASM = """
 
 VOTE_PROGRAM = assemble(_VOTE_ASM, name="tmr_vote")
 
-_VOTE_BLOCK = 64
+_VOTE_BLOCK = POST_BLOCK
 
 
-class TMRHarness(DeviceHarness):
+class TMRHarness(ReplicaHarness):
     """Device harness applying thread-level TMR to every kernel launch."""
 
-    def __init__(self):
-        self._shadows: dict[int, tuple[Buffer, Buffer, Buffer]] = {}
-        self._flag: Buffer | None = None
-
-    # ------------------------------------------------------------------ #
-    # Pre-processing: triplicated allocation / upload
-    # ------------------------------------------------------------------ #
-    def alloc(self, gpu: GPU, nbytes: int) -> Buffer:
-        b0 = gpu.malloc(nbytes)
-        b1 = gpu.malloc(nbytes)
-        b2 = gpu.malloc(nbytes)
-        self._shadows[b0.addr] = (b0, b1, b2)
-        return b0
-
-    def upload(self, gpu: GPU, array: np.ndarray) -> Buffer:
-        b0 = self.alloc(gpu, array.nbytes)
-        for copy in self._shadows[b0.addr]:
-            gpu.memcpy_htod(copy, array)
-        return b0
-
-    def download(self, gpu: GPU, buf: Buffer, dtype=np.uint32,
-                 count: int | None = None) -> np.ndarray:
-        # Copy 0 holds the voted (majority) data after each launch.
-        return gpu.memcpy_dtoh(buf, dtype, count)
-
-    def htod(self, gpu: GPU, buf: Buffer, array: np.ndarray) -> None:
-        copies = self._shadows.get(buf.addr)
-        if copies is None:
-            gpu.memcpy_htod(buf, array)
-            return
-        for copy in copies:
-            gpu.memcpy_htod(copy, array)
-
-    # ------------------------------------------------------------------ #
-    # Kernel execution + post-processing vote
-    # ------------------------------------------------------------------ #
-    def _copy_param(self, param, copy_index: int):
-        if isinstance(param, Buffer) and param.addr in self._shadows:
-            return self._shadows[param.addr][copy_index]
-        return param
-
-    def _ensure_flag(self, gpu: GPU) -> Buffer:
-        if self._flag is None:
-            self._flag = gpu.malloc(4)
-            gpu.memcpy_htod(self._flag, np.zeros(1, dtype=np.uint32))
-        return self._flag
-
-    def launch(self, gpu: GPU, program, grid, block, params=(),
-               smem_bytes: int = 0, name: str | None = None,
-               outputs: tuple[Buffer, ...] = ()) -> None:
-        kernel_name = name or program.name
-        for copy_index in range(3):
-            copy_params = [self._copy_param(p, copy_index) for p in params]
-            gpu.launch(program, grid, block, copy_params, smem_bytes, kernel_name)
-        flag = self._ensure_flag(gpu)
-        for buf in outputs:
-            copies = self._shadows.get(buf.addr)
-            if copies is None:
-                raise ExecutionError(
-                    f"TMR vote requested on unmanaged buffer 0x{buf.addr:x}"
-                )
-            nwords = buf.nbytes // 4
-            vote_grid = (-(-nwords // _VOTE_BLOCK), 1)
-            gpu.launch(
-                VOTE_PROGRAM,
-                vote_grid,
-                (_VOTE_BLOCK, 1),
-                [copies[0], copies[1], copies[2], flag, nwords],
-                0,
-                f"{kernel_name}@vote",
-            )
-
-    def finalize(self, gpu: GPU) -> None:
-        """Raise a DUE if any vote saw all three copies disagree."""
-        if self._flag is not None:
-            flag = gpu.memcpy_dtoh(self._flag, np.uint32)
-            if int(flag[0]) != 0:
-                raise TMRVoteError("majority vote failed: three-way disagreement")
+    copies = 3
+    post_program = VOTE_PROGRAM
+    post_step = "vote"
+    post_label = "TMR vote"
+    due_error = TMRVoteError
+    due_message = "majority vote failed: three-way disagreement"
 
 
 def tmr_harness_factory() -> TMRHarness:

@@ -80,10 +80,6 @@ def _parse_pred(tok: str) -> tuple[int, bool]:
     return idx, neg
 
 
-def _is_pred(tok: str) -> bool:
-    return bool(_PRED_RE.match(tok))
-
-
 def _parse_operand(tok: str) -> Operand:
     """Parse a general source operand (reg / imm / const / special)."""
     if _REG_RE.match(tok):

@@ -176,13 +176,6 @@ class SI:
             return True
         return self.meet_range(lo, hi) is not None
 
-    def fits_s32(self) -> bool:
-        return (not self.is_top and self.lo >= _S32_MIN
-                and self.hi <= _S32_MAX)
-
-    def fits_u32(self) -> bool:
-        return not self.is_top and self.lo >= 0 and self.hi < _MOD
-
 
 SI_TOP = SI(None)
 
@@ -213,12 +206,6 @@ class AVal:
     @property
     def is_top(self) -> bool:
         return not self.coeffs and self.base.is_top
-
-    def coeff(self, sym: str) -> int:
-        for s, c in self.coeffs:
-            if s == sym:
-                return c
-        return 0
 
 
 AVAL_TOP = AVal((), SI_TOP, False)
@@ -427,10 +414,6 @@ class AccessInfo:
     block: int
     feasible: bool = True
     constraints: tuple = ()
-
-    @property
-    def is_global(self) -> bool:
-        return not self.is_shared
 
 
 class _PVal:
@@ -1308,30 +1291,6 @@ class AbstractInterpretation:
             self._run_block(in_state.copy(), blk, record=record)
 
     # ------------------------------------------------------ public query
-    def state_before(self, index: int) -> "AbsState | None":
-        """The (collapsed) abstract state just before instruction ``index``."""
-        if self.degraded:
-            return None
-        v = self._block_of(index)
-        if v is None or v not in self._in_states:
-            return None
-        blk = self.cfg.blocks[v]
-        found: list[AbsState] = []
-
-        def record(i, read, snapshot):
-            if i == index:
-                found.append(snapshot)
-
-        self._run_block(self._in_states[v].copy(), blk, record=record)
-        return found[0] if found else None
-
-    def address_value(self, index: int) -> AVal:
-        """The abstract address set of a memory instruction."""
-        if self.degraded:
-            return AVAL_TOP
-        acc = self.accesses.get(index)
-        return acc.value if acc is not None else AVAL_TOP
-
     def address_range(self, index: int) -> SI:
         """The concretized (guard-refined) address range of an access."""
         if self.degraded:

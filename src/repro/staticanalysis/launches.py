@@ -39,11 +39,6 @@ class LaunchContext:
     warp_size: int = 32
 
     @property
-    def nthreads(self) -> int:
-        bx, by = self.block
-        return bx * by
-
-    @property
     def nctas(self) -> int:
         gx, gy = self.grid
         return gx * gy

@@ -14,10 +14,10 @@ This module tails both read-only and renders a refresh-in-place frame:
 
 Reading is strictly non-intrusive. The writer side appends whole lines, so
 a concurrently-growing journal is always a valid prefix plus at most one
-torn tail; :func:`read_journal_prefix` keeps the prefix and — unlike
-:meth:`repro.fi.journal.CampaignJournal.load` — never compacts the file
-(compaction is a *write*, and the watcher must not race the single
-journal writer).
+torn tail; :func:`read_journal_prefix`, the reader of both streams, keeps
+the prefix and — unlike :meth:`repro.fi.journal.CampaignJournal.load` —
+never compacts the file (compaction is a *write*, and the watcher must not
+race the single journal writer).
 
 A campaign that completes deletes its journal and caches its result;
 :func:`watch` treats journal-gone as completion, renders one final frame
@@ -47,7 +47,8 @@ _OUTCOMES = ("masked", "sdc", "timeout", "due", "crash")
 
 
 def read_journal_prefix(path: Path | str) -> list[dict]:
-    """All valid records of a (possibly still growing) journal.
+    """All valid records of a (possibly still growing) journal or
+    telemetry event stream; ``[]`` if the file is missing.
 
     Read-only: a torn tail — the writer mid-append, or a crash — is
     dropped from the returned records but never compacted away on disk.
@@ -127,7 +128,7 @@ def snapshot(key: str, *, prev: WatchSnapshot | None = None,
         except (OSError, ValueError):
             pass
 
-    for event in _read_events_prefix(_find_events(key)):
+    for event in read_journal_prefix(_find_events(key)):
         if event.get("kind") != "span":
             continue
         worker = event.get("worker")
@@ -167,23 +168,6 @@ def _find_events(key: str) -> Path:
         except (OSError, ValueError, AttributeError):
             continue
     return default
-
-
-def _read_events_prefix(path: Path) -> list[dict]:
-    """Telemetry events with torn-tail tolerance (file may be mid-write)."""
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        return []
-    events: list[dict] = []
-    for line in raw.splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        if isinstance(event, dict):
-            events.append(event)
-    return events
 
 
 def _bar(done: int, total: int, width: int = 30) -> str:

@@ -848,13 +848,32 @@ def _kernel_rollup(records, rest=()) -> dict[str, dict[str, int]]:
     return rollup
 
 
-def _settled_at_plan(gpu: GPU, plan, profile: AppProfile):
+class _GoldenFits:
+    """Whether the golden run fits a GPU's cycle budgets
+    (``GPU.golden_fits`` over the whole replay track), asked once per
+    GPU: its budgets are set when it is built, and a campaign's track
+    never changes. A campaign's trial body keeps one; the runner builds a
+    new GPU only after a crash."""
+
+    def __init__(self):
+        self.gpu = None  # held, not its id(), so the id is never reused
+        self.fits = False
+
+    def __call__(self, gpu: GPU, launches) -> bool:
+        if gpu is not self.gpu:
+            self.gpu, self.fits = gpu, gpu.golden_fits(launches, 0)
+        return self.fits
+
+
+def _settled_at_plan(gpu: GPU, plan, profile: AppProfile,
+                     fits: _GoldenFits | None = None):
     """``(records, rest)`` for :func:`_converged` when ``plan`` settles
     its trial before it runs, else None: an ECC-corrected plan flips
     nothing, and one dead at arm (``MicroarchFaultPlan.dead_at_arm``)
     dies whenever it fires, after golden launches and host code. So the
     trial is the golden run, if that fits the cycle budgets
-    (``GPU.golden_fits``). A dead-at-arm launch is recorded dead at fire."""
+    (``GPU.golden_fits``, asked through the campaign's ``fits`` memo
+    when given). A dead-at-arm launch is recorded dead at fire."""
     replay = profile.replay
     if replay is None or not isinstance(plan, MicroarchFaultPlan):
         return None
@@ -866,7 +885,7 @@ def _settled_at_plan(gpu: GPU, plan, profile: AppProfile):
                    launches[:at] + launches[at + 1:])
     else:
         return None
-    return settled if gpu.golden_fits(launches, 0) else None
+    return settled if (fits or _GoldenFits())(gpu, launches) else None
 
 
 def _injection_trial_fn(app, profile, harness_factory, plan_fn,
@@ -890,12 +909,13 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
     if sdc_anatomy:
         from repro.sdc import analyze_sdc  # deferred: fi never needs it
                                            # unless a spec opts in
+    fits = _GoldenFits()
 
     def trial_fn(gpu: GPU, trial_seed: int):
         tel = current_telemetry()
         with tel.span("inject.plan"):
             plan = plan_fn(trial_seed)
-        settled = _settled_at_plan(gpu, plan, profile)
+        settled = _settled_at_plan(gpu, plan, profile, fits)
         if settled is not None:
             return _converged(profile, *settled)[:2]
         gpu.reset()

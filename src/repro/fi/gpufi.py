@@ -50,7 +50,7 @@ from repro.errors import ExecutionError, PlanningError
 from repro.sim.cache import Cache
 from repro.sim.register_file import WarpRegisters
 from repro.sim.replay import bank_live_mask
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rng, weighted_index
 
 #: The fault models the microarchitecture injector understands.
 FAULT_MODELS = ("transient", "stuck0", "stuck1", "intermittent")
@@ -362,8 +362,8 @@ class MicroarchFaultPlan:
         if (self.persistent or self.ecc_protected or self.target != "storage"
                 or self.structure not in CACHE_STRUCTURES):
             return False
-        cache, bits, _ = self._cache_site(gpu)
-        valid = golden.valid_at_exit(gpu, cache)
+        cache, index, bits, _ = self._cache_site(gpu)
+        valid = golden.valid_at_exit(self.structure, index)
         line_bits = 8 * cache.geo.line_bytes
         return not any(valid[bit // line_bits] for bit in bits)
 
@@ -398,10 +398,11 @@ class MicroarchFaultPlan:
                 bit -= size
         return [], ""
 
-    def _cache_site(self, gpu) -> tuple[Cache, list[int], str]:
-        """A cache fault's instance, bits of its data array and label,
-        drawn over every instance of the structure on the first call (a
-        cache site does not depend on device state; see
+    def _cache_site(self, gpu) -> tuple[Cache, int, list[int], str]:
+        """A cache fault's instance and its index among the structure's
+        instances (:meth:`GPU.cache_instances`), bits of its data array
+        and label, drawn over every instance of the structure on the first
+        call (a cache site does not depend on device state; see
         :data:`CACHE_STRUCTURES`) and kept by instance index."""
         caches = gpu.cache_instances(self.structure)
         if self._site is None:
@@ -414,7 +415,7 @@ class MicroarchFaultPlan:
                     break
                 bit -= cache.total_bits
         index, bits, label = self._site
-        return caches[index], bits, label
+        return caches[index], index, bits, label
 
     def _select_control(self, gpu, rng) -> tuple[list, str]:
         sites = _control_sites(gpu)
@@ -432,7 +433,7 @@ class MicroarchFaultPlan:
 
     def _select(self, gpu) -> tuple[list, str]:
         if self.target == "storage" and self.structure in CACHE_STRUCTURES:
-            cache, bits, label = self._cache_site(gpu)
+            cache, _, bits, label = self._cache_site(gpu)
             return [_BufferBit(cache.data, b, cache) for b in bits], label
         # One fresh, tag-derived stream per resolution: firing and every
         # later rebind draw the same site index deterministically.
@@ -581,9 +582,8 @@ def plan_microarch_fault(
         raise PlanningError(
             f"cannot plan a microarchitecture fault for {where}: the "
             f"profile records no launches (is the kernel name right?)")
-    weights = np.array([max(rec["cycles"], 1) for rec in launches], dtype=float)
-    idx = int(rng.choice(len(launches), p=weights / weights.sum()))
-    chosen = launches[idx]
+    chosen = launches[weighted_index(
+        rng, [max(rec["cycles"], 1) for rec in launches])]
     cycle = int(rng.integers(max(chosen["cycles"], 1)))
     stuck_value = 0
     duty_period = 0

@@ -9,6 +9,12 @@ This module provides the same guarantee for ``repro`` campaigns:
   ``.repro_cache/journal/<key>.jsonl`` and flushed to the OS before the
   next trial starts, so a SIGKILL, OOM kill or preemption loses at most
   the in-flight trial.
+* A campaign holds one handle on its journal: the first append makes the
+  directory and opens the file, later appends write through the same
+  handle, and :meth:`CampaignJournal.close` (also run by ``discard``, and
+  by a compaction, which replaces the file) gives it up. Holding it
+  changes nothing above: every append still writes whole lines and
+  flushes them before it returns.
 * Appends are group-committed: the file is fsynced on the first append,
   then at most once per :data:`SYNC_INTERVAL_S`, and by :meth:`sync`
   when a campaign stops abnormally. An OS crash or power loss therefore
@@ -77,6 +83,7 @@ class CampaignJournal:
             / f"{key}.jsonl"
         self._synced_at: float | None = None  # clock at the last fsync
         self._unsynced = False  # records appended since the last fsync
+        self._file = None  # the append handle, opened by the first append
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -118,7 +125,10 @@ class CampaignJournal:
         return records
 
     def _compact(self, valid_prefix: bytes) -> None:
-        """Atomically rewrite the journal to its valid prefix."""
+        """Atomically rewrite the journal to its valid prefix. The handle
+        held on the replaced file is closed, so the next append opens the
+        compacted one."""
+        self.close()
         try:
             fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
                                        prefix=f".{self.key}.", suffix=".tmp")
@@ -147,18 +157,20 @@ class CampaignJournal:
         """
         if not records:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as f:
-            for record in records:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
-            f.flush()
-            now = _clock()
-            if self._synced_at is None or now - self._synced_at >= SYNC_INTERVAL_S:
-                os.fsync(f.fileno())
-                self._synced_at = now
-                self._unsynced = False
-            else:
-                self._unsynced = True
+        f = self._file
+        if f is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            f = self._file = open(self.path, "a", encoding="utf-8")
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+        f.flush()
+        now = _clock()
+        if self._synced_at is None or now - self._synced_at >= SYNC_INTERVAL_S:
+            os.fsync(f.fileno())
+            self._synced_at = now
+            self._unsynced = False
+        else:
+            self._unsynced = True
 
     def sync(self) -> None:
         """Force every appended record to disk (a campaign that stops
@@ -166,8 +178,11 @@ class CampaignJournal:
         if not self._unsynced:
             return
         try:
-            with open(self.path, "ab") as f:
-                os.fsync(f.fileno())
+            if self._file is not None:
+                os.fsync(self._file.fileno())
+            else:
+                with open(self.path, "ab") as f:
+                    os.fsync(f.fileno())
         except OSError as exc:
             # Runs while another exception propagates: do not replace it.
             log.warning("could not sync journal %s: %s", self.path, exc)
@@ -175,8 +190,15 @@ class CampaignJournal:
         self._synced_at = _clock()
         self._unsynced = False
 
+    def close(self) -> None:
+        """Give up the append handle; the next append opens the file again."""
+        f, self._file = self._file, None
+        if f is not None:
+            f.close()
+
     def discard(self) -> None:
         """Delete the journal (campaign finished, or its log is stale)."""
+        self.close()
         try:
             self.path.unlink()
         except FileNotFoundError:

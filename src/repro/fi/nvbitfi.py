@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rng, weighted_index
 
 
 @dataclass
@@ -122,9 +122,7 @@ def plan_software_fault(
             f"candidates ({'loads' if loads_only else 'all'}) — profile the "
             f"kernel first, or pick a kernel that executes instructions"
         )
-    weights = np.array([rec[key] for rec in launches], dtype=float)
-    idx = int(rng.choice(len(launches), p=weights / weights.sum()))
-    chosen = launches[idx]
+    chosen = launches[weighted_index(rng, [rec[key] for rec in launches])]
     candidate = int(rng.integers(chosen[key]))
     bit = int(rng.integers(32))
     return SoftwareFaultPlan(

@@ -27,7 +27,9 @@ fast* rather than about *which fault to inject*:
   ``.repro_cache/journal/<key>.jsonl`` and flushed to the OS before it is
   counted, so a SIGKILL loses at most the in-flight trial; fsyncs are
   group-committed, so an OS crash loses at most about one second of
-  trials (see :mod:`repro.fi.journal`). A killed campaign resumes from
+  trials (see :mod:`repro.fi.journal`). The campaign opens its journal
+  once, at its first append, and closes it on every way out of
+  :func:`execute_trials`. A killed campaign resumes from
   the last journaled trial on the next invocation; per-trial seeds from
   :func:`spawn_seeds` are deterministic, so the resumed run's final
   tallies are bit-for-bit identical to an uninterrupted run. Completed
@@ -447,6 +449,8 @@ def execute_trials(
         raise
     finally:
         set_current_telemetry(prev_tel)
+        if jr is not None:
+            jr.close()
     if jr is not None:
         jr.discard()
     _emit_end(tel, key, tally, stop_rule)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rng, weighted_index
 
 
 @dataclass
@@ -132,9 +132,8 @@ def plan_source_fault(
             f"candidates — profile the kernel first, or pick a kernel that "
             f"executes instructions"
         )
-    weights = np.array([rec["injectable"] for rec in launches], dtype=float)
-    idx = int(rng.choice(len(launches), p=weights / weights.sum()))
-    chosen = launches[idx]
+    chosen = launches[weighted_index(
+        rng, [rec["injectable"] for rec in launches])]
     candidate = int(rng.integers(chosen["injectable"] * 2))
     return SourceFaultPlan(
         launch_index=chosen["index"],

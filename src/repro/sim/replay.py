@@ -144,6 +144,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.arch.config import GPUConfig
+from repro.arch.structures import Structure
 from repro.isa.program import Program
 from repro.staticanalysis import dataflow
 from repro.sim.register_file import WarpRegisters
@@ -526,10 +527,16 @@ class GoldenLaunch:
     checkpoints: list = field(
         default_factory=lambda: [None] * CHECKPOINTS_PER_LAUNCH, repr=False)
 
-    def valid_at_exit(self, gpu, cache) -> np.ndarray:
-        """``cache``'s valid mask at the end of this launch, a superset of
-        its valid lines at every cycle of it (see the module docstring)."""
-        return self.exit_valid[_caches(gpu).index(cache)]
+    def valid_at_exit(self, structure: Structure, index: int) -> np.ndarray:
+        """The valid mask at the end of this launch of instance ``index``
+        of cache ``structure`` (in ``GPU.cache_instances`` order), a
+        superset of its valid lines at every cycle of it (see the module
+        docstring)."""
+        if structure is Structure.L2:
+            return self.exit_valid[-1]
+        if structure is Structure.L1T:
+            index += (len(self.exit_valid) - 1) // 2  # after every L1D
+        return self.exit_valid[index]
 
     @property
     def grid(self) -> list[int]:

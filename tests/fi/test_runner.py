@@ -1,6 +1,7 @@
 """Resilient execution engine: trial isolation, journaled checkpoint/resume,
 crash-safe caching (repro.fi.runner + repro.fi.journal)."""
 
+import functools
 import logging
 import os
 import signal
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import CampaignError, ConfigError
+from repro.errors import CampaignError, ConfigError, ExecutionError
 from repro.fi import campaign as campaign_mod
 from repro.fi import journal as journal_mod
 from repro.fi.campaign import (
@@ -454,6 +455,99 @@ def test_os_crash_after_last_sync_resumes_identically(
     assert resumed.counts == ref.counts
     assert discarded[-1] == ref_records
     assert not list_journals()
+
+
+# ------------------------------------------------ one journal handle
+
+
+@pytest.fixture()
+def journal_files(monkeypatch):
+    """Every file ``repro.fi.journal`` opens, and every directory it
+    makes, as ``(opened, made)`` lists."""
+    opened, made = [], []
+    real_open, real_mkdir = open, Path.mkdir
+
+    def counting_open(*args, **kwargs):
+        f = real_open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    def counting_mkdir(self, *args, **kwargs):
+        if self.name == "journal":
+            made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(journal_mod, "open", counting_open, raising=False)
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    return opened, made
+
+
+def test_a_campaign_opens_its_journal_once(tmp_cache, v100, va_profile,
+                                           journal_files, discarded):
+    opened, made = journal_files
+    tmp_cache.mkdir()  # else mkdir(parents=True) recurses into itself
+    _va_campaign(v100, va_profile, 12, 5)
+    assert len(discarded[-1]) == 13  # the meta record and 12 trials
+    [payload] = tmp_cache.glob("*.json")
+    journal = tmp_cache / "journal" / f"{payload.stem}.jsonl"
+    assert [f.name for f in opened] == [str(journal)]
+    assert made == [journal.parent]
+    assert all(f.closed for f in opened)
+
+
+def test_append_after_compaction_lands_in_the_compacted_file(tmp_path):
+    j = CampaignJournal("k", tmp_path)
+    j.append(_trial_record(0))
+    with open(j.path, "a", encoding="utf-8") as f:
+        f.write('{"event": "tri')  # SIGKILL mid-append
+    replaced = os.stat(j.path).st_ino
+    assert j.load() == [_trial_record(0)]
+    assert os.stat(j.path).st_ino != replaced
+    j.append(_trial_record(1))
+    assert j.load() == [_trial_record(0), _trial_record(1)]
+    j.close()
+
+
+def test_discard_then_append_recreates_the_journal(tmp_path):
+    j = CampaignJournal("k", tmp_path)
+    j.append(_trial_record(0))
+    j.discard()
+    assert not j.exists()
+    j.append(_trial_record(1))
+    assert j.load() == [_trial_record(1)]
+    j.discard()
+    assert not j.exists()
+
+
+def _escaping_trial_fn(fail_at: int):
+    """A trial function whose trial ``fail_at`` raises an error the
+    isolation contract does not catch (``None``: no trial does)."""
+    def trial_fn(gpu, seed):
+        if seed == fail_at:
+            raise ExecutionError(f"trial {seed} escaped")
+        return FaultOutcome.MASKED, 100
+
+    return trial_fn
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("fail_at", [None, 4], ids=["normal", "raises"])
+def test_execute_trials_closes_the_journal(tmp_cache, journal_files,
+                                           fail_at):
+    opened, _ = journal_files
+    run = functools.partial(
+        execute_trials, key="closes", seeds=list(range(8)),
+        trial_fn=_escaping_trial_fn(fail_at), gpu_factory=object,
+        baseline_cycles=100, meta={"tag": "closes"})
+    if fail_at is None:
+        assert run().counts.total == 8
+        assert not list_journals()
+    else:
+        with pytest.raises(ExecutionError):
+            run()
+        [journal] = list_journals()
+        assert journal.trials == fail_at
+    assert len(opened) == 1 and opened[0].closed
 
 
 # ------------------------------------------------------- crash-safe cache

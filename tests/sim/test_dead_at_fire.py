@@ -267,6 +267,40 @@ def test_plan_time_exit_keeps_the_report_lines(gv100, tmp_path):
     assert on[0].split()[4] == off[0].split()[4] and simulated[0] < simulated[1]
 
 
+def test_a_campaign_asks_for_the_golden_budget_verdict_once(gv100,
+                                                             monkeypatch):
+    """The plan-time exit asks ``GPU.golden_fits`` over the whole replay
+    track once per campaign GPU, not once per settled trial, and settling
+    a plan builds no list of the GPU's caches."""
+    import repro.sim.replay as replay_module
+    from repro.sim.gpu import GPU
+
+    profile = fresh_profile("sradv1", gv100)  # trials capture checkpoints
+    whole, real_fits = [], GPU.golden_fits
+
+    def golden_fits(gpu, launches, done):
+        if launches is profile.replay.launches:
+            whole.append(gpu)
+        return real_fits(gpu, launches, done)
+
+    monkeypatch.setattr(GPU, "golden_fits", golden_fits)
+    result = run_campaign(CampaignSpec(
+        level="uarch", app="sradv1", structure=Structure.L2, config=gv100,
+        trials=32, seed=1, use_cache=False, workers=1), profile=profile)
+    assert result.counts.total == 32
+    assert len(whole) == 1
+
+    def no_caches(gpu):
+        raise AssertionError("the settle path built the cache list")
+
+    monkeypatch.setattr(replay_module, "_caches", no_caches)
+    gpu = _gpu_factory(profile, gv100)()
+    launches = profile.kernel_launches("sradv1_k1")
+    settled = [seed for seed in range(16) if _settled_at_plan(
+        gpu, plan_microarch_fault(launches, Structure.L2, seed), profile)]
+    assert settled
+
+
 class Sited(MicroarchFaultPlan):
     """A transient L2 fault at a given site: bits ``bits`` of the L2 data
     array."""
@@ -277,7 +311,7 @@ class Sited(MicroarchFaultPlan):
         self.bits = bits
 
     def _cache_site(self, gpu):
-        return gpu.l2, self.bits, f"l2 bits {self.bits}"
+        return gpu.l2, 0, self.bits, f"l2 bits {self.bits}"
 
 
 def test_a_two_bit_upset_reaching_a_filled_line_is_simulated(gv100):

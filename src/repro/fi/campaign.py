@@ -121,7 +121,14 @@ from repro.telemetry.events import (
     current_telemetry,
     telemetry_events_path,
 )
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import (
+    SRC_PLAN,
+    SW_PLAN,
+    UARCH_FIRE,
+    UARCH_PLAN,
+    StreamTable,
+    spawn_seeds,
+)
 
 __all__ = [
     "AppProfile", "CampaignResult", "CampaignSpec", "cache_dir",
@@ -493,12 +500,16 @@ def run_campaign(
                 f"{app.name} has no launches of kernel {kernel!r}")
 
         tag = identity_tag(identity)
+        seeds = spawn_seeds(spec.seed, tag, planned)
+        # Every trial's fault streams, derived before the first trial (and
+        # before a pool forks); a resumed campaign rebuilds the same table.
+        streams = StreamTable(seeds, level.tags)
         tally = execute_trials(
             key=key,
-            seeds=spawn_seeds(spec.seed, tag, planned),
+            seeds=seeds,
             trial_fn=_injection_trial_fn(
                 app, profile, harness_factory,
-                lambda s: level.plan(launches, s),
+                lambda s: level.plan(launches, s, streams),
                 level.injector_attr, level.injector_cls,
                 sdc_anatomy=spec.sdc_anatomy, site_fn=level.site),
             gpu_factory=_gpu_factory(profile, config),
@@ -560,9 +571,14 @@ class _Level:
 
     #: Injector label: cache-key ``kind``, journal level, payload injector.
     kind: str
-    #: ``plan(launches, trial_seed)`` -> the trial's fault plan. The
-    #: planners are looked up as module globals when a trial runs.
+    #: ``plan(launches, trial_seed, streams)`` -> the trial's fault plan,
+    #: drawn from the campaign's stream table (``None``: from
+    #: ``derive_rng``). The planners are looked up as module globals when
+    #: a trial runs.
     plan: Callable
+    #: The streams a trial draws (see :mod:`repro.utils.rng`): the
+    #: campaign's stream table holds these tags for every trial seed.
+    tags: tuple[str, ...]
     #: The GPU hook the plan's injector arms, and the injector class.
     injector_attr: str
     injector_cls: type
@@ -603,16 +619,18 @@ def _level_driver(spec: CampaignSpec, context: str) -> _Level:
         sticky = spec.level == "src-sticky"
         return _Level(
             kind="sw-src-sticky" if sticky else "sw-src-transient",
-            plan=lambda launches, s: plan_source_fault(
-                launches, s, sticky, context=context),
+            plan=lambda launches, s, streams=None: plan_source_fault(
+                launches, s, sticky, context=context, streams=streams),
+            tags=(SRC_PLAN,),
             injector_attr="sw_injector", injector_cls=SourceInjector,
             site=lambda plan: "src")
     if spec.level != "uarch":
         loads_only = spec.level == "sw-ld"
         return _Level(
             kind=spec.level,
-            plan=lambda launches, s: plan_software_fault(
-                launches, s, loads_only, context=context),
+            plan=lambda launches, s, streams=None: plan_software_fault(
+                launches, s, loads_only, context=context, streams=streams),
+            tags=(SW_PLAN,),
             injector_attr="sw_injector", injector_cls=SoftwareInjector,
             site=lambda plan: plan.injected_class or spec.level,
             include_post=False,
@@ -635,9 +653,11 @@ def _level_driver(spec: CampaignSpec, context: str) -> _Level:
         structure = Structure(spec.structure)
     return _Level(
         kind="uarch",
-        plan=lambda launches, s: plan_microarch_fault(
+        plan=lambda launches, s, streams=None: plan_microarch_fault(
             launches, structure, s, spec.num_bits, spec.ecc_protected,
-            spec.fault_model, spec.target, context=context),
+            spec.fault_model, spec.target, context=context,
+            streams=streams),
+        tags=(UARCH_PLAN, UARCH_FIRE),
         injector_attr="uarch_injector", injector_cls=MicroarchInjector,
         # Control-target campaigns have no storage structure; "control"
         # stands in wherever a structure name labels things.

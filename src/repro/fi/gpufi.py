@@ -50,7 +50,13 @@ from repro.errors import ExecutionError, PlanningError
 from repro.sim.cache import Cache
 from repro.sim.register_file import WarpRegisters
 from repro.sim.replay import bank_live_mask
-from repro.utils.rng import derive_rng, weighted_index
+from repro.utils.rng import (
+    UARCH_FIRE,
+    UARCH_PLAN,
+    StreamTable,
+    derive_rng,
+    weighted_index,
+)
 
 #: The fault models the microarchitecture injector understands.
 FAULT_MODELS = ("transient", "stuck0", "stuck1", "intermittent")
@@ -277,6 +283,10 @@ class MicroarchFaultPlan:
     family (see the module docstring). ``structure`` is ``None`` for
     control-target plans. ``stuck_value`` and the ``duty_*`` windows only
     matter to the intermittent model and come from the planner's RNG.
+
+    ``streams`` is the campaign's :class:`~repro.utils.rng.StreamTable`
+    the site is drawn from; ``None`` derives the stream with
+    :func:`~repro.utils.rng.derive_rng` (the same draws).
     """
 
     launch_index: int
@@ -300,6 +310,16 @@ class MicroarchFaultPlan:
     #: A cache fault's site once drawn (:meth:`_cache_site`).
     _site: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    streams: StreamTable | None = field(default=None, repr=False,
+                                        compare=False)
+
+    def _fire_rng(self) -> np.random.Generator:
+        """A fresh ``uarch-fire`` stream: every draw of the site starts
+        from its first value, so the fire and every rebind draw the same
+        site index."""
+        if self.streams is None:
+            return derive_rng(self.seed, UARCH_FIRE)
+        return self.streams(self.seed, UARCH_FIRE)
 
     @property
     def corrected_by_ecc(self) -> bool:
@@ -406,7 +426,7 @@ class MicroarchFaultPlan:
         :data:`CACHE_STRUCTURES`) and kept by instance index."""
         caches = gpu.cache_instances(self.structure)
         if self._site is None:
-            bit = int(derive_rng(self.seed, "uarch-fire").integers(
+            bit = int(self._fire_rng().integers(
                 sum(c.total_bits for c in caches)))
             for index, cache in enumerate(caches):
                 if bit < cache.total_bits:
@@ -435,9 +455,7 @@ class MicroarchFaultPlan:
         if self.target == "storage" and self.structure in CACHE_STRUCTURES:
             cache, _, bits, label = self._cache_site(gpu)
             return [_BufferBit(cache.data, b, cache) for b in bits], label
-        # One fresh, tag-derived stream per resolution: firing and every
-        # later rebind draw the same site index deterministically.
-        rng = derive_rng(self.seed, "uarch-fire")
+        rng = self._fire_rng()
         if self.target == "control":
             return self._select_control(gpu, rng)
         return self._select_storage(gpu, rng)
@@ -542,6 +560,7 @@ def plan_microarch_fault(
     fault_model: str = "transient",
     target: str = "storage",
     context: str = "",
+    streams: StreamTable | None = None,
 ) -> MicroarchFaultPlan:
     """Draw one fault plan, uniform over the target kernel's execution time.
 
@@ -552,7 +571,9 @@ def plan_microarch_fault(
     intermittent model additionally draws its stuck value and duty-cycle
     windows here, so plan determinism covers them.
 
-    ``context`` names the app/kernel in planner errors.
+    ``context`` names the app/kernel in planner errors. ``streams`` is
+    the campaign's stream table, which the plan keeps for its site draw;
+    ``None`` derives both streams with :func:`derive_rng`.
     """
     where = context or "the target kernel"
     if fault_model not in FAULT_MODELS:
@@ -577,7 +598,8 @@ def plan_microarch_fault(
         raise PlanningError(
             f"storage-target faults for {where} need a structure "
             f"(RF/SMEM/L1D/L1T/L2)")
-    rng = derive_rng(seed, "uarch-plan")
+    rng = (derive_rng(seed, UARCH_PLAN) if streams is None
+           else streams(seed, UARCH_PLAN))
     if not launches:
         raise PlanningError(
             f"cannot plan a microarchitecture fault for {where}: the "
@@ -606,4 +628,5 @@ def plan_microarch_fault(
         stuck_value=stuck_value,
         duty_period=duty_period,
         duty_on=duty_on,
+        streams=streams,
     )

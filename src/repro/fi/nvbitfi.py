@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.rng import derive_rng, weighted_index
+from repro.utils.rng import SW_PLAN, StreamTable, derive_rng, weighted_index
 
 
 @dataclass
@@ -102,6 +102,7 @@ def plan_software_fault(
     seed: int,
     loads_only: bool = False,
     context: str = "",
+    streams: StreamTable | None = None,
 ) -> SoftwareFaultPlan:
     """Draw one fault plan, uniform over the kernel's dynamic candidates.
 
@@ -109,10 +110,13 @@ def plan_software_fault(
     weighted by their candidate counts so the draw is uniform over all
     dynamic candidates of the kernel across its launches. ``context``
     (e.g. ``"app/kernel"``) names the target in planner errors.
+    ``streams`` is the campaign's stream table; ``None`` derives the
+    stream with :func:`derive_rng`.
     """
     from repro.errors import PlanningError
 
-    rng = derive_rng(seed, "sw-plan")
+    rng = (derive_rng(seed, SW_PLAN) if streams is None
+           else streams(seed, SW_PLAN))
     key = "injectable_loads" if loads_only else "injectable"
     launches = [rec for rec in launches if rec[key] > 0]
     if not launches:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.rng import derive_rng, weighted_index
+from repro.utils.rng import SRC_PLAN, StreamTable, derive_rng, weighted_index
 
 
 @dataclass
@@ -109,7 +109,8 @@ class SourceInjector:
 
 
 def plan_source_fault(
-    launches: list[dict], seed: int, sticky: bool, context: str = ""
+    launches: list[dict], seed: int, sticky: bool, context: str = "",
+    streams: StreamTable | None = None,
 ) -> SourceFaultPlan:
     """Draw one source-register fault plan.
 
@@ -119,11 +120,13 @@ def plan_source_fault(
     candidates scaled by a source-arity factor of 2 — a draw past the real
     candidate count simply never fires and is classified Masked, which
     matches the behaviour of real sampling-based injectors that discard
-    no-op plans.
+    no-op plans. ``streams`` is the campaign's stream table; ``None``
+    derives the stream with :func:`derive_rng`.
     """
     from repro.errors import PlanningError
 
-    rng = derive_rng(seed, "svf-src-plan")
+    rng = (derive_rng(seed, SRC_PLAN) if streams is None
+           else streams(seed, SRC_PLAN))
     launches = [rec for rec in launches if rec["injectable"] > 0]
     if not launches:
         where = context or "the target kernel"

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import GPUConfig
+from repro.arch.structures import Structure
 from repro.errors import DeadlockError, LaunchError, SimTimeout
 from repro.isa.program import Program
 from repro.sim.cache import Cache, DRAMInterface
@@ -628,8 +629,6 @@ class GPU:
         return [warp for sm in self.sms for warp in sm.warps]
 
     def cache_instances(self, structure) -> list[Cache]:
-        from repro.arch.structures import Structure
-
         if structure is Structure.L1D:
             return [sm.l1d for sm in self.sms]
         if structure is Structure.L1T:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import CampaignError
 from repro.fi import CampaignSpec, FaultOutcome, profile_app, run_campaign
-from repro.fi.journal import list_journals
+from repro.fi.journal import CampaignJournal, list_journals
 from repro.fi.runner import execute_trials, resolve_workers
 from repro.kernels import get_application
 from tests.fi.test_runner import FlakyApp
@@ -98,6 +98,63 @@ def test_kill_and_resume_under_parallelism(tmp_path, monkeypatch,
     assert progressed == list(range(1, trials + 1))
     assert resumed.to_dict() == ref.to_dict()
     assert not list_journals()
+
+
+@pytest.fixture()
+def journal_bytes(monkeypatch):
+    """The bytes of each journal as a campaign discards it, in order."""
+    seen = []
+    real_discard = CampaignJournal.discard
+
+    def discard(self):
+        seen.append(self.path.read_bytes())
+        real_discard(self)
+
+    monkeypatch.setattr(CampaignJournal, "discard", discard)
+    return seen
+
+
+#: uarch campaigns whose trials draw from the campaign's stream table,
+#: which a resumed pool rebuilds before it forks: transient L2 plans
+#: (most settle at plan time) and stuck-at RF plans rebound at every
+#: later launch.
+_UARCH_RESUMES = {
+    "sradv1-l2": dict(level="uarch", app="sradv1", structure="l2"),
+    "sradv1-rf-stuck1": dict(level="uarch", app="sradv1", structure="rf",
+                             fault_model="stuck1"),
+}
+
+
+@pytest.mark.parametrize("killed_workers", [1, 2])
+@pytest.mark.parametrize("name", list(_UARCH_RESUMES))
+def test_uarch_kill_and_resume_under_parallelism(tmp_path, monkeypatch,
+                                                 journal_bytes, name,
+                                                 killed_workers):
+    """Killed after 5 committed trials (serially or in a pool) and resumed
+    by a pool: the result, payload and journal bytes equal an
+    uninterrupted serial run's."""
+    spec = CampaignSpec(trials=16, seed=7, **_UARCH_RESUMES[name])
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref"))
+    ref = run_campaign(spec.derive(workers=1))
+    [ref_journal] = journal_bytes
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "live"))
+
+    def killer(done, total, outcome):
+        if done == 5:
+            raise KeyboardInterrupt()
+
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(spec.derive(workers=killed_workers), progress=killer)
+    [journal] = list_journals()
+    assert journal.trials == 5
+
+    resumed = run_campaign(spec.derive(workers=2))
+    assert resumed.to_dict() == ref.to_dict()
+    assert journal_bytes[-1] == ref_journal
+    assert not list_journals()
+    assert (_cache_payloads(tmp_path / "live")
+            == _cache_payloads(tmp_path / "ref"))
 
 
 # -------------------------------------------------------- crash isolation

@@ -552,6 +552,61 @@ def test_execute_trials_closes_the_journal(tmp_cache, journal_files,
 
 # ------------------------------------------------------- crash-safe cache
 
+# -------------------------------------------------- campaign stream table
+
+#: Campaigns whose trials draw every stream the table holds: settled and
+#: simulated L2 plans (plan and fire), a stuck-at RF plan rebinding at every
+#: later launch, and the software planner.
+_STREAM_CAMPAIGNS = {
+    "sradv1-uarch-l2": (dict(level="uarch", app="sradv1", structure="l2"), 32),
+    "sradv1-uarch-rf-stuck1": (dict(level="uarch", app="sradv1",
+                                    structure="rf", fault_model="stuck1"), 8),
+    "bfs-sw": (dict(level="sw", app="bfs"), 16),
+    "va-src": (dict(level="src", app="va"), 16),
+}
+
+
+@pytest.mark.parametrize("name", list(_STREAM_CAMPAIGNS))
+def test_a_campaign_derives_no_stream_per_trial(tmp_cache, monkeypatch,
+                                                name):
+    """A campaign's fault streams come from its stream table, built in one
+    pass: the only ``derive_rng`` call is ``spawn_seeds``'s."""
+    import repro.fi.gpufi
+    import repro.fi.nvbitfi
+    import repro.fi.svf_modes
+    import repro.utils.rng
+
+    calls = []
+    real = repro.utils.rng.derive_rng
+
+    def counting(seed, tag):
+        calls.append(tag)
+        return real(seed, tag)
+
+    for module in (repro.utils.rng, repro.fi.gpufi, repro.fi.nvbitfi,
+                   repro.fi.svf_modes):
+        monkeypatch.setattr(module, "derive_rng", counting)
+    fields, trials = _STREAM_CAMPAIGNS[name]
+    result = run_campaign(CampaignSpec(trials=trials, seed=3, **fields))
+    assert result.counts.total == trials
+    assert len(calls) == 1
+
+
+def test_a_planner_refuses_a_seed_missing_from_the_table():
+    from repro.utils.rng import StreamTable
+
+    launches = [{"index": 0, "name": "k", "cycles": 100, "injectable": 10,
+                 "injectable_loads": 4}]
+    for name in ("uarch", "sw", "sw-ld", "src"):
+        level = campaign_mod._level_driver(
+            CampaignSpec(level=name, app="va",
+                         structure="l2" if name == "uarch" else None), "k")
+        table = StreamTable([11, 12], level.tags)
+        level.plan(launches, 12, table)
+        with pytest.raises(KeyError, match="seed 13"):
+            level.plan(launches, 13, table)
+
+
 def test_cache_store_atomic_when_rename_fails(tmp_cache, monkeypatch):
     campaign_mod._cache_store("key", {"a": 1})
 

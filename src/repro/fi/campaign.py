@@ -96,6 +96,7 @@ from repro.errors import ConfigError, ExecutionError, PlanningError, SimTimeout
 from repro.fi.gpufi import (
     FAULT_MODELS,
     FAULT_TARGETS,
+    FireCensus,
     MicroarchFaultPlan,
     MicroarchInjector,
     plan_microarch_fault,
@@ -504,15 +505,20 @@ def run_campaign(
         # Every trial's fault streams, derived before the first trial (and
         # before a pool forks); a resumed campaign rebuilds the same table.
         streams = StreamTable(seeds, level.tags)
+        plan_fn = lambda s: level.plan(launches, s, streams)
+        gpu_factory = _gpu_factory(profile, config)
+        # Also before a pool forks, so every worker has its checkpoints.
+        dead_fires = _fire_census(app, profile, harness_factory, gpu_factory,
+                                  map(plan_fn, seeds), tel)
         tally = execute_trials(
             key=key,
             seeds=seeds,
             trial_fn=_injection_trial_fn(
-                app, profile, harness_factory,
-                lambda s: level.plan(launches, s, streams),
+                app, profile, harness_factory, plan_fn,
                 level.injector_attr, level.injector_cls,
-                sdc_anatomy=spec.sdc_anatomy, site_fn=level.site),
-            gpu_factory=_gpu_factory(profile, config),
+                sdc_anatomy=spec.sdc_anatomy, site_fn=level.site,
+                dead_fires=dead_fires),
+            gpu_factory=gpu_factory,
             baseline_cycles=profile.total_cycles,
             max_failure_rate=max_failure_rate,
             progress=progress,
@@ -885,12 +891,47 @@ class _GoldenFits:
         return self.fits
 
 
+def _fire_census(app, profile: AppProfile, harness_factory, gpu_factory,
+                 plans, tel=NULL) -> frozenset[int]:
+    """The seeds of ``plans`` whose fire would write only dead state,
+    from one fault-free run with a :class:`~repro.fi.gpufi.FireCensus`
+    armed, on a GPU from ``gpu_factory``, under a ``census`` span. The
+    run clocks each launch that holds a plan to its end, so it fills
+    every checkpoint of that launch. ``plans`` are drawn lazily: when the
+    first needs no census (``MicroarchFaultPlan.needs_census``; all plans
+    of a campaign share it), none other is drawn and no run happens, nor
+    when there is no replay track or the golden run overruns the cycle
+    budgets (then no trial settles)."""
+    plans = iter(plans)
+    first = next(plans, None)
+    if (not isinstance(first, MicroarchFaultPlan) or not first.needs_census
+            or profile.replay is None):
+        return frozenset()
+    gpu = gpu_factory()
+    if not gpu.golden_fits(profile.replay.launches, 0):
+        return frozenset()
+    census = FireCensus([first, *plans])
+    with tel.span("census"):
+        gpu.reset()
+        gpu.replay = profile.replay
+        gpu.uarch_injector = census
+        try:
+            app.run(gpu, harness_factory() if harness_factory
+                    else DeviceHarness())
+        finally:
+            gpu.uarch_injector = gpu.replay = None
+    return frozenset(census.dead)
+
+
 def _settled_at_plan(gpu: GPU, plan, profile: AppProfile,
-                     fits: _GoldenFits | None = None):
+                     fits: _GoldenFits | None = None,
+                     dead_fires: frozenset[int] = frozenset()):
     """``(records, rest)`` for :func:`_converged` when ``plan`` settles
     its trial before it runs, else None: an ECC-corrected plan flips
-    nothing, and one dead at arm (``MicroarchFaultPlan.dead_at_arm``)
-    dies whenever it fires, after golden launches and host code. So the
+    nothing, and one dead at arm (``MicroarchFaultPlan.dead_at_arm``: a
+    cache fault in a line the golden launch never fills, or an RF fault
+    whose seed the campaign's fire census put in ``dead_fires``) dies
+    whenever it fires, after golden launches and host code. So the
     trial is the golden run, if that fits the cycle budgets
     (``GPU.golden_fits``, asked through the campaign's ``fits`` memo
     when given). A dead-at-arm launch is recorded dead at fire."""
@@ -900,7 +941,7 @@ def _settled_at_plan(gpu: GPU, plan, profile: AppProfile,
     launches, at = replay.launches, plan.launch_index
     if plan.corrected_by_ecc:
         settled = (), launches
-    elif plan.dead_at_arm(gpu, launches[at]):
+    elif plan.dead_at_arm(gpu, launches[at], dead_fires):
         settled = ((golden_record(launches[at], 0, dead_at_fire=True),),
                    launches[:at] + launches[at + 1:])
     else:
@@ -910,7 +951,8 @@ def _settled_at_plan(gpu: GPU, plan, profile: AppProfile,
 
 def _injection_trial_fn(app, profile, harness_factory, plan_fn,
                         injector_attr, injector_cls,
-                        sdc_anatomy=False, site_fn=None):
+                        sdc_anatomy=False, site_fn=None,
+                        dead_fires=frozenset()):
     """The one trial body all campaign levels share: plan a fault for the
     trial seed, arm the injector, run the app, classify.
 
@@ -925,7 +967,11 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
     anatomy record of :func:`repro.sdc.analyze_sdc`, tagged with
     ``site_fn(plan)`` (the injected structure / instruction class) — which
     the runner journals and tallies. With it off, trials return the legacy
-    two-tuple, keeping journals byte-identical."""
+    two-tuple, keeping journals byte-identical.
+
+    ``dead_fires`` are the seeds the campaign's fire census
+    (:func:`_fire_census`) found dead at their fire: their trials settle
+    at plan time (:func:`_settled_at_plan`)."""
     if sdc_anatomy:
         from repro.sdc import analyze_sdc  # deferred: fi never needs it
                                            # unless a spec opts in
@@ -935,7 +981,7 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
         tel = current_telemetry()
         with tel.span("inject.plan"):
             plan = plan_fn(trial_seed)
-        settled = _settled_at_plan(gpu, plan, profile, fits)
+        settled = _settled_at_plan(gpu, plan, profile, fits, dead_fires)
         if settled is not None:
             return _converged(profile, *settled)[:2]
         gpu.reset()

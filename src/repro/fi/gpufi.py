@@ -49,7 +49,7 @@ from repro.arch.structures import Structure
 from repro.errors import ExecutionError, PlanningError
 from repro.sim.cache import Cache
 from repro.sim.register_file import WarpRegisters
-from repro.sim.replay import bank_live_mask
+from repro.sim.replay import NEVER, bank_live_mask
 from repro.utils.rng import (
     UARCH_FIRE,
     UARCH_PLAN,
@@ -371,16 +371,31 @@ class MicroarchFaultPlan:
         bits = self._fire_bits
         return bits is not None and all(_dead_bit(gpu, bit) for bit in bits)
 
-    def dead_at_arm(self, gpu, golden) -> bool:
-        """Whether this plan is a transient, unprotected cache fault whose
-        every bit lies in a line invalid when ``golden`` (the
-        :class:`repro.sim.replay.GoldenLaunch` it is armed for) ends.
-        Inside a launch a line's ``valid`` bit only goes from 0 to 1, so
-        that line was invalid at every cycle of the launch, the fire
-        included: in a launch that repeats ``golden``, :meth:`fire` would
-        write only dead state (:meth:`dead_on_arrival`)."""
-        if (self.persistent or self.ecc_protected or self.target != "storage"
-                or self.structure not in CACHE_STRUCTURES):
+    @property
+    def needs_census(self) -> bool:
+        """Whether a fire census (:class:`FireCensus`) gives this plan's
+        dead-at-arm verdict: a transient, unprotected RF fault, whose site
+        is drawn over the banks live at its fire."""
+        return (self.structure is Structure.RF and self.target == "storage"
+                and not self.persistent and not self.ecc_protected)
+
+    def dead_at_arm(self, gpu, golden, dead_fires=frozenset()) -> bool:
+        """Whether in a launch that repeats ``golden`` (the
+        :class:`repro.sim.replay.GoldenLaunch` this plan is armed for)
+        :meth:`fire` would write only dead state (:meth:`dead_on_arrival`).
+
+        * A transient, unprotected cache fault: every bit lies in a line
+          invalid when ``golden`` ends. Inside a launch a line's ``valid``
+          bit only goes from 0 to 1, so that line was invalid at every
+          cycle of the launch, the fire included.
+        * A plan that :attr:`needs_census`: its seed is in ``dead_fires``,
+          the seeds the campaign's fire census found dead at their fire
+          on the golden state."""
+        if self.persistent or self.ecc_protected or self.target != "storage":
+            return False
+        if self.structure is Structure.RF:  # needs_census, asked cheaply
+            return self.seed in dead_fires
+        if self.structure not in CACHE_STRUCTURES:
             return False
         cache, index, bits, _ = self._cache_site(gpu)
         valid = golden.valid_at_exit(self.structure, index)
@@ -549,6 +564,66 @@ class MicroarchInjector:
         if launch_index == plan.launch_index and not plan.fired:
             return plan
         return None
+
+
+class FireCensus:
+    """GPU hook of a fault-free run that takes each of ``plans`` (plans
+    that :attr:`~MicroarchFaultPlan.needs_census`) to its fire and
+    collects in :attr:`dead` the seeds of those whose fire would write
+    only dead state, flipping nothing.
+
+    Armed on each launch that holds a plan, the census is also the
+    launch's actor: at each plan's fire loop top (the first with ``now >=
+    cycle``, after the issue phase) it draws the plan's own site
+    (:meth:`MicroarchFaultPlan._select`) on the golden state and asks
+    :func:`_dead_bit` of every bit. A trial equals the golden run up to
+    its fire, so its fire would see the same. The census never fires, so
+    the launch runs lock-step, as every trial's does up to its fire, and
+    to its end as a pristine trial's would, capturing every checkpoint of
+    it (see :mod:`repro.sim.replay`)."""
+
+    fired = persistent = False
+    #: Never spent: no launch of the run ends it at convergence.
+    spent = False
+
+    def __init__(self, plans):
+        self.dead: set[int] = set()
+        self._by_launch: dict[int, list] = {}
+        for plan in sorted(plans, key=lambda plan: plan.cycle):
+            self._by_launch.setdefault(plan.launch_index, []).append(plan)
+        self._due: list = []
+
+    def arm(self, launch_index: int, kernel_name: str, gpu):
+        """Act on the launch if it holds a plan, taking its plans in
+        cycle order."""
+        self._due = self._by_launch.get(launch_index, [])
+        if not self._due:
+            return None
+        self._next = 0
+        self.cycle = self._due[0].cycle
+        return self
+
+    def can_resume(self, checkpoint) -> bool:
+        """The first plan's rule (:meth:`MicroarchFaultPlan.can_resume`)."""
+        return checkpoint.now <= self._due[0].cycle
+
+    def resume(self, checkpoint) -> None:
+        """Nothing to take up: the plans key on the clock alone."""
+
+    def dead_on_arrival(self, gpu) -> bool:
+        """Never: the census ends no launch at a fire."""
+        return False
+
+    def fire(self, gpu) -> None:
+        """Judge every plan due at this loop top."""
+        due = self._due
+        while self._next < len(due) and due[self._next].cycle <= gpu.now:
+            plan = due[self._next]
+            targets, _ = plan._select(gpu)
+            if all(_dead_bit(gpu, bit) for bit in targets):
+                self.dead.add(plan.seed)
+            self._next += 1
+        self.cycle = due[self._next].cycle if self._next < len(due) else NEVER
 
 
 def plan_microarch_fault(

@@ -117,8 +117,9 @@ class LaunchRecord:
     simulated_cycles: int = 0
     #: Observation only: the launch's fault flipped only dead state, so it
     #: finished from the golden run at the fire cycle, or the campaign
-    #: found every bit in a line the golden launch never fills and took
-    #: the launch from the golden run without simulating it.
+    #: found before the trial that it would (every bit in a line the
+    #: golden launch never fills, or an RF fault its fire census found
+    #: dead) and took the launch from the golden run without simulating it.
     dead_at_fire: bool = False
 
     @property

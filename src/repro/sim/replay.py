@@ -80,14 +80,25 @@ reads, so the rest of the launch is golden
 whole line before it sets ``valid``, so an invalid line is never read.
 
 *The plan-time exit* of a campaign trial (``repro.fi.campaign``) takes
-that decision before the trial runs, for a transient cache fault whose
-every bit lies in a line the golden launch never fills. A cache fault's
-site does not depend on device state, and inside a launch a line's
-``valid`` bit only goes from 0 to 1: only ``Cache.invalidate_all`` and
-restores clear it, and both run outside ``GPU._run``. So a line invalid
-in the golden launch's exit mask (:attr:`GoldenLaunch.exit_valid`,
-recorded by the profiling run only) was invalid at every cycle of that
-launch. Such a plan that reaches a launch anyway ends it at its fire.
+that decision before the trial runs, for two kinds of transient,
+unprotected fault:
+
+* a cache fault whose every bit lies in a line the golden launch never
+  fills. A cache fault's site does not depend on device state, and
+  inside a launch a line's ``valid`` bit only goes from 0 to 1: only
+  ``Cache.invalidate_all`` and restores clear it, and both run outside
+  ``GPU._run``. So a line invalid in the golden launch's exit mask
+  (:attr:`GoldenLaunch.exit_valid`, recorded by the profiling run only)
+  was invalid at every cycle of that launch;
+* an RF fault the campaign's *fire census* found dead. An RF site is
+  drawn over the banks live at the fire, so the census
+  (``repro.fi.gpufi.FireCensus``) runs the app once fault-free, before
+  the first trial, and at each plan's fire loop top draws the plan's own
+  site on the golden state and asks whether every bit is dead, flipping
+  nothing. Up to its fire a trial equals the golden run, so its fire
+  would see the same.
+
+Such a plan that reaches a launch anyway ends it at its fire.
 
 The shortcuts in this module end in one path, "finish from golden"
 (``GPU._finish_from_golden``): set the uid counters to their entry
@@ -112,7 +123,11 @@ the trials that ran before it on the same profile: run again after others
 not have, and clock fewer cycles; its outcome, cycles, outputs and stats do
 not change. Summed over a campaign ("cycles simulated" in ``campaign
 report``), the figure depends on trial order and, since each forked worker
-captures its own checkpoints, on how a worker pool shards the trials.
+captures its own checkpoints, on how a worker pool shards the trials. Not
+so in a transient RF campaign: its fire census, a pristine actor, clocks
+each launch that holds a plan to its end before the first trial and
+before a pool forks, so every checkpoint a trial can use is there and no
+trial captures one.
 
 The boundary state (:class:`Boundary`) is:
 

@@ -286,9 +286,11 @@ def render_summary(s: CampaignSummary) -> str:
                             for r in s.kernels.values())
             cycles = sum(r.get("cycles", 0) for r in s.kernels.values())
             share = simulated / cycles if cycles else 0.0
-            # Depends on trial order and worker sharding: checkpoints are
-            # captured lazily, so a later trial may fast-forward further
-            # (see repro.sim.replay). Outcomes and cycles do not.
+            # Depends on trial order and worker sharding, except in a
+            # transient RF campaign: checkpoints are captured lazily, so a
+            # later trial may fast-forward further, while an RF campaign's
+            # fire census captures them all first (see repro.sim.replay).
+            # Outcomes and cycles do not.
             lines.append(f"  cycles simulated   {simulated} of {cycles} "
                          f"({share:.1%})")
         if any("dead_at_fire" in r for r in s.kernels.values()):

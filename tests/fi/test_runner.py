@@ -382,19 +382,22 @@ def test_group_commit_fsyncs_once_per_interval(tmp_path, monkeypatch):
     now = [100.0]
     monkeypatch.setattr(journal_mod, "_clock", lambda: now[0])
     j = CampaignJournal("k", tmp_path)
-    j.append({"event": "meta"})
-    for i in range(39):
-        j.append(_trial_record(i))
-    assert len(synced) == 1  # the meta record's
-    assert len(j.load()) == 40  # every record reached the OS
-    now[0] += journal_mod.SYNC_INTERVAL_S
-    j.append(_trial_record(39))
-    assert len(synced) == 2
-    j.sync()  # nothing appended since the last fsync
-    assert len(synced) == 2
-    j.append(_trial_record(40))
-    j.sync()
-    assert len(synced) == 3
+    try:
+        j.append({"event": "meta"})
+        for i in range(39):
+            j.append(_trial_record(i))
+        assert len(synced) == 1  # the meta record's
+        assert len(j.load()) == 40  # every record reached the OS
+        now[0] += journal_mod.SYNC_INTERVAL_S
+        j.append(_trial_record(39))
+        assert len(synced) == 2
+        j.sync()  # nothing appended since the last fsync
+        assert len(synced) == 2
+        j.append(_trial_record(40))
+        j.sync()
+        assert len(synced) == 3
+    finally:
+        j.close()
 
 
 @pytest.mark.parametrize("app, error", [

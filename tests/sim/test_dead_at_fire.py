@@ -3,11 +3,12 @@
 every flipped bit is dead (a register cell not live-in at its lane's next
 pc, a done lane, an invalid cache line) ends its launch from the golden
 run at the fire cycle, and a cache fault whose every bit lies in a line
-the golden launch never fills settles its trial before it runs. The
-exactness oracle (``tests/sim/trials.py`` ``exactness``) checks that
-every trial equals full simulation and every cell called dead is really
-dead, over its matrix and here over hand-picked apps and seeds; the rest
-are the edge cases."""
+the golden launch never fills, or an RF fault the campaign's fire census
+(:func:`repro.fi.campaign._fire_census`) found dead at its fire, settles
+its trial before it runs. The exactness oracle (``tests/sim/trials.py``
+``exactness``) checks that every trial equals full simulation and every
+cell called dead is really dead, over its matrix and here over
+hand-picked apps and seeds; the rest are the edge cases."""
 
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ import numpy as np
 import pytest
 
 from repro.arch.structures import Structure
+import repro.fi.campaign as campaign_module
 from repro.fi import CampaignSpec, run_campaign
 from repro.fi.campaign import (_gpu_factory, _injection_trial_fn, _kernel_rollup,
                                _settled_at_plan)
-from repro.fi.gpufi import (MicroarchFaultPlan, MicroarchInjector, _BufferBit,
+from repro.fi.gpufi import (FireCensus, MicroarchFaultPlan, MicroarchInjector, _BufferBit,
                             plan_microarch_fault)
 from repro.fi.outcomes import FaultOutcome
 from repro.fi.nvbitfi import plan_software_fault
@@ -330,3 +332,114 @@ def test_a_two_bit_upset_reaching_a_filled_line_is_simulated(gv100):
     assert not plan.dead_at_arm(_gpu_factory(profile, gv100)(), golden)
     on = agree(app, profile, lambda: Sited(0, cycle, [edge - 1, edge]))
     assert not on["dead_at_fire"][0]
+
+
+# ---------------------------------------------------------------------- #
+# The fire census (repro.fi.campaign._fire_census)
+# ---------------------------------------------------------------------- #
+def _spy_on_census(monkeypatch):
+    """Log every census's dead seeds, every plan-time exit's
+    ``(seed, settled)`` and every trial's ``seed -> whether a launch
+    ended dead at fire`` of the campaigns run after the call."""
+    log = {"census": [], "settled": [], "dead": {}}
+    census, settled, trial_fn = (campaign_module._fire_census,
+                                 campaign_module._settled_at_plan,
+                                 campaign_module._injection_trial_fn)
+
+    def fire_census(*args):
+        log["census"].append(census(*args))
+        return log["census"][-1]
+
+    def settled_at_plan(gpu, plan, *args):
+        got = settled(gpu, plan, *args)
+        log["settled"].append((plan.seed, got is not None))
+        return got
+
+    def injection_trial_fn(*args, **kw):
+        body = trial_fn(*args, **kw)
+
+        def run(gpu, seed):
+            try:
+                return body(gpu, seed)
+            finally:  # a settled trial leaves the last trial's records
+                log["dead"][seed] = any(r.dead_at_fire
+                                        for r in gpu.launch_records)
+        return run
+
+    monkeypatch.setattr(campaign_module, "_fire_census", fire_census)
+    monkeypatch.setattr(campaign_module, "_settled_at_plan", settled_at_plan)
+    monkeypatch.setattr(campaign_module, "_injection_trial_fn",
+                        injection_trial_fn)
+    return log
+
+
+@pytest.mark.parametrize("app_name", ["gemm", "hotspot"])
+def test_the_census_calls_dead_exactly_the_faults_dead_at_fire(
+        app_name, gv100, tmp_cache, monkeypatch):
+    """With the plan-time verdict off, every trial of a transient RF
+    campaign is simulated to its fire, and its launch ends dead at fire
+    exactly when the campaign's fire census called its seed dead (both
+    happen). The verdict goes through ``MicroarchFaultPlan.dead_at_arm``:
+    off, no trial settles; on, exactly the census's seeds do. Every
+    census after the first starts from the checkpoints it captured."""
+    log = _spy_on_census(monkeypatch)
+    profile = fresh_profile(app_name, gv100)
+    for seed in (1, 2):
+        spec = CampaignSpec(level="uarch", app=app_name, structure="rf",
+                            config=gv100, trials=64, seed=seed,
+                            use_cache=False, workers=1)
+        with no_arm_verdict():
+            run_campaign(spec, profile=profile)
+        (dead,) = log["census"]
+        assert len(log["dead"]) == 64
+        assert dead == {s for s, hit in log["dead"].items() if hit}
+        assert 0 < len(dead) < 64
+        assert not any(hit for _, hit in log["settled"])
+        log["settled"].clear()
+        run_campaign(spec, profile=profile)
+        assert {s for s, hit in log["settled"] if hit} == dead
+        for entry in log.values():
+            entry.clear()
+
+
+#: label -> spec fields of a campaign that takes no fire census.
+NO_CENSUS = {
+    "sw": dict(level="sw", app="bfs"),
+    "sw-ld": dict(level="sw-ld", app="nw"),
+    "src": dict(level="src", app="pathfinder"),
+    "l2": dict(level="uarch", app="sradv1", structure="l2"),
+    "l1d": dict(level="uarch", app="hotspot", structure="l1d"),
+    "smem": dict(level="uarch", app="gemm", structure="smem"),
+    "control": dict(level="uarch", app="gemm", target="control"),
+    "rf-stuck1": dict(level="uarch", app="gemm", structure="rf",
+                      fault_model="stuck1"),
+    "rf-intermittent": dict(level="uarch", app="va", structure="rf",
+                            fault_model="intermittent"),
+    "rf-ecc": dict(level="uarch", app="gemm", structure="rf",
+                   ecc_protected=True),
+    "rf-ecc-2bit": dict(level="uarch", app="gemm", structure="rf",
+                        num_bits=2, ecc_protected=True),
+}
+
+
+def test_only_transient_unprotected_rf_campaigns_take_a_census(
+        tmp_cache, monkeypatch):
+    """Software, source, cache, SMEM, control, stuck-at, intermittent
+    and ECC campaigns run no census pass; a 2-bit transient RF campaign
+    runs one."""
+    passes = []
+
+    class Counted(FireCensus):
+        def __init__(self, plans):
+            super().__init__(plans)
+            passes.append(self)
+
+    monkeypatch.setattr(campaign_module, "FireCensus", Counted)
+    for label, fields in NO_CENSUS.items():
+        run_campaign(CampaignSpec(trials=4, seed=1, use_cache=False,
+                                  workers=1, **fields))
+        assert not passes, label
+    run_campaign(CampaignSpec(level="uarch", app="gemm", structure="rf",
+                              num_bits=2, trials=4, seed=1, use_cache=False,
+                              workers=1))
+    assert len(passes) == 1

@@ -4,6 +4,7 @@ convergence (:mod:`repro.sim.gpu`): exactness and fallbacks."""
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 
@@ -14,8 +15,8 @@ from repro.identity import campaign_identity, identity_tag
 from repro.kernels import get_application
 from repro.sim.gpu import GPU
 from repro.utils.rng import spawn_seeds
-from tests.sim.trials import (VectorAdds, agree, assert_same, exactness, fresh_profile, full,
-                              golden_profile, run, run_on)
+from tests.sim.trials import (CENSUS, VectorAdds, agree, assert_same, exactness,
+                              fresh_profile, full, golden_profile, no_arm_verdict, run, run_on)
 
 
 #: kernel -> the seeds its row draws (default: 3 to 5, past the matrix's):
@@ -217,7 +218,10 @@ def test_trial_level_convergence_equals_running_on(cell):
     fired, and then equals running on to the end (the oracle checks it).
     Persistent faults never end it."""
     app_name, kernel, label, seeds, ends = TRIAL_CELLS[cell]
-    tally = exactness(app_name, [(label, kernel, seed) for seed in seeds])
+    # RF faults the fire census calls dead would settle at plan time; with
+    # the verdict off they end at the fire, and their trial there.
+    with no_arm_verdict() if label in CENSUS else nullcontext():
+        tally = exactness(app_name, [(label, kernel, seed) for seed in seeds])
     assert bool(tally["trial-level convergence"]) == ends, tally
 
 

@@ -24,7 +24,8 @@ import repro.sim.gpu as gpu_module
 from repro.arch.config import quadro_gv100_like, tesla_v100_like
 from repro.arch.structures import Structure
 from repro.errors import ExecutionError
-from repro.fi.campaign import _converged, _gpu_factory, _settled_at_plan, profile_app
+from repro.fi.campaign import (_converged, _fire_census, _gpu_factory, _settled_at_plan,
+                               profile_app)
 from repro.fi.gpufi import MicroarchFaultPlan, MicroarchInjector, plan_microarch_fault
 from repro.fi.nvbitfi import SoftwareFaultPlan, SoftwareInjector, plan_software_fault
 from repro.fi.outcomes import FaultOutcome
@@ -70,10 +71,11 @@ def full(profile):
 def no_arm_verdict():
     """The dead-at-arm verdict off (``MicroarchFaultPlan.dead_at_arm``
     always False): a campaign trial whose cache fault lies in a line the
-    golden launch never fills is simulated to its fire, and its launch
-    ends there (fire-time convergence)."""
+    golden launch never fills, or whose RF fault the fire census found
+    dead, is simulated to its fire, and its launch ends there (fire-time
+    convergence)."""
     return patch.object(MicroarchFaultPlan, "dead_at_arm",
-                        lambda plan, gpu, golden: False)
+                        lambda plan, gpu, golden, dead_fires=(): False)
 
 
 @contextmanager
@@ -209,10 +211,13 @@ def _records(records) -> dict:
 def trial(app, profile, plan, gpu) -> dict:
     """``plan``'s trial the way the campaign runs it: settled at plan time
     when :func:`repro.fi.campaign._settled_at_plan` settles it, else
-    :func:`run` on ``gpu``. A settled trial (``settled`` True) is the
-    golden run, its armed launch dead at fire; its plan never fires, so
-    it has no description."""
-    settled = _settled_at_plan(gpu, plan, profile)
+    :func:`run` on ``gpu``. A plan that needs a fire census gets its own
+    first (:func:`repro.fi.campaign._fire_census`, on ``gpu``), which
+    captures every checkpoint of its launch, as a campaign's does. A
+    settled trial (``settled`` True) is the golden run, its armed launch
+    dead at fire; its plan never fires, so it has no description."""
+    dead_fires = _fire_census(app, profile, None, lambda: gpu, [plan])
+    settled = _settled_at_plan(gpu, plan, profile, dead_fires=dead_fires)
     if settled is None:
         return {**run(app, profile, plan, gpu=gpu), "settled": False}
     outcome, cycles, outputs = _converged(profile, *settled)
@@ -356,11 +361,12 @@ def _cells() -> dict:
 
 CELLS = _cells()
 
-#: The cells the plan-time exit may settle, and those whose faults may
-#: end their launch at the fire cycle.
-PLAN_TIME = {f"{name}-{kind}" for name in ("l1d", "l1t", "l2")
-             for kind in ("transient", "2bit")}
-FIRE_TIME = PLAN_TIME | {"rf-transient", "rf-2bit"}
+#: The cells whose plans need a fire census, and the cells the plan-time
+#: exit may settle, which are also those whose faults may end their
+#: launch at the fire cycle.
+CENSUS = {"rf-transient", "rf-2bit"}
+PLAN_TIME = CENSUS | {f"{name}-{kind}" for name in ("l1d", "l1t", "l2")
+                      for kind in ("transient", "2bit")}
 PERSISTENT = {label for label in CELLS
               if label.endswith(("stuck0", "stuck1", "intermittent"))}
 
@@ -395,7 +401,7 @@ def _check_rules(label, taken, got) -> None:
     if "plan-time exit" in taken:
         assert label in PLAN_TIME
     if "fire-time convergence" in taken and got["descriptions"] != [""]:
-        assert label in FIRE_TIME
+        assert label in PLAN_TIME
 
 
 def _check_running_on(app, profile, make, gpu) -> None:
